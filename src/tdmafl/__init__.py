@@ -15,14 +15,11 @@ from .errors import (
 from .timing import (
     DelayChoice,
     SystemConfig,
-    TimingProfile,
     compute_tau_asyn,
     compute_tau_comm,
     compute_tau_comp,
     idfl_staleness,
     optimal_intentional_delay,
-    profile,
-    staleness_closed_form,
 )
 from .simulator import (
     DeviceState,
@@ -36,15 +33,7 @@ from .simulator import (
     select_transmitters,
     steady_round_duration,
 )
-from .learner import (
-    GlobalState,
-    LocalGradient,
-    SgdLearner,
-    aggregate,
-    global_loss,
-    global_update,
-    local_update,
-)
+from .learner import SgdLearner
 from .tasks import (
     MlpTask,
     QuadraticTask,

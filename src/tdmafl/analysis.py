@@ -248,8 +248,10 @@ def descent_lhs_mc(
         mean_updates /= s
         w_plus = w_now[None, :] - eta * mean_updates
         quad = 0.5 * np.einsum("ti,ij,tj->t", w_plus, task.hessian, w_plus)
-        lin = w_plus @ task._global_offset
-        values = quad - lin + float(task._sample_const.mean())
+        # grad(0) = -(mean offset) and loss(0) = mean constant, both exactly.
+        zero = np.zeros(task.dim)
+        lin = w_plus @ -task.grad(zero)
+        values = quad - lin + task.loss(zero)
     else:
         values = np.empty(trials)
         for t in range(trials):

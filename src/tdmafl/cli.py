@@ -2,9 +2,9 @@
 
 Experiments are described by one JSON document (see README for the schema);
 individual fields can be overridden from the command line. Each run writes
-per-seed CSV metrics, a JSON summary echoing the configuration, and a plot
-script that renders the CSVs. Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numerical failure.
+per-seed CSV metrics and a strict-JSON summary echoing the configuration.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -35,10 +35,11 @@ from .errors import ConfigError, DataError, NumericsError
 from .learner import SgdLearner
 from .simulator import run_timeline
 from .tasks import MlpTask, SoftmaxRegressionTask, make_quadratic
-from .timing import SystemConfig, optimal_intentional_delay, profile
+from .timing import SystemConfig, optimal_intentional_delay
 
 DATA_DIR_ENV = "TDMAFL_DATA_DIR"
 CSV_HEADER = ["round", "slot", "loss", "grad_norm_sq", "staleness"]
+SYSTEM_FIELDS = frozenset(f.name for f in fields(SystemConfig))
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,6 +50,16 @@ EXIT_NUMERIC = 4
 def canonical_json(obj) -> str:
     """Normalized JSON text: sorted keys, no whitespace padding."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _read_json_config(path):
+    """Parse a JSON config file; a missing or malformed file is a ConfigError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +109,7 @@ class ExperimentSpec:
 
     @classmethod
     def from_path(cls, path) -> "ExperimentSpec":
-        try:
-            doc = json.loads(Path(path).read_text())
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(_read_json_config(path))
 
 
 def build_system_config(system: dict) -> SystemConfig:
@@ -117,43 +122,22 @@ def build_system_config(system: dict) -> SystemConfig:
     sysd = dict(system)
     delay = sysd.pop("intentional_delay", 0)
     compute_slots = sysd.pop("compute_slots", None)
-    field_map = {
-        "num_devices": "num_devices",
-        "group_size": "group_size",
-        "slots_per_transfer": "slots_per_transfer",
-        "samples_per_slot": "samples_per_slot",
-        "local_steps": "local_steps",
-        "batch_size": "batch_size",
-        "step_size": "step_size",
-        "horizon": "horizon",
-    }
-    unknown = set(sysd) - set(field_map)
+    unknown = set(sysd) - SYSTEM_FIELDS
     if unknown:
         raise ConfigError(f"unknown system fields: {sorted(unknown)}")
-    kwargs = {field_map[k]: v for k, v in sysd.items()}
     if compute_slots is not None:
-        if "samples_per_slot" in kwargs:
+        if "samples_per_slot" in sysd:
             raise ConfigError("give either compute_slots or samples_per_slot, not both")
         base = SystemConfig.from_times(
-            kwargs.pop("num_devices"), kwargs.pop("group_size"),
-            int(compute_slots), kwargs.pop("slots_per_transfer", 1), **kwargs,
+            sysd.pop("num_devices"), sysd.pop("group_size"),
+            int(compute_slots), sysd.pop("slots_per_transfer", 1), **sysd,
         )
     else:
-        base = SystemConfig(**kwargs)
+        base = SystemConfig(**sysd)
     if delay == "optimal":
         delay = optimal_intentional_delay(base).alpha
     if delay:
-        base = SystemConfig(
-            num_devices=base.num_devices,
-            group_size=base.group_size,
-            slots_per_transfer=base.slots_per_transfer,
-            samples_per_slot=base.samples_per_slot,
-            local_steps=base.local_steps,
-            batch_size=base.batch_size,
-            step_size=base.step_size,
-            horizon=base.horizon,
-            intentional_delay=int(delay),
-        )
+        base = replace(base, intentional_delay=int(delay))
     return base
 
 
@@ -291,62 +275,6 @@ def read_metrics_csv(path) -> dict[str, list]:
     return out
 
 
-PLOT_SCRIPT = '''#!/usr/bin/env python3
-"""Render the metrics CSVs next to this script. Requires matplotlib."""
-import csv
-import glob
-import os
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-
-MARKER_SLOT_INTERVAL = 1000
-HERE = os.path.dirname(os.path.abspath(__file__))
-
-
-def load(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    slots = [int(r["slot"]) for r in rows]
-    loss = [float(r["loss"]) for r in rows]
-    keep = [i for i, v in enumerate(loss) if v == v]  # drop NaN rows
-    return [slots[i] for i in keep], [loss[i] for i in keep]
-
-
-def marker_indices(slots):
-    out, last = [], -1
-    for i, s in enumerate(slots):
-        block = s // MARKER_SLOT_INTERVAL
-        if block != last:
-            out.append(i)
-            last = block
-    return out
-
-
-def main():
-    fig, ax = plt.subplots(figsize=(7, 4.5))
-    for path in sorted(glob.glob(os.path.join(HERE, "seed*", "metrics.csv"))):
-        slots, loss = load(path)
-        if not slots:
-            continue
-        label = os.path.basename(os.path.dirname(path))
-        marks = marker_indices(slots)
-        ax.plot(slots, loss, label=label, marker="o", markevery=marks, markersize=3)
-    ax.set_xlabel("time slot")
-    ax.set_ylabel("global loss")
-    ax.legend()
-    fig.tight_layout()
-    out = os.path.join(HERE, "loss_vs_slots.png")
-    fig.savefig(out, dpi=150)
-    print("wrote", out)
-
-
-if __name__ == "__main__":
-    main()
-'''
-
-
 # ---------------------------------------------------------------------------
 # run / sweep
 # ---------------------------------------------------------------------------
@@ -358,16 +286,15 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     cfg = build_system_config(spec.system)
     task, init = build_task(spec.task, dataset_dir, num_devices=cfg.num_devices)
-    prof = profile(cfg)
 
     summary: dict = {
         "name": spec.name,
         "config": spec.raw if spec.raw is not None else {},
         "timing": {
-            "tau_comp": prof.tau_comp,
-            "tau_comm": prof.tau_comm,
-            "tau_asyn": str(prof.tau_asyn),
-            "num_groups": prof.num_groups,
+            "tau_comp": cfg.tau_comp,
+            "tau_comm": cfg.tau_comm,
+            "tau_asyn": str(cfg.tau_asyn),
+            "num_groups": cfg.num_groups,
             "rounds_closed_form": cfg.rounds_closed_form(),
         },
         "per_seed": [],
@@ -395,11 +322,12 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
         seed_dir = out / f"seed{seed}"
         seed_dir.mkdir(exist_ok=True)
         write_metrics_csv(seed_dir / "metrics.csv", result.metrics)
+        avg_gsq = result.metrics.avg_grad_norm_sq()  # NaN when nothing was evaluated
         entry = {
             "seed": seed,
             "completed_rounds": result.completed_rounds,
             "steady_staleness": result.metrics.staleness[-1] if len(result.metrics) else None,
-            "avg_grad_norm_sq": result.metrics.avg_grad_norm_sq(),
+            "avg_grad_norm_sq": avg_gsq if np.isfinite(avg_gsq) else None,
         }
         if task is not None and result.final_model is not None:
             entry["final_loss"] = task.loss(result.final_model)
@@ -413,7 +341,6 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
         summary["completed_rounds"] = counts[0]
 
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    (out / "plot_metrics.py").write_text(PLOT_SCRIPT)
     if error is not None:
         raise error
     return summary
@@ -584,26 +511,25 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    p_run = sub.add_parser("run", help="run one experiment spec")
+    p_sweep = sub.add_parser("sweep", help="run a grid of experiment variants")
+    for p in (p_run, p_sweep):
         p.add_argument("--config", type=Path, help="experiment JSON document")
         p.add_argument("--seed", type=int, help="run a single seed instead of the spec's list")
         p.add_argument("--out", type=Path, help="output directory")
-        p.add_argument("--workers", type=int, default=1, help="parallel sweep points")
         p.add_argument("--dataset-dir", type=Path,
                        help=f"dataset root (default: ${DATA_DIR_ENV})")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a spec field, e.g. system.group_size=5")
-
-    p_run = sub.add_parser("run", help="run one experiment spec")
-    common(p_run)
-    p_sweep = sub.add_parser("sweep", help="run a grid of experiment variants")
-    common(p_sweep)
+    p_sweep.add_argument("--workers", type=int, default=1, help="parallel sweep points")
     p_vt = sub.add_parser("validate-timing", help="round counts: algebra vs simulation")
-    common(p_vt)
+    p_vt.add_argument("--config", type=Path, help="JSON list of timing scenarios")
+    p_vt.add_argument("--out", type=Path, help="output directory")
     p_vp = sub.add_parser("validate-prop1", help="optimal downlink deferral worked examples")
-    common(p_vp)
+    p_vp.add_argument("--config", type=Path,
+                      help="JSON list of [compute_slots, group_size, num_devices] triples")
     p_rt = sub.add_parser("rate-trend", help="avg squared gradient norm vs group count")
-    common(p_rt)
+    p_rt.add_argument("--out", type=Path, help="output directory")
     p_rt.add_argument("--groups", default="1,2,5,10")
     p_rt.add_argument("--rounds", type=int, default=2000)
     p_rt.add_argument("--num-seeds", type=int, default=10)
@@ -613,11 +539,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dataset_dir(args) -> Optional[str]:
+    return args.dataset_dir or os.environ.get(DATA_DIR_ENV)
+
+
 def _load_spec(args, default_mode: str) -> ExperimentSpec:
     if args.config is None:
         raise ConfigError(f"{default_mode} needs --config")
-    doc = json.loads(Path(args.config).read_text())
-    doc = _apply_overrides(doc, args.set)
+    doc = _apply_overrides(_read_json_config(args.config), args.set)
     spec = ExperimentSpec.from_dict(doc)
     if args.seed is not None:
         spec.seeds = [args.seed]
@@ -625,11 +554,10 @@ def _load_spec(args, default_mode: str) -> ExperimentSpec:
 
 
 def _dispatch(args) -> int:
-    dataset_dir = args.dataset_dir or os.environ.get(DATA_DIR_ENV)
     if args.command == "run":
         spec = _load_spec(args, "run")
         out = args.out or spec.out_dir or f"runs/{spec.name}"
-        summary = run_experiment(spec, out, dataset_dir)
+        summary = run_experiment(spec, out, _dataset_dir(args))
         print(f"wrote {out}/summary.json ({len(summary['per_seed'])} seeds, "
               f"{summary.get('completed_rounds', 0)} rounds)")
         return EXIT_OK
@@ -637,14 +565,14 @@ def _dispatch(args) -> int:
     if args.command == "sweep":
         spec = _load_spec(args, "sweep")
         out = args.out or spec.out_dir or f"runs/{spec.name}_sweep"
-        run_sweep(spec, out, dataset_dir, workers=args.workers)
+        run_sweep(spec, out, _dataset_dir(args), workers=args.workers)
         print(f"\nwrote {out}/sweep.csv")
         return EXIT_OK
 
     if args.command == "validate-timing":
         scenarios = None
         if args.config is not None:
-            scenarios = json.loads(Path(args.config).read_text())
+            scenarios = _read_json_config(args.config)
         rows = validate_timing(scenarios)
         cols = ["scenario", "group_size", "num_groups", "tau_comp", "tau_comm",
                 "tau_asyn", "rounds_closed_form", "rounds_simulated"]
@@ -658,7 +586,7 @@ def _dispatch(args) -> int:
     if args.command == "validate-prop1":
         triples = None
         if args.config is not None:
-            triples = [tuple(t) for t in json.loads(Path(args.config).read_text())]
+            triples = [tuple(t) for t in _read_json_config(args.config)]
         rows = validate_prop1(triples)
         for row in rows:
             print(

@@ -1,4 +1,4 @@
-"""Local gradient computation and the stale-aggregate global update rule.
+"""Stale-gradient SGD: H local steps on a device, one averaged server step.
 
 A device runs H mini-batch SGD steps from the model it last received and
 uploads the scaled parameter delta (w_start - w_end) / eta. The server treats
@@ -7,133 +7,25 @@ and takes one step. For H = 1 the upload is literally the single mini-batch
 gradient, so the single-step equations are recovered verbatim; for H > 1 the
 same server rule reproduces H-step local SGD.
 
-Mini-batches are drawn without replacement within a batch and the generator
-is keyed on (seed, device, round), so reruns are bit-identical. By default
-each of the H steps draws a fresh batch; set ``resample_per_step=False`` to
-reuse the first batch for all H steps.
+Each of the H steps draws a fresh mini-batch, without replacement within the
+batch, from a generator keyed on (seed, device, round), so reruns are
+bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericsError
+from .errors import ConfigError, NumericsError
 from .tasks import Task
 
 
 @dataclass
-class GlobalState:
-    """Server-side model vector and its round index."""
-
-    round_index: int
-    params: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.params = np.asarray(self.params, dtype=float)
-        if self.params.ndim != 1:
-            raise ConfigError("params must be a flat vector")
-
-
-@dataclass
-class LocalGradient:
-    """One device's upload: effective update direction plus provenance."""
-
-    device_id: int
-    origin_round: int
-    values: np.ndarray
-    batch_ids: list[np.ndarray] = field(default_factory=list)
-
-
-def local_update(
-    task: Task,
-    device: int,
-    model: np.ndarray,
-    batch_size: int,
-    local_steps: int,
-    step_size: float,
-    rng: np.random.Generator,
-    *,
-    origin_round: int = 0,
-    device_id: Optional[int] = None,
-    resample_per_step: bool = True,
-) -> LocalGradient:
-    """Run H local SGD steps and return the transmitted update direction.
-
-    Returns (w_start - w_end) / eta so that the server step w - eta * mean
-    reproduces the local trajectory; with H = 1 this equals the mini-batch
-    gradient itself.
-    """
-    if task.shard_sizes[device] == 0:
-        raise DataError(f"device {device} has an empty shard")
-    if local_steps < 1 or step_size <= 0:
-        raise ConfigError("need local_steps >= 1 and step_size > 0")
-    w = np.array(model, dtype=float, copy=True)
-    start = w.copy()
-    batches = []
-    batch = None
-    for step in range(local_steps):
-        if batch is None or resample_per_step:
-            batch = task.sample_batch(device, batch_size, rng)
-        batches.append(batch)
-        w -= step_size * task.grad(w, device, batch)
-    values = (start - w) / step_size
-    return LocalGradient(
-        device_id=device if device_id is None else device_id,
-        origin_round=origin_round,
-        values=values,
-        batch_ids=batches,
-    )
-
-
-def aggregate(
-    gradients: Sequence[Union[LocalGradient, np.ndarray]],
-    group_size: int,
-) -> np.ndarray:
-    """Arithmetic mean of exactly ``group_size`` equally-sized uploads."""
-    if len(gradients) != group_size:
-        raise ConfigError(
-            f"expected {group_size} uploads, got {len(gradients)}"
-        )
-    arrays = [
-        np.asarray(g.values if isinstance(g, LocalGradient) else g, dtype=float)
-        for g in gradients
-    ]
-    dims = {a.shape for a in arrays}
-    if len(dims) != 1:
-        raise ConfigError(f"upload dimensions disagree: {sorted(dims)}")
-    out = np.zeros_like(arrays[0])
-    for a in arrays:
-        out += a
-    return out / group_size
-
-
-def global_update(state: GlobalState, mean_update: np.ndarray, step_size: float) -> GlobalState:
-    """One server step: w <- w - eta * mean_update, round advanced by one."""
-    mean_update = np.asarray(mean_update, dtype=float)
-    if mean_update.shape != state.params.shape:
-        raise ConfigError(
-            f"update dimension {mean_update.shape} does not match model {state.params.shape}"
-        )
-    new_params = state.params - step_size * mean_update
-    if not np.all(np.isfinite(new_params)):
-        raise NumericsError(
-            f"non-finite parameters after round {state.round_index}; "
-            "reduce the step size"
-        )
-    return GlobalState(round_index=state.round_index + 1, params=new_params)
-
-
-def global_loss(task: Task, params: np.ndarray) -> float:
-    """Mean per-sample loss over the union of all shards."""
-    return task.loss(params)
-
-
-@dataclass
 class SgdLearner:
-    """Adapter wiring a task into the slot scheduler.
+    """The update rule the slot scheduler drives.
 
     Device ids arriving from the scheduler are 1-based; shard indices are
     0-based. Batch randomness is keyed on (seed, device, round).
@@ -144,8 +36,11 @@ class SgdLearner:
     batch_size: int
     local_steps: int = 1
     seed: int = 0
-    resample_per_step: bool = True
     initial: Optional[np.ndarray] = None
+
+    def __post_init__(self) -> None:
+        if self.local_steps < 1 or self.step_size <= 0:
+            raise ConfigError("need local_steps >= 1 and step_size > 0")
 
     def initial_model(self) -> np.ndarray:
         if self.initial is not None:
@@ -156,24 +51,34 @@ class SgdLearner:
         return np.random.default_rng([self.seed, device_id, round_index])
 
     def local_update(self, device_id: int, model: np.ndarray, round_index: int) -> np.ndarray:
-        grad = local_update(
-            self.task,
-            device_id - 1,
-            model,
-            self.batch_size,
-            self.local_steps,
-            self.step_size,
-            self.rng_for(device_id, round_index),
-            origin_round=round_index,
-            device_id=device_id,
-            resample_per_step=self.resample_per_step,
-        )
-        return grad.values
+        """Run H local SGD steps and return the transmitted update direction.
+
+        Returns (w_start - w_end) / eta so that the server step w - eta * mean
+        reproduces the local trajectory; with H = 1 this equals the mini-batch
+        gradient itself.
+        """
+        device = device_id - 1
+        rng = self.rng_for(device_id, round_index)
+        start = np.asarray(model, dtype=float)
+        w = start.copy()
+        for _ in range(self.local_steps):
+            batch = self.task.sample_batch(device, self.batch_size, rng)
+            w -= self.step_size * self.task.grad(w, device, batch)
+        return (start - w) / self.step_size
 
     def apply_round(self, model: np.ndarray, updates: Sequence[np.ndarray]) -> np.ndarray:
-        mean = aggregate(updates, len(updates))
-        state = global_update(GlobalState(0, model), mean, self.step_size)
-        return state.params
+        """One server step: w - eta * mean(updates), summed in upload order."""
+        total = np.zeros(model.shape)
+        for update in updates:
+            if update.shape != model.shape:
+                raise ConfigError(
+                    f"update dimension {update.shape} does not match model {model.shape}"
+                )
+            total += update
+        new_model = model - self.step_size * (total / len(updates))
+        if not np.all(np.isfinite(new_model)):
+            raise NumericsError("non-finite parameters after a server step; reduce the step size")
+        return new_model
 
     def round_metrics(self, model: np.ndarray) -> tuple[float, float]:
         g = self.task.grad(model)

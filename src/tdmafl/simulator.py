@@ -65,7 +65,6 @@ class DeviceState:
     last_model_round: int = 0
     compute_done_slot: Optional[int] = None
     pending_update: Optional[np.ndarray] = None
-    awaiting_model_until_round: Optional[int] = None
 
 
 class RoundLearner(Protocol):
@@ -194,7 +193,6 @@ def run_timeline(
         st = devices[device_id]
         st.last_model_round = round_index
         st.compute_done_slot = slot + tau_comp - 1
-        st.awaiting_model_until_round = None
         if learner is not None:
             # Pure function of (model snapshot, device, round); evaluating at
             # schedule time is equivalent to evaluating during the slots.
@@ -242,8 +240,6 @@ def run_timeline(
             if learner is not None:
                 updates.append(st.pending_update)
                 st.pending_update = None
-            if alpha > 0:
-                st.awaiting_model_until_round = k + alpha
         clock += s * r
 
         if metrics_every and k % metrics_every == 0 and learner is not None:
@@ -365,8 +361,3 @@ def parse_trace(text: str) -> list[TimelineEvent]:
             raise ValueError(f"unknown event kind {kind!r}")
         out.append(TimelineEvent(int(slot), kind, int(device), int(rnd)))
     return out
-
-
-def write_trace(events: Sequence[TimelineEvent], path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_trace(events))

@@ -157,31 +157,6 @@ class SystemConfig:
         return math.floor(Fraction(self.horizon) / self.tau_asyn)
 
 
-@dataclass(frozen=True)
-class TimingProfile:
-    """Derived per-round slot costs for a configuration."""
-
-    tau_comp: int
-    tau_comm: int
-    tau_asyn: Fraction
-    num_groups: int
-
-    def __post_init__(self) -> None:
-        if self.tau_asyn > self.tau_comp + self.tau_comm:
-            raise ConfigError(
-                "inconsistent profile: average round exceeds compute + comm"
-            )
-
-
-def profile(cfg: SystemConfig) -> TimingProfile:
-    return TimingProfile(
-        tau_comp=cfg.tau_comp,
-        tau_comm=cfg.tau_comm,
-        tau_asyn=cfg.tau_asyn,
-        num_groups=cfg.num_groups,
-    )
-
-
 def compute_tau_comp(samples_per_slot: RationalLike, local_steps: int, batch_size: int) -> int:
     """Slots needed for one local update: ceil(H * B / q)."""
     q = as_fraction(samples_per_slot)
@@ -217,24 +192,6 @@ def compute_tau_asyn(cfg: SystemConfig) -> Fraction:
     if tau_comp >= r * (g - 1) * (s + 1):
         return Fraction(tau_comp + r * (s + 1), g)
     return Fraction(cfg.tau_comm)
-
-
-def staleness_closed_form(round_index: int, cfg: SystemConfig) -> int:
-    """Staleness of every upload in a given round under plain async rotation.
-
-    Equals the round index while the initial model is still being consumed,
-    then stays at G - 1. Requires intentional_delay == 0; the deferred-downlink
-    variant follows ``idfl_staleness`` instead.
-    """
-    if cfg.intentional_delay != 0:
-        raise ConfigError(
-            "staleness_closed_form applies only when intentional_delay == 0; "
-            "use idfl_staleness for deferred downlinks"
-        )
-    if round_index < 0:
-        raise ConfigError(f"round_index must be >= 0, got {round_index}")
-    g = cfg.num_groups
-    return round_index if round_index < g else g - 1
 
 
 def idfl_staleness(round_index: int, cfg: SystemConfig) -> int:

@@ -42,6 +42,10 @@ def quad_spec(**system_overrides):
     }
 
 
+def _reject_constant(token):
+    raise ValueError(f"bare {token} is not strict JSON")
+
+
 def write_spec(tmp_path, doc):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -54,7 +58,6 @@ class TestRunCommand:
         rc = main(["run", "--config", str(write_spec(tmp_path, quad_spec())),
                    "--out", str(out)])
         assert rc == EXIT_OK
-        assert (out / "plot_metrics.py").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert {e["seed"] for e in summary["per_seed"]} == {0, 1}
 
@@ -118,6 +121,9 @@ class TestRunCommand:
         table = read_metrics_csv(out / "seed0" / "metrics.csv")
         assert all(math.isnan(v) for v in table["loss"])
         assert table["staleness"][-1] == 1.0  # plateau at G - 1
+        summary = json.loads((out / "summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert all(e["avg_grad_norm_sq"] is None for e in summary["per_seed"])
 
 
 class TestExitCodes:
@@ -147,6 +153,17 @@ class TestExitCodes:
 
     def test_missing_config(self):
         assert main(["run"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command", ["run", "validate-timing", "validate-prop1"])
+    @pytest.mark.parametrize("content", [None, "{not json", "\xff\xfe"],
+                             ids=["missing", "malformed", "not-utf8"])
+    def test_unreadable_config_file(self, tmp_path, capsys, command, content):
+        path = tmp_path / "config.json"
+        if content is not None:
+            path.write_bytes(content.encode("latin-1"))
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
 
 
 class TestSweep:

@@ -1,18 +1,13 @@
-"""Local updates, aggregation, the server step, and pipeline equivalences."""
+"""Local updates, the averaged server step, and pipeline equivalences."""
 
 import numpy as np
 import pytest
 
 from tdmafl import (
     ConfigError,
-    GlobalState,
     NumericsError,
     SgdLearner,
     SystemConfig,
-    aggregate,
-    global_loss,
-    global_update,
-    local_update,
     make_quadratic,
     run_timeline,
 )
@@ -28,13 +23,21 @@ def identity_quadratic(num_devices=1, samples=4, dim=2):
     )
 
 
+def server(dim=2, step_size=1.0):
+    """A learner used only for its server step."""
+    return SgdLearner(task=identity_quadratic(dim=dim), step_size=step_size, batch_size=1)
+
+
+def mean_of(updates):
+    """The averaged upload, read back from one unit server step from zero."""
+    return -server(dim=updates[0].size).apply_round(np.zeros(updates[0].size), updates)
+
+
 class TestLocalUpdate:
     def test_single_step_full_batch_identity_quadratic(self):
-        task = identity_quadratic()
-        out = local_update(task, 0, np.array([2.0, 0.0]), batch_size=4,
-                           local_steps=1, step_size=0.1,
-                           rng=np.random.default_rng(0))
-        assert np.allclose(out.values, [2.0, 0.0], atol=1e-15)
+        learner = SgdLearner(task=identity_quadratic(), step_size=0.1, batch_size=4)
+        out = learner.local_update(1, np.array([2.0, 0.0]), 0)
+        assert np.allclose(out, [2.0, 0.0], atol=1e-15)
 
     def test_single_sample_linear_model_matches_finite_difference(self):
         # One sample zeta with loss 0.5 (w.x - y)^2: gradient (w.x - y) x.
@@ -44,88 +47,93 @@ class TestLocalUpdate:
             sample_offsets=(y * x)[None, None, :],
         )
         w = np.array([0.3, 0.9])
-        out = local_update(task, 0, w, batch_size=1, local_steps=1,
-                           step_size=0.1, rng=np.random.default_rng(1))
+        out = SgdLearner(task=task, step_size=0.1, batch_size=1, seed=1).local_update(1, w, 0)
         expect = (w @ x - y) * x
-        assert relative_error(out.values, expect) < 1e-6
+        assert relative_error(out, expect) < 1e-6
         numeric = central_difference(lambda v: 0.5 * (v @ x - y) ** 2, w)
-        assert relative_error(out.values, numeric) < 1e-5
+        assert relative_error(out, numeric) < 1e-5
 
     def test_two_steps_match_hand_unrolled_sgd(self):
         task = make_quadratic(2, 3, 1.0, np.random.default_rng(2),
                               samples_per_device=6, sample_noise=0.5)
         w0 = np.array([1.0, -2.0, 0.5])
         eta = 0.1
-        seed_rng = np.random.default_rng(7)
-        out = local_update(task, 1, w0, batch_size=2, local_steps=2,
-                           step_size=eta, rng=seed_rng)
-        # Oracle: redo the two steps explicitly with the recorded batches.
+        learner = SgdLearner(task=task, step_size=eta, batch_size=2, local_steps=2, seed=7)
+        out = learner.local_update(2, w0, 3)
+        # Oracle: redo the two steps explicitly, redrawing the batches from
+        # the (seed, device, round) stream.
+        draw = np.random.default_rng([7, 2, 3])
         w = w0.copy()
-        for batch in out.batch_ids:
-            w = w - eta * task.grad(w, 1, batch)
-        assert np.allclose(out.values, (w0 - w) / eta, atol=1e-12)
+        for _ in range(2):
+            w = w - eta * task.grad(w, 1, task.sample_batch(1, 2, draw))
+        assert np.allclose(out, (w0 - w) / eta, atol=1e-12)
         # Server applying the mean (here a single upload) reproduces w.
-        assert np.allclose(w0 - eta * out.values, w, atol=1e-15)
+        assert np.allclose(learner.apply_round(w0, [out]), w, atol=1e-15)
 
-    def test_fresh_batch_per_step_vs_reuse(self):
+    def test_fresh_batch_each_step(self):
         task = make_quadratic(1, 3, 0.0, np.random.default_rng(3),
                               samples_per_device=16, sample_noise=1.0)
-        kwargs = dict(batch_size=4, local_steps=3, step_size=0.05)
-        fresh = local_update(task, 0, np.ones(3), rng=np.random.default_rng(9), **kwargs)
-        reused = local_update(task, 0, np.ones(3), rng=np.random.default_rng(9),
-                              resample_per_step=False, **kwargs)
-        assert len({tuple(b) for b in fresh.batch_ids}) > 1
-        assert len({tuple(b) for b in reused.batch_ids}) == 1
+        drawn = []
+        sample_batch = task.sample_batch
+
+        def recording(*args):
+            drawn.append(sample_batch(*args))
+            return drawn[-1]
+
+        task.sample_batch = recording
+        SgdLearner(task=task, step_size=0.05, batch_size=4, local_steps=3,
+                   seed=9).local_update(1, np.ones(3), 0)
+        assert len(drawn) == 3
+        assert len({tuple(b) for b in drawn}) > 1
 
     def test_batch_larger_than_shard(self):
-        task = identity_quadratic(samples=3)
+        learner = SgdLearner(task=identity_quadratic(samples=3), step_size=0.1, batch_size=10)
         with pytest.raises(Exception, match="exceeds shard size"):
-            local_update(task, 0, np.zeros(2), batch_size=10, local_steps=1,
-                         step_size=0.1, rng=np.random.default_rng(0))
+            learner.local_update(1, np.zeros(2), 0)
+
+    @pytest.mark.parametrize("field,value", [("local_steps", 0), ("step_size", 0.0)])
+    def test_rejects_bad_hyperparameters(self, field, value):
+        kwargs = dict(task=identity_quadratic(), step_size=0.1, batch_size=1)
+        kwargs[field] = value
+        with pytest.raises(ConfigError):
+            SgdLearner(**kwargs)
 
 
 class TestAggregate:
     def test_mean(self):
-        out = aggregate([np.array([1.0, 0.0]), np.array([0.0, 1.0])], 2)
+        out = mean_of([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
         assert np.allclose(out, [0.5, 0.5])
 
     def test_idempotent_on_copies(self):
         g = np.array([0.3, -1.0, 2.0])
-        assert np.allclose(aggregate([g] * 5, 5), g)
+        assert np.allclose(mean_of([g] * 5), g)
 
     def test_permutation_invariant_and_homogeneous(self):
         rng = np.random.default_rng(4)
         grads = [rng.normal(size=4) for _ in range(3)]
-        a = aggregate(grads, 3)
-        b = aggregate(grads[::-1], 3)
+        a = mean_of(grads)
+        b = mean_of(grads[::-1])
         assert np.allclose(a, b)
-        assert np.allclose(aggregate([2.0 * g for g in grads], 3), 2.0 * a)
-
-    def test_count_mismatch(self):
-        with pytest.raises(ConfigError):
-            aggregate([np.zeros(2)], 2)
+        assert np.allclose(mean_of([2.0 * g for g in grads]), 2.0 * a)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ConfigError):
-            aggregate([np.zeros(2), np.zeros(3)], 2)
+            server().apply_round(np.zeros(2), [np.zeros(2), np.zeros(3)])
 
 
 class TestGlobalUpdate:
     def test_zero_update_is_identity(self):
-        state = GlobalState(3, np.array([1.0, 2.0]))
-        new = global_update(state, np.zeros(2), 0.5)
-        assert np.array_equal(new.params, state.params)
-        assert new.round_index == 4
+        model = np.array([1.0, 2.0])
+        new = server(step_size=0.5).apply_round(model, [np.zeros(2)])
+        assert np.array_equal(new, model)
 
     def test_arithmetic(self):
-        state = GlobalState(0, np.array([1.0, 1.0]))
-        new = global_update(state, np.array([2.0, 0.0]), 0.5)
-        assert np.allclose(new.params, [0.0, 1.0])
+        new = server(step_size=0.5).apply_round(np.array([1.0, 1.0]), [np.array([2.0, 0.0])])
+        assert np.allclose(new, [0.0, 1.0])
 
     def test_overflow_aborts(self):
-        state = GlobalState(0, np.array([1.0]))
         with pytest.raises(NumericsError):
-            global_update(state, np.array([np.inf]), 1.0)
+            server(dim=1).apply_round(np.array([1.0]), [np.array([np.inf])])
 
     def test_full_pipeline_reaches_stationarity_on_quadratic(self):
         # Synchronous run (S = N) on a condition-number-10 quadratic drives
@@ -143,7 +151,7 @@ class TestGlobalUpdate:
 class TestGlobalLoss:
     def test_optimum_of_homogeneous_quadratic(self):
         task = make_quadratic(3, 4, 0.0, np.random.default_rng(6))
-        assert abs(global_loss(task, task.w_star)) < 1e-12
+        assert abs(task.loss(task.w_star)) < 1e-12
 
     def test_partition_identity(self):
         task = make_quadratic(5, 3, 1.0, np.random.default_rng(7),
@@ -151,7 +159,7 @@ class TestGlobalLoss:
         w = np.random.default_rng(8).normal(size=3)
         sizes = task.shard_sizes
         weighted = sum(sz * task.loss(w, n) for n, sz in enumerate(sizes)) / sum(sizes)
-        assert global_loss(task, w) == pytest.approx(weighted, rel=1e-12)
+        assert task.loss(w) == pytest.approx(weighted, rel=1e-12)
 
 
 class TestPipelineEquivalences:

@@ -15,7 +15,6 @@ from tdmafl import (
     optimal_intentional_delay,
     run_timeline,
     select_transmitters,
-    staleness_closed_form,
     steady_round_duration,
 )
 from tdmafl.simulator import format_trace, parse_trace
@@ -172,7 +171,7 @@ class TestScheduleInvariants:
         g = cfg.num_groups
         result = run_timeline(cfg, max_rounds=3 * g + 5, record_events=False)
         for rec in result.staleness_records:
-            assert rec.staleness == staleness_closed_form(rec.round_index, cfg)
+            assert rec.staleness == idfl_staleness(rec.round_index, cfg)
 
     @pytest.mark.parametrize("n,s,comp,r", GRID)
     def test_steady_average_matches_formula(self, n, s, comp, r):

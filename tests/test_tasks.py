@@ -166,7 +166,7 @@ class TestSoftmax:
         task = SoftmaxRegressionTask([x], [y], num_classes=2)
         assert task.loss(np.zeros(task.dim)) == pytest.approx(np.log(2.0), rel=1e-12)
 
-    def test_global_loss_is_weighted_shard_mean(self, softmax_task):
+    def test_full_data_loss_is_weighted_shard_mean(self, softmax_task):
         w = np.random.default_rng(31).normal(size=softmax_task.dim)
         sizes = softmax_task.shard_sizes
         weighted = sum(

@@ -13,8 +13,6 @@ from tdmafl import (
     compute_tau_comp,
     idfl_staleness,
     optimal_intentional_delay,
-    profile,
-    staleness_closed_form,
 )
 from util import divisors
 
@@ -73,7 +71,6 @@ class TestTauAsyn:
                     for r in (1, 5):
                         cfg = SystemConfig.from_times(n, s, comp, r)
                         assert cfg.tau_asyn <= cfg.tau_comp + cfg.tau_comm
-                        profile(cfg)  # invariant enforced on construction
 
 
 class TestRoundsClosedForm:
@@ -90,25 +87,20 @@ class TestRoundsClosedForm:
 class TestStalenessLaw:
     def test_first_round_is_fresh(self):
         cfg = SystemConfig(num_devices=6, group_size=2)
-        assert staleness_closed_form(0, cfg) == 0
+        assert idfl_staleness(0, cfg) == 0
 
     def test_ramp_then_plateau(self):
         cfg = SystemConfig(num_devices=6, group_size=2)
-        assert [staleness_closed_form(k, cfg) for k in (1, 2, 5)] == [1, 2, 2]
+        assert [idfl_staleness(k, cfg) for k in (1, 2, 5)] == [1, 2, 2]
 
     def test_full_group_is_synchronous(self):
         cfg = SystemConfig(num_devices=100, group_size=100)
-        assert staleness_closed_form(7, cfg) == 0
-
-    def test_rejects_deferred_configs(self):
-        cfg = SystemConfig(num_devices=6, group_size=2, intentional_delay=1)
-        with pytest.raises(ConfigError):
-            staleness_closed_form(3, cfg)
+        assert idfl_staleness(7, cfg) == 0
 
     def test_rejects_negative_round(self):
         cfg = SystemConfig(num_devices=6, group_size=2)
         with pytest.raises(ConfigError):
-            staleness_closed_form(-1, cfg)
+            idfl_staleness(-1, cfg)
 
     def test_monotone_in_group_size(self):
         # For a fixed device count, larger groups never increase the plateau.
@@ -116,13 +108,17 @@ class TestStalenessLaw:
             plateaus = []
             for s in range(1, n + 1):
                 cfg = SystemConfig(num_devices=n, group_size=s)
-                plateaus.append(staleness_closed_form(cfg.num_groups, cfg))
+                plateaus.append(idfl_staleness(cfg.num_groups, cfg))
             assert all(b <= a for a, b in zip(plateaus, plateaus[1:]))
 
     def test_idfl_law_reduces_at_zero_delay(self):
-        cfg = SystemConfig(num_devices=6, group_size=2)
-        for k in range(8):
-            assert idfl_staleness(k, cfg) == staleness_closed_form(k, cfg)
+        # Without deferral: the round index while the initial model is being
+        # consumed, then the G - 1 plateau of plain rotation.
+        for n, s in [(6, 2), (6, 6), (20, 1), (20, 4)]:
+            cfg = SystemConfig(num_devices=n, group_size=s)
+            g = cfg.num_groups
+            rounds = range(2 * g + 2)
+            assert [idfl_staleness(k, cfg) for k in rounds] == [min(k, g - 1) for k in rounds]
 
     def test_idfl_plateau(self):
         cfg = SystemConfig.from_times(100, 1, compute_slots=50, intentional_delay=74)
