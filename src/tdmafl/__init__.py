@@ -15,9 +15,6 @@ from .errors import (
 from .timing import (
     DelayChoice,
     SystemConfig,
-    compute_tau_asyn,
-    compute_tau_comm,
-    compute_tau_comp,
     idfl_staleness,
     optimal_intentional_delay,
 )

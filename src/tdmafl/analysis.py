@@ -55,15 +55,6 @@ class AssumptionConstants:
         if self.noise_scale < 1.0:
             raise ConfigError(f"noise_scale must be >= 1, got {self.noise_scale}")
 
-    def to_dict(self) -> dict:
-        return {
-            "smoothness": self.smoothness,
-            "noise_sq": self.noise_sq,
-            "noise_scale": self.noise_scale,
-            "heterogeneity_sq": self.heterogeneity_sq,
-            "provenance": self.provenance,
-        }
-
 
 def exact_constants(task: QuadraticTask) -> AssumptionConstants:
     """Closed-form constants for the shared-curvature quadratic."""
@@ -285,23 +276,6 @@ class DescentReport:
     def fraction_ok(self) -> float:
         return 1.0 - self.violations / len(self.probes)
 
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "eta": self.eta,
-            "violations": self.violations,
-            "fraction_ok": self.fraction_ok,
-            "probes": [
-                {
-                    "round": p.round_index,
-                    "margin": p.margin,
-                    "std_error": p.std_error,
-                    "ok": p.ok,
-                }
-                for p in self.probes
-            ],
-        }
-
 
 def check_descent_lemma(
     task: Task,
@@ -321,15 +295,14 @@ def check_descent_lemma(
     the round's transmitters actually trained on); for each probe the exact
     right side is compared against a Monte-Carlo estimate of the left side
     over fresh batch draws. A probe passes when margin >= -3 standard errors.
+    Both sides model single-step local updates, so ``cfg.local_steps`` must
+    be 1.
     """
-    learner = SgdLearner(
-        task=task,
-        step_size=cfg.step_size,
-        batch_size=cfg.batch_size,
-        local_steps=1,
-        seed=int(rng.integers(2**31)),
-        initial=initial,
-    )
+    if cfg.local_steps != 1:
+        raise ConfigError(
+            f"the descent-lemma probe models one local step, got local_steps={cfg.local_steps}"
+        )
+    learner = SgdLearner(task, cfg, seed=int(rng.integers(2**31)), initial=initial)
     result = run_timeline(
         cfg, learner, max_rounds=trajectory_rounds, record_events=False,
         metrics_every=0, keep_model_history=True,
@@ -479,10 +452,7 @@ def _avg_grad_norm_sq_run(
         step_size=eta,
         batch_size=batch_size,
     )
-    learner = SgdLearner(
-        task=task, step_size=eta, batch_size=batch_size, local_steps=1,
-        seed=seed, initial=initial,
-    )
+    learner = SgdLearner(task, cfg, seed=seed, initial=initial)
     result = run_timeline(cfg, learner, max_rounds=rounds, record_events=False)
     return result.metrics.avg_grad_norm_sq()
 

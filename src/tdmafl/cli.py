@@ -1,8 +1,9 @@
 """Experiment runner: single runs, sweeps, and validation commands.
 
-Experiments are described by one JSON document (see README for the schema);
-individual fields can be overridden from the command line. Each run writes
-per-seed CSV metrics and a strict-JSON summary echoing the configuration.
+Experiments are described by one JSON document (the schema is in the
+``ExperimentSpec`` docstring); individual fields can be overridden from the
+command line with ``--set key.path=value``. Each run writes per-seed CSV
+metrics and a strict-JSON summary echoing the configuration.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
 """
@@ -35,7 +36,7 @@ from .errors import ConfigError, DataError, NumericsError
 from .learner import SgdLearner
 from .simulator import run_timeline
 from .tasks import MlpTask, SoftmaxRegressionTask, make_quadratic
-from .timing import SystemConfig, optimal_intentional_delay
+from .timing import SystemConfig, optimal_intentional_delay, require_integer
 
 DATA_DIR_ENV = "TDMAFL_DATA_DIR"
 CSV_HEADER = ["round", "slot", "loss", "grad_norm_sq", "staleness"]
@@ -69,6 +70,42 @@ def _read_json_config(path):
 
 @dataclass
 class ExperimentSpec:
+    """One experiment document, as read by ``run`` and ``sweep``.
+
+    Top-level fields:
+        name: required string; the default output directory is runs/<name>
+            (runs/<name>_sweep for a sweep).
+        system: required object, the run constants (below).
+        task: object with a ``kind`` (below); default {"kind": "none"}.
+        seeds: non-empty list of integers >= 0, one run each; default [0].
+        metrics_every: evaluate loss and gradient norm every this many rounds;
+            0 turns evaluation off; default 1.
+        mode: one of "run", "sweep", "validate-timing", "validate-prop1",
+            "rate-trend"; default "run". It is checked but not acted on: the
+            subcommand decides what runs.
+        out_dir: output directory, used when --out is not given.
+        grid: sweep only; maps system fields to a value or a list of values,
+            and every combination runs as one point with its own output
+            directory.
+
+    The ``system`` block takes the SystemConfig fields: num_devices and
+    group_size (required), slots_per_transfer, samples_per_slot, local_steps,
+    batch_size, step_size, horizon and intentional_delay. ``compute_slots``
+    may replace ``samples_per_slot``: it sets q = H*B/compute_slots so that
+    one local update takes exactly that many slots. ``intentional_delay`` may
+    be the string "optimal" for the largest deferral that keeps the round
+    length unchanged.
+
+    Task kinds and their fields (all optional):
+        none: timing only, no model is trained.
+        quadratic: dim, heterogeneity, samples_per_device, sample_noise,
+            eig_range [lo, hi], data_seed, init_offset.
+        logistic and mlp: dataset ("clusters", "mnist" or "cifar10"),
+            partition ("single_label" or "iid"), per_device, data_seed; for
+            "clusters" also num_classes, feature_dim, samples_per_class,
+            spread and noise; for mlp also hidden.
+    """
+
     name: str
     mode: str
     system: dict
@@ -87,29 +124,30 @@ class ExperimentSpec:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown spec fields: {sorted(unknown)}")
+        seeds = doc.get("seeds", [0])
+        if not isinstance(seeds, list) or not seeds:
+            raise ConfigError(f"seeds must be a non-empty list, got {seeds!r}")
+        for seed in seeds:
+            require_integer("each seed", seed, 0)
+        metrics_every = doc.get("metrics_every", 1)
+        require_integer("metrics_every", metrics_every, 0)
         try:
             spec = cls(
                 name=doc["name"],
                 mode=doc.get("mode", "run"),
                 system=dict(doc["system"]),
                 task=dict(doc.get("task", {"kind": "none"})),
-                seeds=list(doc.get("seeds", [0])),
-                metrics_every=int(doc.get("metrics_every", 1)),
+                seeds=list(seeds),
+                metrics_every=metrics_every,
                 out_dir=doc.get("out_dir"),
                 grid=doc.get("grid"),
                 raw=doc,
             )
         except KeyError as exc:
             raise ConfigError(f"spec missing required field: {exc}") from exc
-        if not spec.seeds:
-            raise ConfigError("seeds must be non-empty")
         if spec.mode not in {"run", "sweep", "validate-timing", "validate-prop1", "rate-trend"}:
             raise ConfigError(f"unknown mode {spec.mode!r}")
         return spec
-
-    @classmethod
-    def from_path(cls, path) -> "ExperimentSpec":
-        return cls.from_dict(_read_json_config(path))
 
 
 def build_system_config(system: dict) -> SystemConfig:
@@ -125,19 +163,22 @@ def build_system_config(system: dict) -> SystemConfig:
     unknown = set(sysd) - SYSTEM_FIELDS
     if unknown:
         raise ConfigError(f"unknown system fields: {sorted(unknown)}")
+    missing = {"num_devices", "group_size"} - set(sysd)
+    if missing:
+        raise ConfigError(f"system block missing required fields: {sorted(missing)}")
     if compute_slots is not None:
         if "samples_per_slot" in sysd:
             raise ConfigError("give either compute_slots or samples_per_slot, not both")
         base = SystemConfig.from_times(
             sysd.pop("num_devices"), sysd.pop("group_size"),
-            int(compute_slots), sysd.pop("slots_per_transfer", 1), **sysd,
+            compute_slots, sysd.pop("slots_per_transfer", 1), **sysd,
         )
     else:
         base = SystemConfig(**sysd)
     if delay == "optimal":
         delay = optimal_intentional_delay(base).alpha
     if delay:
-        base = replace(base, intentional_delay=int(delay))
+        base = replace(base, intentional_delay=delay)
     return base
 
 
@@ -301,16 +342,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
     }
     error: Optional[NumericsError] = None
     for seed in spec.seeds:
-        learner = None
-        if task is not None:
-            learner = SgdLearner(
-                task=task,
-                step_size=cfg.step_size,
-                batch_size=cfg.batch_size,
-                local_steps=cfg.local_steps,
-                seed=seed,
-                initial=init,
-            )
+        learner = None if task is None else SgdLearner(task, cfg, seed=seed, initial=init)
         try:
             result = run_timeline(
                 cfg, learner, record_events=False, metrics_every=spec.metrics_every
@@ -439,9 +471,21 @@ TIMING_SCENARIOS = [
 ]
 
 
+TIMING_SCENARIO_KEYS = frozenset({"num_devices", "horizon", "compute_slots", "group_sizes"})
+
+
 def validate_timing(scenarios=None) -> list[dict]:
+    scenarios = scenarios or TIMING_SCENARIOS
+    if not isinstance(scenarios, list) or not all(
+        isinstance(sc, dict) and TIMING_SCENARIO_KEYS <= sc.keys()
+        and isinstance(sc["group_sizes"], list) for sc in scenarios
+    ):
+        raise ConfigError(
+            "timing scenarios must be a JSON list of objects with "
+            f"{sorted(TIMING_SCENARIO_KEYS)} (group_sizes a list)"
+        )
     rows = []
-    for sc in scenarios or TIMING_SCENARIOS:
+    for sc in scenarios:
         for s in sc["group_sizes"]:
             cfg = SystemConfig.from_times(
                 sc["num_devices"], s, sc["compute_slots"],
@@ -465,8 +509,15 @@ PROP1_TRIPLES = [(50, 1, 100), (10, 1, 100), (2, 1, 100)]
 
 
 def validate_prop1(triples=None) -> list[dict]:
+    triples = triples or PROP1_TRIPLES
+    if not isinstance(triples, list) or not all(
+        isinstance(t, (list, tuple)) and len(t) == 3 for t in triples
+    ):
+        raise ConfigError(
+            "prop1 config must be a JSON list of [compute_slots, group_size, num_devices] triples"
+        )
     rows = []
-    for compute_slots, s, n in triples or PROP1_TRIPLES:
+    for compute_slots, s, n in triples:
         cfg = SystemConfig.from_times(n, s, compute_slots)
         choice = optimal_intentional_delay(cfg)
         rows.append({
@@ -586,7 +637,7 @@ def _dispatch(args) -> int:
     if args.command == "validate-prop1":
         triples = None
         if args.config is not None:
-            triples = [tuple(t) for t in _read_json_config(args.config)]
+            triples = _read_json_config(args.config)
         rows = validate_prop1(triples)
         for row in rows:
             print(

@@ -7,6 +7,10 @@ and takes one step. For H = 1 the upload is literally the single mini-batch
 gradient, so the single-step equations are recovered verbatim; for H > 1 the
 same server rule reproduces H-step local SGD.
 
+The step size eta, the batch size B and the local step count H are read from
+the run's SystemConfig, the same object that turns H and B into the compute
+time tau_comp of the TDMA schedule, so the two can never disagree.
+
 Each of the H steps draws a fresh mini-batch, without replacement within the
 batch, from a generator keyed on (seed, device, round), so reruns are
 bit-identical.
@@ -21,26 +25,23 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError
 from .tasks import Task
+from .timing import SystemConfig
 
 
 @dataclass
 class SgdLearner:
     """The update rule the slot scheduler drives.
 
-    Device ids arriving from the scheduler are 1-based; shard indices are
-    0-based. Batch randomness is keyed on (seed, device, round).
+    eta, B and H come from ``config`` (``step_size``, ``batch_size`` and
+    ``local_steps``), which has already validated them. Device ids arriving
+    from the scheduler are 1-based; shard indices are 0-based. Batch
+    randomness is keyed on (seed, device, round).
     """
 
     task: Task
-    step_size: float
-    batch_size: int
-    local_steps: int = 1
+    config: SystemConfig
     seed: int = 0
     initial: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if self.local_steps < 1 or self.step_size <= 0:
-            raise ConfigError("need local_steps >= 1 and step_size > 0")
 
     def initial_model(self) -> np.ndarray:
         if self.initial is not None:
@@ -57,14 +58,16 @@ class SgdLearner:
         reproduces the local trajectory; with H = 1 this equals the mini-batch
         gradient itself.
         """
+        cfg = self.config
+        eta = cfg.step_size
         device = device_id - 1
         rng = self.rng_for(device_id, round_index)
         start = np.asarray(model, dtype=float)
         w = start.copy()
-        for _ in range(self.local_steps):
-            batch = self.task.sample_batch(device, self.batch_size, rng)
-            w -= self.step_size * self.task.grad(w, device, batch)
-        return (start - w) / self.step_size
+        for _ in range(cfg.local_steps):
+            batch = self.task.sample_batch(device, cfg.batch_size, rng)
+            w -= eta * self.task.grad(w, device, batch)
+        return (start - w) / eta
 
     def apply_round(self, model: np.ndarray, updates: Sequence[np.ndarray]) -> np.ndarray:
         """One server step: w - eta * mean(updates), summed in upload order."""
@@ -75,7 +78,7 @@ class SgdLearner:
                     f"update dimension {update.shape} does not match model {model.shape}"
                 )
             total += update
-        new_model = model - self.step_size * (total / len(updates))
+        new_model = model - self.config.step_size * (total / len(updates))
         if not np.all(np.isfinite(new_model)):
             raise NumericsError("non-finite parameters after a server step; reduce the step size")
         return new_model

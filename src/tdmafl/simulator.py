@@ -281,18 +281,7 @@ def run_timeline(
             f"no training round completed within the {horizon}-slot budget",
             stacklevel=2,
         )
-        return SimResult(
-            config=cfg,
-            events=events,
-            staleness_records=[],
-            metrics=RunMetrics(),
-            completed_rounds=0,
-            launch_clocks=launch_clocks,
-            downlink_end_slots=downlink_ends,
-            transmitter_sets=transmitter_sets,
-            final_model=model,
-            model_history=history,
-        )
+        completed, stal_records, metrics = 0, [], RunMetrics()
 
     return SimResult(
         config=cfg,

@@ -13,6 +13,7 @@ here would corrupt horizon-to-round conversions for long runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
@@ -37,6 +38,25 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     raise ConfigError(f"cannot interpret {value!r} as a rational number")
+
+
+def require_integer(name: str, value, minimum: int) -> None:
+    """Raise ConfigError unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if type(value) is int and value >= minimum:
+        return  # fast path: the Integral ABC check alone costs about a microsecond
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+_INTEGER_FIELDS = (
+    ("num_devices", 1),
+    ("group_size", 1),
+    ("slots_per_transfer", 1),
+    ("local_steps", 1),
+    ("batch_size", 1),
+    ("horizon", 1),
+    ("intentional_delay", 0),
+)
 
 
 @dataclass(frozen=True)
@@ -67,28 +87,18 @@ class SystemConfig:
     intentional_delay: int = 0
 
     def __post_init__(self) -> None:
+        for name, minimum in _INTEGER_FIELDS:
+            require_integer(name, getattr(self, name), minimum)
         object.__setattr__(self, "samples_per_slot", as_fraction(self.samples_per_slot))
-        if self.num_devices < 1:
-            raise ConfigError(f"num_devices must be >= 1, got {self.num_devices}")
-        if not 1 <= self.group_size <= self.num_devices:
+        if self.group_size > self.num_devices:
             raise ConfigError(
                 f"group_size must be in [1, num_devices], got {self.group_size} "
                 f"with num_devices={self.num_devices}"
             )
-        if self.slots_per_transfer < 1:
-            raise ConfigError(f"slots_per_transfer must be >= 1, got {self.slots_per_transfer}")
         if self.samples_per_slot <= 0:
             raise ConfigError(f"samples_per_slot must be positive, got {self.samples_per_slot}")
-        if self.local_steps < 1:
-            raise ConfigError(f"local_steps must be >= 1, got {self.local_steps}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.step_size <= 0:
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
-        if self.horizon < 1:
-            raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
-        if self.intentional_delay < 0:
-            raise ConfigError(f"intentional_delay must be >= 0, got {self.intentional_delay}")
         if self.intentional_delay > 0:
             if self.num_devices % self.group_size != 0:
                 raise ConfigError(
@@ -115,10 +125,11 @@ class SystemConfig:
         compute time equals ``compute_slots`` exactly, leaving the learning
         hyperparameters free.
         """
-        if compute_slots < 1:
-            raise ConfigError(f"compute_slots must be >= 1, got {compute_slots}")
         local_steps = kwargs.pop("local_steps", 1)
         batch_size = kwargs.pop("batch_size", 1)
+        for name, value in [("compute_slots", compute_slots), ("local_steps", local_steps),
+                            ("batch_size", batch_size)]:
+            require_integer(name, value, 1)
         q = Fraction(local_steps * batch_size, compute_slots)
         return cls(
             num_devices=num_devices,
@@ -137,15 +148,27 @@ class SystemConfig:
 
     @property
     def tau_comp(self) -> int:
-        return compute_tau_comp(self.samples_per_slot, self.local_steps, self.batch_size)
+        """Slots needed for one local update: ceil(H * B / q)."""
+        return math.ceil(Fraction(self.local_steps * self.batch_size) / self.samples_per_slot)
 
     @property
     def tau_comm(self) -> int:
-        return compute_tau_comm(self.slots_per_transfer, self.group_size)
+        """Slots of channel time per round: r * (S + 1), i.e. S uploads plus one broadcast."""
+        return self.slots_per_transfer * (self.group_size + 1)
 
     @property
     def tau_asyn(self) -> Fraction:
-        return compute_tau_asyn(self)
+        """Average slots per round once group rotation is in steady state.
+
+        When local compute is at least as long as the channel time of the other
+        G - 1 groups, a cycle of G rounds costs tau_comp + r(S+1) slots; otherwise
+        the channel never idles and each round costs exactly tau_comm.
+        """
+        g = self.num_groups
+        tau_comp = self.tau_comp
+        if tau_comp >= (g - 1) * self.tau_comm:
+            return Fraction(tau_comp + self.tau_comm, g)
+        return Fraction(self.tau_comm)
 
     def rounds_closed_form(self) -> int:
         """floor(T / tau_asyn): round count predicted by the slot algebra.
@@ -155,43 +178,6 @@ class SystemConfig:
         traces.
         """
         return math.floor(Fraction(self.horizon) / self.tau_asyn)
-
-
-def compute_tau_comp(samples_per_slot: RationalLike, local_steps: int, batch_size: int) -> int:
-    """Slots needed for one local update: ceil(H * B / q)."""
-    q = as_fraction(samples_per_slot)
-    if q <= 0 or local_steps < 1 or batch_size < 1:
-        raise ConfigError(
-            f"compute_tau_comp needs positive inputs, got q={q}, "
-            f"H={local_steps}, B={batch_size}"
-        )
-    return math.ceil(Fraction(local_steps * batch_size) / q)
-
-
-def compute_tau_comm(slots_per_transfer: int, group_size: int) -> int:
-    """Slots of channel time per round: r * (S + 1), i.e. S uploads plus one broadcast."""
-    if slots_per_transfer < 1 or group_size < 1:
-        raise ConfigError(
-            f"compute_tau_comm needs positive inputs, got r={slots_per_transfer}, "
-            f"S={group_size}"
-        )
-    return slots_per_transfer * (group_size + 1)
-
-
-def compute_tau_asyn(cfg: SystemConfig) -> Fraction:
-    """Average slots per round once group rotation is in steady state.
-
-    When local compute is at least as long as the channel time of the other
-    G - 1 groups, a cycle of G rounds costs tau_comp + r(S+1) slots; otherwise
-    the channel never idles and each round costs exactly tau_comm.
-    """
-    r = cfg.slots_per_transfer
-    s = cfg.group_size
-    g = cfg.num_groups
-    tau_comp = cfg.tau_comp
-    if tau_comp >= r * (g - 1) * (s + 1):
-        return Fraction(tau_comp + r * (s + 1), g)
-    return Fraction(cfg.tau_comm)
 
 
 def idfl_staleness(round_index: int, cfg: SystemConfig) -> int:

@@ -139,6 +139,15 @@ class TestDescentInequality:
                 target_se=1e-12,
             )
 
+    def test_rejects_multi_step_config(self, hetero_quad):
+        # The probe's two sides model one local step; H = 2 must not be
+        # silently replaced by H = 1.
+        cfg = SystemConfig.from_times(4, 2, compute_slots=1, horizon=10**6,
+                                      step_size=0.02, batch_size=4, local_steps=2)
+        with pytest.raises(ConfigError, match="local_steps=2"):
+            check_descent_lemma(hetero_quad, exact_constants(hetero_quad), cfg,
+                                trials=16, rng=np.random.default_rng(14), probes=4)
+
     def test_generic_path_matches_quadratic_path(self, hetero_quad):
         # The non-quadratic fallback draws batches one trial at a time; its
         # mean must agree with the vectorized closed form within MC error.
@@ -205,8 +214,7 @@ class TestRateTrend:
                               eig_range=(0.5, 2.0))
         cfg = SystemConfig.from_times(4, 1, compute_slots=1, horizon=10**6,
                                       step_size=0.05, batch_size=4)
-        learner = SgdLearner(task=task, step_size=0.05, batch_size=4, seed=0,
-                             initial=task.w_star + 3.0)
+        learner = SgdLearner(task, cfg, seed=0, initial=task.w_star + 3.0)
         result = run_timeline(cfg, learner, max_rounds=800, record_events=False)
         start = float(np.sum(task.grad(task.w_star + 3.0) ** 2))
         final = float(np.sum(task.grad(result.final_model) ** 2))

@@ -155,13 +155,32 @@ class TestExitCodes:
         assert main(["run"]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("command", ["run", "validate-timing", "validate-prop1"])
-    @pytest.mark.parametrize("content", [None, "{not json", "\xff\xfe"],
-                             ids=["missing", "malformed", "not-utf8"])
+    @pytest.mark.parametrize("content", [None, "{not json", "\xff\xfe", "[{}]", '{"a": 1}'],
+                             ids=["missing", "malformed", "not-utf8", "list-of-empty",
+                                  "object"])
     def test_unreadable_config_file(self, tmp_path, capsys, command, content):
         path = tmp_path / "config.json"
         if content is not None:
             path.write_bytes(content.encode("latin-1"))
         assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"system": {"group_size": 1}},
+        {"system": {"group_size": 1, "compute_slots": 2}},
+        {"system": {"num_devices": 2.5, "group_size": 1}},
+        {"system": {"num_devices": 4, "group_size": 2}, "metrics_every": "x"},
+        {"system": {"num_devices": 4, "group_size": 2}, "seeds": 5},
+        {"system": {"num_devices": 4, "group_size": 2}, "metrics_every": -2},
+    ], ids=["no-num-devices", "no-num-devices-compute-slots", "fractional-num-devices",
+            "metrics-every-string", "seeds-not-list", "metrics-every-negative"])
+    def test_malformed_spec_field(self, tmp_path, capsys, doc):
+        doc = {"name": "bad", **doc}
+        doc["system"]["horizon"] = 40
+        rc = main(["run", "--config", str(write_spec(tmp_path, doc)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
 

@@ -8,9 +8,6 @@ import pytest
 from tdmafl import (
     ConfigError,
     SystemConfig,
-    compute_tau_asyn,
-    compute_tau_comm,
-    compute_tau_comp,
     idfl_staleness,
     optimal_intentional_delay,
 )
@@ -23,7 +20,9 @@ class TestTauComp:
         [(6.4, 5, 64, 50), (128, 8, 64, 4), (1, 1, 1, 1), ("32/5", 5, 64, 50)],
     )
     def test_values(self, q, h, b, expect):
-        assert compute_tau_comp(q, h, b) == expect
+        cfg = SystemConfig(num_devices=1, group_size=1, samples_per_slot=q,
+                           local_steps=h, batch_size=b)
+        assert cfg.tau_comp == expect
 
     def test_float_rate_is_exact(self):
         cfg = SystemConfig(num_devices=2, group_size=1, samples_per_slot=6.4)
@@ -32,37 +31,38 @@ class TestTauComp:
     @pytest.mark.parametrize("q,h,b", [(0, 1, 1), (-1, 1, 1), (1, 0, 1), (1, 1, 0)])
     def test_rejects_nonpositive(self, q, h, b):
         with pytest.raises(ConfigError):
-            compute_tau_comp(q, h, b)
+            SystemConfig(num_devices=1, group_size=1, samples_per_slot=q,
+                         local_steps=h, batch_size=b)
 
 
 class TestTauComm:
     @pytest.mark.parametrize("r,s,expect", [(1, 5, 6), (1, 100, 101), (5, 1, 10)])
     def test_values(self, r, s, expect):
-        assert compute_tau_comm(r, s) == expect
+        assert SystemConfig(num_devices=s, group_size=s, slots_per_transfer=r).tau_comm == expect
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConfigError):
-            compute_tau_comm(0, 1)
+            SystemConfig(num_devices=1, group_size=1, slots_per_transfer=0)
         with pytest.raises(ConfigError):
-            compute_tau_comm(1, 0)
+            SystemConfig(num_devices=1, group_size=0)
 
 
 class TestTauAsyn:
     def test_comm_bound_branch(self):
         cfg = SystemConfig.from_times(100, 1, compute_slots=50)
-        assert compute_tau_asyn(cfg) == Fraction(2)
+        assert cfg.tau_asyn == Fraction(2)
 
     def test_single_group(self):
         cfg = SystemConfig.from_times(100, 100, compute_slots=50)
-        assert compute_tau_asyn(cfg) == Fraction(151)
+        assert cfg.tau_asyn == Fraction(151)
 
     def test_two_groups_comm_bound(self):
         cfg = SystemConfig.from_times(20, 10, compute_slots=4)
-        assert compute_tau_asyn(cfg) == Fraction(11)
+        assert cfg.tau_asyn == Fraction(11)
 
     def test_compute_bound_branch_is_fractional(self):
         cfg = SystemConfig.from_times(4, 2, compute_slots=50)
-        assert compute_tau_asyn(cfg) == Fraction(53, 2)
+        assert cfg.tau_asyn == Fraction(53, 2)
 
     def test_never_exceeds_synchronous_sum(self):
         for n in (4, 6, 20):
@@ -187,6 +187,8 @@ class TestConfigValidation:
         ("step_size", 0.0),
         ("horizon", 0),
         ("intentional_delay", -1),
+        ("local_steps", 1.5),
+        ("horizon", True),
     ])
     def test_rejects_bad_field(self, field, value):
         kwargs = dict(num_devices=4, group_size=2)
