@@ -19,7 +19,6 @@ from .timing import (
     optimal_intentional_delay,
 )
 from .simulator import (
-    DeviceState,
     RunMetrics,
     SimResult,
     StalenessRecord,

@@ -36,7 +36,7 @@ from .errors import ConfigError, DataError, NumericsError
 from .learner import SgdLearner
 from .simulator import run_timeline
 from .tasks import MlpTask, SoftmaxRegressionTask, make_quadratic
-from .timing import SystemConfig, optimal_intentional_delay, require_integer
+from .timing import SystemConfig, optimal_intentional_delay, require_integer, require_real
 
 DATA_DIR_ENV = "TDMAFL_DATA_DIR"
 CSV_HEADER = ["round", "slot", "loss", "grad_norm_sq", "staleness"]
@@ -131,6 +131,9 @@ class ExperimentSpec:
             require_integer("each seed", seed, 0)
         metrics_every = doc.get("metrics_every", 1)
         require_integer("metrics_every", metrics_every, 0)
+        for block in ("system", "task"):
+            if not isinstance(doc.get(block, {}), dict):
+                raise ConfigError(f"{block} must be a JSON object, got {doc[block]!r}")
         try:
             spec = cls(
                 name=doc["name"],
@@ -188,20 +191,24 @@ def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int)
     if kind == "none":
         return None, None
     params = {k: v for k, v in task_spec.items() if k != "kind"}
-    data_seed = int(params.pop("data_seed", 0))
+    data_seed = _pop_integer(params, "data_seed", 0, minimum=0)
     rng = np.random.default_rng([data_seed, 0xDA7A])
 
     if kind == "quadratic":
-        init_offset = params.pop("init_offset", 0.0)
-        eig_range = tuple(params.pop("eig_range", (1.0, 1.0)))
+        init_offset = _pop_real(params, "init_offset", 0.0)
+        eig_range = params.pop("eig_range", (1.0, 1.0))
+        if not isinstance(eig_range, (list, tuple)) or len(eig_range) != 2:
+            raise ConfigError(f"eig_range must be a list [lo, hi], got {eig_range!r}")
+        for bound in eig_range:
+            require_real("each eig_range bound", bound)
         task = make_quadratic(
             num_devices=num_devices,
-            dim=int(params.pop("dim", 5)),
-            heterogeneity=float(params.pop("heterogeneity", 1.0)),
+            dim=_pop_integer(params, "dim", 5),
+            heterogeneity=_pop_real(params, "heterogeneity", 1.0),
             rng=rng,
-            samples_per_device=int(params.pop("samples_per_device", 32)),
-            sample_noise=float(params.pop("sample_noise", 0.0)),
-            eig_range=eig_range,
+            samples_per_device=_pop_integer(params, "samples_per_device", 32),
+            sample_noise=_pop_real(params, "sample_noise", 0.0),
+            eig_range=tuple(eig_range),
         )
         _reject_unknown(kind, params)
         init = None
@@ -209,18 +216,18 @@ def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int)
             init = task.w_star + init_offset * np.ones(task.dim) / np.sqrt(task.dim)
         return task, init
 
-    if kind in {"logistic", "mlp"}:
-        per_device = int(params.pop("per_device", 50))
+    if kind in ("logistic", "mlp"):
+        per_device = _pop_integer(params, "per_device", 50)
         partition = params.pop("partition", "single_label")
         dataset_name = params.pop("dataset", "clusters")
         if dataset_name == "clusters":
             dataset = make_clustered_dataset(
-                num_classes=int(params.pop("num_classes", 10)),
-                dim=int(params.pop("feature_dim", 16)),
-                per_class=int(params.pop("samples_per_class", 400)),
+                num_classes=_pop_integer(params, "num_classes", 10),
+                dim=_pop_integer(params, "feature_dim", 16),
+                per_class=_pop_integer(params, "samples_per_class", 400),
                 rng=rng,
-                spread=float(params.pop("spread", 3.0)),
-                noise=float(params.pop("noise", 1.0)),
+                spread=_pop_real(params, "spread", 3.0),
+                noise=_pop_real(params, "noise", 1.0),
             )
         elif dataset_name == "mnist":
             dataset = _load_mnist(dataset_dir)
@@ -239,12 +246,24 @@ def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int)
         if kind == "logistic":
             _reject_unknown(kind, params)
             return SoftmaxRegressionTask(feats, labels, num_classes), None
-        hidden = int(params.pop("hidden", 32))
+        hidden = _pop_integer(params, "hidden", 32)
         _reject_unknown(kind, params)
         task = MlpTask(feats, labels, num_classes, hidden=hidden)
         return task, task.init_params(np.random.default_rng([data_seed, 0x1417]))
 
     raise ConfigError(f"unknown task kind {kind!r}")
+
+
+def _pop_integer(params: dict, name: str, default: int, minimum: int = 1) -> int:
+    value = params.pop(name, default)
+    require_integer(f"task field {name}", value, minimum)
+    return value
+
+
+def _pop_real(params: dict, name: str, default: float) -> float:
+    value = params.pop(name, default)
+    require_real(f"task field {name}", value)
+    return float(value)
 
 
 def _reject_unknown(kind: str, params: dict) -> None:
@@ -600,6 +619,7 @@ def _load_spec(args, default_mode: str) -> ExperimentSpec:
     doc = _apply_overrides(_read_json_config(args.config), args.set)
     spec = ExperimentSpec.from_dict(doc)
     if args.seed is not None:
+        require_integer("--seed", args.seed, 0)
         spec.seeds = [args.seed]
     return spec
 

@@ -7,6 +7,14 @@ compute completion, then lowest device index), occupies the channel with S
 uploads of r slots plus one r-slot broadcast, applies the global update, and
 hands the fresh model to its recipients.
 
+No sort is needed to keep that order. Every device that receives the
+round-k model starts computing at round k's downlink end, so its
+compute-done slot depends only on k and grows with k. The (done slot, device
+index) heap thus releases devices in upload order, and a device pushed later
+starts at the current clock, after every device already released has
+finished. The ready list therefore stays in upload order, and the
+transmitters are its first S entries.
+
 With ``intentional_delay == 0`` the broadcast of round k goes back to round
 k's own transmitters. With a positive delay alpha it goes to the transmitters
 of round k - alpha; for k < alpha those recipient sets are the pre-assigned
@@ -26,11 +34,12 @@ import heapq
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Protocol, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
+from .learner import SgdLearner
 from .timing import SystemConfig
 
 EVENT_KINDS = ("compute_start", "compute_done", "uplink", "downlink")
@@ -50,35 +59,6 @@ class StalenessRecord(NamedTuple):
     round_index: int
     device_id: int
     staleness: int
-
-
-@dataclass
-class DeviceState:
-    """Per-device bookkeeping between events.
-
-    ``compute_done_slot`` is the last slot of the device's current or most
-    recent local computation (None before it ever computes). The pending
-    update is non-None exactly while a finished update waits to be uploaded.
-    """
-
-    device_id: int
-    last_model_round: int = 0
-    compute_done_slot: Optional[int] = None
-    pending_update: Optional[np.ndarray] = None
-
-
-class RoundLearner(Protocol):
-    """Numerical plug-in driven by the scheduler."""
-
-    def initial_model(self) -> np.ndarray: ...
-
-    def local_update(self, device_id: int, model: np.ndarray, round_index: int) -> np.ndarray: ...
-
-    def apply_round(self, model: np.ndarray, updates: Sequence[np.ndarray]) -> np.ndarray: ...
-
-    def round_metrics(self, model: np.ndarray) -> tuple[float, float]:
-        """Return (loss, squared gradient norm) of the global objective."""
-        ...
 
 
 @dataclass
@@ -119,24 +99,20 @@ class SimResult:
     model_history: Optional[list[np.ndarray]] = None
 
 
-def select_transmitters(available: Sequence[DeviceState], group_size: int) -> list[int]:
+def select_transmitters(ready: list[int], group_size: int) -> list[int]:
     """Pick the S devices whose pending updates started from the oldest rounds.
 
-    Minimizes the summed start rounds over subsets of size S, which reduces
-    to sorting by (start round, compute completion slot, device index). The
+    ``ready`` lists the devices holding a finished update in upload order
+    (see the module docstring), so these are its first S entries, and the
     returned order is the within-round TDMA upload order.
     """
     if group_size < 1:
         raise ConfigError(f"group_size must be >= 1, got {group_size}")
-    if len(available) < group_size:
+    if len(ready) < group_size:
         raise ConfigError(
-            f"need at least {group_size} available devices, got {len(available)}"
+            f"need at least {group_size} available devices, got {len(ready)}"
         )
-    ranked = sorted(
-        available,
-        key=lambda st: (st.last_model_round, st.compute_done_slot, st.device_id),
-    )
-    return [st.device_id for st in ranked[:group_size]]
+    return ready[:group_size]
 
 
 def _warmup_group(cfg: SystemConfig, set_index: int) -> list[int]:
@@ -153,7 +129,7 @@ def _warmup_group(cfg: SystemConfig, set_index: int) -> list[int]:
 
 def run_timeline(
     cfg: SystemConfig,
-    learner: Optional[RoundLearner] = None,
+    learner: Optional[SgdLearner] = None,
     *,
     max_rounds: Optional[int] = None,
     record_events: bool = True,
@@ -176,9 +152,10 @@ def run_timeline(
     g = cfg.num_groups
     tau_comp = cfg.tau_comp
 
-    devices = {i: DeviceState(i) for i in range(1, n + 1)}
+    model_round = [0] * (n + 1)  # indexed by device_id; entry 0 unused
+    pending: list[Optional[np.ndarray]] = [None] * (n + 1)
     computing: list[tuple[int, int]] = []  # (done_slot, device_id) heap
-    available: list[int] = []
+    available: list[int] = []  # ready devices, in upload order
     events: list[TimelineEvent] = []
     stal_records: list[StalenessRecord] = []
     metrics = RunMetrics()
@@ -190,17 +167,16 @@ def run_timeline(
     history: Optional[list[np.ndarray]] = [model.copy()] if (keep_model_history and model is not None) else None
 
     def start_compute(device_id: int, round_index: int, slot: int) -> None:
-        st = devices[device_id]
-        st.last_model_round = round_index
-        st.compute_done_slot = slot + tau_comp - 1
+        done_slot = slot + tau_comp - 1
+        model_round[device_id] = round_index
         if learner is not None:
             # Pure function of (model snapshot, device, round); evaluating at
             # schedule time is equivalent to evaluating during the slots.
-            st.pending_update = learner.local_update(device_id, model, round_index)
-        heapq.heappush(computing, (st.compute_done_slot, device_id))
+            pending[device_id] = learner.local_update(device_id, model, round_index)
+        heapq.heappush(computing, (done_slot, device_id))
         if record_events:
             events.append(TimelineEvent(slot, "compute_start", device_id, round_index))
-            events.append(TimelineEvent(st.compute_done_slot, "compute_done", device_id, round_index))
+            events.append(TimelineEvent(done_slot, "compute_done", device_id, round_index))
 
     if alpha == 0:
         initial = list(range(1, n + 1))
@@ -226,20 +202,18 @@ def run_timeline(
             _, dev = heapq.heappop(computing)
             available.append(dev)
 
-        chosen = select_transmitters([devices[d] for d in available], s)
-        chosen_set = set(chosen)
-        available = [d for d in available if d not in chosen_set]
+        chosen = select_transmitters(available, s)
+        del available[:s]
         transmitter_sets.append(tuple(chosen))
 
         updates = []
         for i, dev in enumerate(chosen):
-            st = devices[dev]
-            stal_records.append(StalenessRecord(k, dev, k - st.last_model_round))
+            stal_records.append(StalenessRecord(k, dev, k - model_round[dev]))
             if record_events:
                 events.append(TimelineEvent(clock + i * r, "uplink", dev, k))
             if learner is not None:
-                updates.append(st.pending_update)
-                st.pending_update = None
+                updates.append(pending[dev])
+                pending[dev] = None
         clock += s * r
 
         if metrics_every and k % metrics_every == 0 and learner is not None:

@@ -48,6 +48,12 @@ def require_integer(name: str, value, minimum: int) -> None:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def require_real(name: str, value) -> None:
+    """Raise ConfigError unless ``value`` is a real number (not a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
 _INTEGER_FIELDS = (
     ("num_devices", 1),
     ("group_size", 1),
@@ -97,6 +103,7 @@ class SystemConfig:
             )
         if self.samples_per_slot <= 0:
             raise ConfigError(f"samples_per_slot must be positive, got {self.samples_per_slot}")
+        require_real("step_size", self.step_size)
         if self.step_size <= 0:
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
         if self.intentional_delay > 0:

@@ -173,13 +173,40 @@ class TestExitCodes:
         {"system": {"num_devices": 4, "group_size": 2}, "metrics_every": "x"},
         {"system": {"num_devices": 4, "group_size": 2}, "seeds": 5},
         {"system": {"num_devices": 4, "group_size": 2}, "metrics_every": -2},
+        {"system": 5},
+        {"system": {"num_devices": 4, "group_size": 2, "step_size": "x"}},
     ], ids=["no-num-devices", "no-num-devices-compute-slots", "fractional-num-devices",
-            "metrics-every-string", "seeds-not-list", "metrics-every-negative"])
+            "metrics-every-string", "seeds-not-list", "metrics-every-negative",
+            "system-not-object", "step-size-string"])
     def test_malformed_spec_field(self, tmp_path, capsys, doc):
         doc = {"name": "bad", **doc}
-        doc["system"]["horizon"] = 40
+        if isinstance(doc["system"], dict):
+            doc["system"]["horizon"] = 40
         rc = main(["run", "--config", str(write_spec(tmp_path, doc)),
                    "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("task", [
+        "quadratic",
+        {"kind": "quadratic", "dim": "x"},
+        {"kind": "quadratic", "eig_range": 5},
+        {"kind": "mlp", "hidden": 2.5},
+        {"kind": ["quadratic"]},
+    ], ids=["not-object", "dim-string", "eig-range-number", "fractional-hidden", "kind-list"])
+    def test_malformed_task_field(self, tmp_path, capsys, task):
+        doc = {"name": "bad", "system": {"num_devices": 4, "group_size": 2, "horizon": 40},
+               "task": task}
+        rc = main(["run", "--config", str(write_spec(tmp_path, doc)),
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        rc = main(["run", "--config", str(write_spec(tmp_path, quad_spec(horizon=40))),
+                   "--out", str(tmp_path / "out"), "--seed", "-1"])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1

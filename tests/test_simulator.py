@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmafl import (
     ConfigError,
-    DeviceState,
     SystemConfig,
     average_round_duration,
     idfl_staleness,
@@ -30,31 +31,9 @@ def downlinks(result):
 
 
 class TestSelectTransmitters:
-    def _device(self, idx, round_started=0, done=1):
-        return DeviceState(device_id=idx, last_model_round=round_started,
-                           compute_done_slot=done)
-
-    def test_equal_everything_breaks_ties_by_index(self):
-        avail = [self._device(i) for i in (6, 1, 4, 2, 3, 5)]
-        assert select_transmitters(avail, 2) == [1, 2]
-
-    def test_after_one_round_next_group_wins(self):
-        # Devices 1,2 restarted from round 1; 3..6 still hold round-0 updates.
-        avail = [self._device(i, 1, 6) for i in (1, 2)]
-        avail += [self._device(i, 0, 1) for i in (3, 4, 5, 6)]
-        assert select_transmitters(avail, 2) == [3, 4]
-
-    def test_unique_argmin(self):
-        avail = [self._device(9, 0, 7)] + [self._device(i, 3, 2) for i in range(1, 6)]
-        assert select_transmitters(avail, 1) == [9]
-
-    def test_earlier_finisher_wins_before_index(self):
-        avail = [self._device(5, 0, done=3), self._device(2, 0, done=4)]
-        assert select_transmitters(avail, 1) == [5]
-
     def test_needs_enough_devices(self):
         with pytest.raises(ConfigError):
-            select_transmitters([self._device(1)], 2)
+            select_transmitters([1], 2)
 
 
 class TestGoldenTimeline:
@@ -135,6 +114,23 @@ class TestTableRoundCounts:
         assert result.completed_rounds == expect
 
 
+def assert_exclusive(result, comp, r):
+    """No two transfers share a slot, and no device computes while it transfers."""
+    transfers = []
+    compute: dict[int, list[tuple[int, int]]] = {}
+    for e in result.events:
+        if e.kind in ("uplink", "downlink"):
+            transfers.append((e.slot, e.slot + r - 1, e.device_id))
+        elif e.kind == "compute_start":
+            compute.setdefault(e.device_id, []).append((e.slot, e.slot + comp - 1))
+    transfers.sort()
+    for (a0, a1, _), (b0, b1, _) in zip(transfers, transfers[1:]):
+        assert a1 < b0, "two transfers overlap on the shared channel"
+    for start, end, dev in transfers:
+        for c0, c1 in compute.get(dev, []):
+            assert end < c0 or c1 < start, "device computes while transferring"
+
+
 GRID = [
     (n, s, comp, r)
     for n in (4, 6, 20)
@@ -149,21 +145,7 @@ class TestScheduleInvariants:
     def test_channel_and_device_exclusivity(self, n, s, comp, r):
         cfg = SystemConfig.from_times(n, s, comp, r, horizon=10**7)
         g = cfg.num_groups
-        result = run_timeline(cfg, max_rounds=3 * g + 5)
-
-        transfers = []
-        compute: dict[int, list[tuple[int, int]]] = {}
-        for e in result.events:
-            if e.kind in ("uplink", "downlink"):
-                transfers.append((e.slot, e.slot + r - 1, e.device_id))
-            elif e.kind == "compute_start":
-                compute.setdefault(e.device_id, []).append((e.slot, e.slot + comp - 1))
-        transfers.sort()
-        for (a0, a1, _), (b0, b1, _) in zip(transfers, transfers[1:]):
-            assert a1 < b0, "two transfers overlap on the shared channel"
-        for start, end, dev in transfers:
-            for c0, c1 in compute.get(dev, []):
-                assert end < c0 or c1 < start, "device computes while transferring"
+        assert_exclusive(run_timeline(cfg, max_rounds=3 * g + 5), comp, r)
 
     @pytest.mark.parametrize("n,s,comp,r", GRID)
     def test_staleness_identity_and_closed_form(self, n, s, comp, r):
@@ -187,6 +169,61 @@ class TestScheduleInvariants:
         b = run_timeline(cfg)
         assert a.events == b.events
         assert a.staleness_records == b.staleness_records
+
+
+@st.composite
+def schedules(draw):
+    """A random system, ragged N % S != 0 included, with every valid deferral."""
+    n = draw(st.integers(1, 30))
+    s = draw(st.integers(1, n))
+    g = -(-n // s)
+    alpha = draw(st.integers(0, g - 1)) if n % s == 0 else 0
+    cfg = SystemConfig.from_times(n, s, draw(st.integers(1, 60)), draw(st.integers(1, 5)),
+                                  horizon=10**7, intentional_delay=alpha)
+    return cfg, draw(st.integers(1, 3 * g + 5))
+
+
+class TestScheduleProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(schedules())
+    def test_transmitters_are_the_oldest_ready_updates(self, case):
+        """Replay the events: each round uploads the S oldest finished updates.
+
+        The ready set of round k holds every finished update not yet uploaded
+        whose compute-done slot precedes round k's first upload slot. Oldest
+        means sorted by (model round, compute-done slot, device index).
+        """
+        cfg, rounds = case
+        s, r = cfg.group_size, cfg.slots_per_transfer
+        result = run_timeline(cfg, max_rounds=rounds)
+        assert_exclusive(result, cfg.tau_comp, r)
+
+        finished = sorted((e.slot, e.device_id, e.round_index)
+                          for e in result.events if e.kind == "compute_done")
+        uploads: dict[int, list[tuple[int, int]]] = {}
+        for e in result.events:
+            if e.kind == "uplink":
+                uploads.setdefault(e.round_index, []).append((e.slot, e.device_id))
+        assert len(result.transmitter_sets) == len(uploads) == rounds
+
+        ready: dict[int, tuple[int, int]] = {}  # device -> (model round, done slot)
+        i = 0
+        for k, chosen in enumerate(result.transmitter_sets):
+            slots = sorted(uploads[k])
+            assert [slot for slot, _ in slots] == [slots[0][0] + j * r for j in range(s)]
+            assert tuple(dev for _, dev in slots) == chosen
+            while i < len(finished) and finished[i][0] < slots[0][0]:
+                done, dev, model_round = finished[i]
+                assert dev not in ready, "device holds two finished updates"
+                ready[dev] = (model_round, done)
+                i += 1
+            oldest = sorted(ready, key=lambda d: (ready[d][0], ready[d][1], d))[:s]
+            assert list(chosen) == oldest
+            records = result.staleness_records[k * s:(k + 1) * s]
+            assert [(rec.round_index, rec.device_id, rec.staleness) for rec in records] == [
+                (k, dev, k - ready[dev][0]) for dev in chosen]
+            for dev in chosen:
+                del ready[dev]
 
 
 class TestSynchronousDegenerate:
