@@ -38,7 +38,6 @@ from .tasks import (
     make_quadratic,
 )
 from .data import (
-    DatasetShard,
     LabeledDataset,
     load_cifar10_batches,
     load_idx_dataset,
@@ -47,7 +46,6 @@ from .data import (
     make_clustered_dataset,
     partition_iid,
     partition_single_label,
-    shard_arrays,
     write_idx_images,
     write_idx_labels,
 )

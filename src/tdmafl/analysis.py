@@ -30,6 +30,8 @@ from .timing import SystemConfig
 # Multiplicative guard so the reported envelope never dips below a witnessed
 # ratio through rounding alone.
 _ENVELOPE_GUARD = 1.0 + 1e-9
+_POWER_ITERS = 60  # power-iteration steps that sharpen the smoothness estimate
+_NOISE_POINTS = 16  # leading probe points that feed the noise-envelope fit
 
 
 @dataclass
@@ -46,7 +48,6 @@ class AssumptionConstants:
     noise_sq: float
     noise_scale: float
     heterogeneity_sq: float
-    provenance: str = "estimated"  # "exact" for synthetic tasks
 
     def __post_init__(self) -> None:
         vals = (self.smoothness, self.noise_sq, self.noise_scale, self.heterogeneity_sq)
@@ -63,7 +64,6 @@ def exact_constants(task: QuadraticTask) -> AssumptionConstants:
         noise_sq=task.noise_sq(),
         noise_scale=1.0,
         heterogeneity_sq=task.heterogeneity_sq(),
-        provenance="exact",
     )
 
 
@@ -72,9 +72,6 @@ def estimate_constants(
     sample_count: int,
     radius: float,
     rng: np.random.Generator,
-    *,
-    power_iters: int = 60,
-    noise_points: int = 16,
 ) -> AssumptionConstants:
     """Estimate regularity constants from sampled gradient evaluations.
 
@@ -114,7 +111,7 @@ def estimate_constants(
     h = max(1e-3, 0.01 * radius)
     direction *= h / np.linalg.norm(direction)
     smooth = best_ratio
-    for _ in range(power_iters):
+    for _ in range(_POWER_ITERS):
         diff = task.grad(base + direction) - gbase
         norm = float(np.linalg.norm(diff))
         if norm == 0.0:
@@ -131,7 +128,7 @@ def estimate_constants(
             hetero = max(hetero, float(diff @ diff))
 
     xs, ys = [], []
-    for w in points[: min(noise_points, sample_count)]:
+    for w in points[:_NOISE_POINTS]:
         for dev in range(task.num_devices):
             gd = task.grad(w, dev)
             xs.append(float(gd @ gd))
@@ -147,7 +144,6 @@ def estimate_constants(
         noise_sq=noise_sq,
         noise_scale=scale,
         heterogeneity_sq=hetero * _ENVELOPE_GUARD,
-        provenance="estimated",
     )
 
 
@@ -160,7 +156,6 @@ def descent_rhs(
     task: Task,
     constants: AssumptionConstants,
     eta: float,
-    group_size: int,
     batch_size: int,
     w_now: np.ndarray,
     stale_models: Sequence[np.ndarray],
@@ -169,15 +164,17 @@ def descent_rhs(
     """Exact upper bound on the expected post-update loss for one round state.
 
     All expectations on this side reduce to full-gradient quantities plus the
-    noise envelope, so no sampling is involved.
+    noise envelope, so no sampling is involved. The group size S is the
+    number of transmitters, each paired with the stale model it trained on.
     """
-    if len(stale_models) != group_size or len(transmitters) != group_size:
-        raise ConfigError("need one stale model and one transmitter per group slot")
+    s = len(transmitters)
+    if s == 0 or len(stale_models) != s:
+        raise ConfigError("need one stale model per transmitter, and at least one")
     big_l = constants.smoothness
     sigma_sq = constants.noise_sq
     big_m = constants.noise_scale
     gamma_sq = constants.heterogeneity_sq
-    s, b = group_size, batch_size
+    b = batch_size
 
     g_now = task.grad(w_now)
     sum_local_sq = 0.0
@@ -209,7 +206,6 @@ def _batches_without_replacement(
 def descent_lhs_mc(
     task: Task,
     eta: float,
-    group_size: int,
     batch_size: int,
     w_now: np.ndarray,
     stale_models: Sequence[np.ndarray],
@@ -224,7 +220,7 @@ def descent_lhs_mc(
     """
     if trials < 2:
         raise ConfigError(f"trials must be >= 2, got {trials}")
-    s = group_size
+    s = len(transmitters)
     if isinstance(task, QuadraticTask):
         # Closed-form batched evaluation: the batch gradient is
         # A w_old - mean(batch offsets), so only the offset means are random.
@@ -265,8 +261,6 @@ class DescentProbe:
 @dataclass
 class DescentReport:
     probes: list[DescentProbe]
-    trials: int
-    eta: float
 
     @property
     def violations(self) -> int:
@@ -324,16 +318,16 @@ def check_descent_lemma(
         stale_models = [history[k - rec.staleness] for rec in recs]
         w_now = history[k]
         rhs = descent_rhs(
-            task, constants, cfg.step_size, cfg.group_size, cfg.batch_size,
+            task, constants, cfg.step_size, cfg.batch_size,
             w_now, stale_models, transmitters,
         )
         lhs, se = descent_lhs_mc(
-            task, cfg.step_size, cfg.group_size, cfg.batch_size,
+            task, cfg.step_size, cfg.batch_size,
             w_now, stale_models, transmitters, trials, rng,
         )
         margin = rhs - lhs
         out.append(DescentProbe(k, margin, se, margin >= -3.0 * se))
-    report = DescentReport(probes=out, trials=trials, eta=cfg.step_size)
+    report = DescentReport(probes=out)
     if target_se is not None:
         worst = max(p.std_error for p in out)
         if worst > target_se:
@@ -413,25 +407,30 @@ class RateTrendReport:
         return seps
 
     def to_dict(self) -> dict:
+        """The report as strict JSON values: a non-finite float becomes None."""
         return {
             "rounds": self.rounds,
             "skipped_groups": self.skipped,
             "monotone_in_groups": self.monotone_in_groups(),
-            "adjacent_separations": self.adjacent_separations(),
+            "adjacent_separations": [_finite(x) for x in self.adjacent_separations()],
             "kscale_group": self.kscale_group,
-            "kscale_ratio": self.kscale_ratio,
+            "kscale_ratio": _finite(self.kscale_ratio),
             "points": [
                 {
                     "num_groups": p.num_groups,
                     "group_size": p.group_size,
                     "eta": p.eta,
-                    "mean_avg_grad_norm_sq": p.mean,
-                    "std_error": p.std_error,
-                    "per_seed": p.per_seed,
+                    "mean_avg_grad_norm_sq": _finite(p.mean),
+                    "std_error": _finite(p.std_error),
+                    "per_seed": [_finite(x) for x in p.per_seed],
                 }
                 for p in self.points
             ],
         }
+
+
+def _finite(value: Optional[float]) -> Optional[float]:
+    return value if value is not None and math.isfinite(value) else None
 
 
 def _avg_grad_norm_sq_run(

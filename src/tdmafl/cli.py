@@ -30,7 +30,6 @@ from .data import (
     make_clustered_dataset,
     partition_iid,
     partition_single_label,
-    shard_arrays,
 )
 from .errors import ConfigError, DataError, NumericsError
 from .learner import SgdLearner
@@ -46,11 +45,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-
-def canonical_json(obj) -> str:
-    """Normalized JSON text: sorted keys, no whitespace padding."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _read_json_config(path):
@@ -81,15 +75,16 @@ class ExperimentSpec:
         metrics_every: evaluate loss and gradient norm every this many rounds;
             0 turns evaluation off; default 1.
         mode: one of "run", "sweep", "validate-timing", "validate-prop1",
-            "rate-trend"; default "run". It is checked but not acted on: the
-            subcommand decides what runs.
+            "rate-trend". It is checked but not acted on: the subcommand
+            decides what runs.
         out_dir: output directory, used when --out is not given.
-        grid: sweep only; maps system fields to a value or a list of values,
-            and every combination runs as one point with its own output
-            directory.
+        grid: sweep only; an object that maps system fields to a value or a
+            list of values, and every combination runs as one point with its
+            own output directory.
 
     The ``system`` block takes the SystemConfig fields: num_devices and
-    group_size (required), slots_per_transfer, samples_per_slot, local_steps,
+    group_size (required; group_size must divide num_devices, so the TDMA
+    groups are equal), slots_per_transfer, samples_per_slot, local_steps,
     batch_size, step_size, horizon and intentional_delay. ``compute_slots``
     may replace ``samples_per_slot``: it sets q = H*B/compute_slots so that
     one local update takes exactly that many slots. ``intentional_delay`` may
@@ -107,7 +102,6 @@ class ExperimentSpec:
     """
 
     name: str
-    mode: str
     system: dict
     task: dict
     seeds: list[int]
@@ -131,13 +125,15 @@ class ExperimentSpec:
             require_integer("each seed", seed, 0)
         metrics_every = doc.get("metrics_every", 1)
         require_integer("metrics_every", metrics_every, 0)
-        for block in ("system", "task"):
+        for block in ("system", "task", "grid"):
             if not isinstance(doc.get(block, {}), dict):
                 raise ConfigError(f"{block} must be a JSON object, got {doc[block]!r}")
+        if doc.get("mode", "run") not in ("run", "sweep", "validate-timing", "validate-prop1",
+                                          "rate-trend"):
+            raise ConfigError(f"unknown mode {doc['mode']!r}")
         try:
             spec = cls(
                 name=doc["name"],
-                mode=doc.get("mode", "run"),
                 system=dict(doc["system"]),
                 task=dict(doc.get("task", {"kind": "none"})),
                 seeds=list(seeds),
@@ -148,8 +144,6 @@ class ExperimentSpec:
             )
         except KeyError as exc:
             raise ConfigError(f"spec missing required field: {exc}") from exc
-        if spec.mode not in {"run", "sweep", "validate-timing", "validate-prop1", "rate-trend"}:
-            raise ConfigError(f"unknown mode {spec.mode!r}")
         return spec
 
 
@@ -236,12 +230,11 @@ def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int)
         else:
             raise ConfigError(f"unknown dataset {dataset_name!r}")
         if partition == "single_label":
-            shards = partition_single_label(dataset, num_devices, per_device, rng)
+            feats, labels = partition_single_label(dataset, num_devices, per_device, rng)
         elif partition == "iid":
-            shards = partition_iid(dataset, num_devices, per_device, rng)
+            feats, labels = partition_iid(dataset, num_devices, per_device, rng)
         else:
             raise ConfigError(f"unknown partition {partition!r}")
-        feats, labels = shard_arrays(shards)
         num_classes = dataset.num_classes
         if kind == "logistic":
             _reject_unknown(kind, params)
@@ -406,7 +399,6 @@ def _grid_points(grid: dict) -> list[dict]:
 def _run_sweep_point(args: tuple) -> dict:
     spec_doc, overrides, out_dir, dataset_dir = args
     doc = json.loads(json.dumps(spec_doc))  # deep copy
-    doc["mode"] = "run"
     doc.pop("grid", None)
     doc.setdefault("system", {}).update(overrides)
     point_name = "_".join(f"{k}-{v}" for k, v in sorted(overrides.items()))

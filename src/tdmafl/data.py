@@ -49,19 +49,6 @@ class LabeledDataset:
         return int(self.labels.max()) + 1 if len(self) else 0
 
 
-@dataclass
-class DatasetShard:
-    """One device's private slice of the data."""
-
-    device_id: int
-    features: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.features.shape[0]
-
-
 def _open_maybe_gzip(path):
     path = Path(path)
     if path.suffix == ".gz":
@@ -192,12 +179,13 @@ def partition_single_label(
     rng: np.random.Generator,
     *,
     max_retries: int = 20,
-) -> list[DatasetShard]:
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Give every device ``per_device`` samples of one randomly chosen label.
 
     Labels are drawn uniformly per device; samples are drawn without
     replacement across the whole partition. If the chosen label runs out of
     samples the label is redrawn up to ``max_retries`` times before failing.
+    Returns the per-device feature and label lists the task classes take.
     """
     if len(dataset) < num_devices * per_device:
         raise DataError(
@@ -209,7 +197,7 @@ def partition_single_label(
         idx = np.flatnonzero(dataset.labels == lab)
         pools[int(lab)] = list(rng.permutation(idx))
 
-    shards = []
+    feats, labels = [], []
     for dev in range(num_devices):
         chosen = None
         for _ in range(max_retries):
@@ -223,14 +211,9 @@ def partition_single_label(
                 f"for device {dev} after {max_retries} draws"
             )
         take = [pools[chosen].pop() for _ in range(per_device)]
-        shards.append(
-            DatasetShard(
-                device_id=dev,
-                features=dataset.features[take].copy(),
-                labels=dataset.labels[take].copy(),
-            )
-        )
-    return shards
+        feats.append(dataset.features[take])
+        labels.append(dataset.labels[take])
+    return feats, labels
 
 
 def partition_iid(
@@ -238,25 +221,15 @@ def partition_iid(
     num_devices: int,
     per_device: int,
     rng: np.random.Generator,
-) -> list[DatasetShard]:
-    """Disjoint uniform shards, label-agnostic."""
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Disjoint uniform shards, label-agnostic, as (features, labels) lists."""
     need = num_devices * per_device
     if len(dataset) < need:
         raise DataError(f"dataset has {len(dataset)} samples, need {need}")
     order = rng.permutation(len(dataset))[:need]
-    shards = []
+    feats, labels = [], []
     for dev in range(num_devices):
         take = order[dev * per_device: (dev + 1) * per_device]
-        shards.append(
-            DatasetShard(
-                device_id=dev,
-                features=dataset.features[take].copy(),
-                labels=dataset.labels[take].copy(),
-            )
-        )
-    return shards
-
-
-def shard_arrays(shards: Sequence[DatasetShard]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Unzip shards into the (features, labels) lists the task classes take."""
-    return [s.features for s in shards], [s.labels for s in shards]
+        feats.append(dataset.features[take])
+        labels.append(dataset.labels[take])
+    return feats, labels

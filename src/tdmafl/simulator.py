@@ -31,7 +31,6 @@ reproduced exactly.
 from __future__ import annotations
 
 import heapq
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -42,7 +41,6 @@ from .errors import ConfigError
 from .learner import SgdLearner
 from .timing import SystemConfig
 
-EVENT_KINDS = ("compute_start", "compute_done", "uplink", "downlink")
 SERVER_ID = 0  # device_id used for the downlink broadcast
 
 
@@ -140,7 +138,8 @@ def run_timeline(
 
     Without a learner only the scheduling is simulated (no gradients are
     computed), which is enough for round counting and staleness checks.
-    ``max_rounds`` truncates the run before the slot budget is exhausted.
+    ``max_rounds`` truncates the run before the slot budget is exhausted; a
+    horizon too short for one round to complete is a ConfigError.
     Runs are fully deterministic: the scheduler itself draws no randomness,
     and a learner's randomness is keyed on (device, round).
     """
@@ -178,11 +177,7 @@ def run_timeline(
             events.append(TimelineEvent(slot, "compute_start", device_id, round_index))
             events.append(TimelineEvent(done_slot, "compute_done", device_id, round_index))
 
-    if alpha == 0:
-        initial = list(range(1, n + 1))
-    else:
-        initial = list(range(1, (g - alpha) * s + 1))
-    for dev in initial:
+    for dev in range(1, (g - alpha) * s + 1):
         start_compute(dev, 0, 0)
 
     clock = 0
@@ -249,20 +244,15 @@ def run_timeline(
 
         k += 1
 
-    completed = k
-    if completed == 1 and downlink_ends[0] >= horizon:
-        warnings.warn(
-            f"no training round completed within the {horizon}-slot budget",
-            stacklevel=2,
-        )
-        completed, stal_records, metrics = 0, [], RunMetrics()
+    if k == 1 and downlink_ends[0] >= horizon:
+        raise ConfigError(f"no training round completes within the {horizon}-slot horizon")
 
     return SimResult(
         config=cfg,
         events=events,
         staleness_records=stal_records,
         metrics=metrics,
-        completed_rounds=completed,
+        completed_rounds=k,
         launch_clocks=launch_clocks,
         downlink_end_slots=downlink_ends,
         transmitter_sets=transmitter_sets,
@@ -304,23 +294,3 @@ def steady_round_duration(result: SimResult, cycles: int = 2) -> Fraction:
             f"run too short: need more than {window + 1} rounds, have {result.completed_rounds}"
         )
     return average_round_duration(result, last - window, last)
-
-
-def format_trace(events: Sequence[TimelineEvent]) -> str:
-    """Line-delimited trace: ``slot,kind,device,round`` with a header."""
-    lines = ["slot,kind,device,round"]
-    lines.extend(f"{e.slot},{e.kind},{e.device_id},{e.round_index}" for e in events)
-    return "\n".join(lines) + "\n"
-
-
-def parse_trace(text: str) -> list[TimelineEvent]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != "slot,kind,device,round":
-        raise ValueError("trace header missing or malformed")
-    out = []
-    for ln in lines[1:]:
-        slot, kind, device, rnd = ln.split(",")
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {kind!r}")
-        out.append(TimelineEvent(int(slot), kind, int(device), int(rnd)))
-    return out

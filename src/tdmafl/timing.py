@@ -71,7 +71,8 @@ class SystemConfig:
 
     Attributes:
         num_devices: N, number of devices holding data shards.
-        group_size: S, devices that upload in each training round.
+        group_size: S, devices that upload in each training round; it must
+            divide N, so the devices form G = N / S equal TDMA groups.
         slots_per_transfer: r, slots needed for one model upload or download.
         samples_per_slot: q, per-device processing rate (samples per slot).
         local_steps: H, gradient steps per local update.
@@ -96,26 +97,21 @@ class SystemConfig:
         for name, minimum in _INTEGER_FIELDS:
             require_integer(name, getattr(self, name), minimum)
         object.__setattr__(self, "samples_per_slot", as_fraction(self.samples_per_slot))
-        if self.group_size > self.num_devices:
-            raise ConfigError(
-                f"group_size must be in [1, num_devices], got {self.group_size} "
-                f"with num_devices={self.num_devices}"
-            )
         if self.samples_per_slot <= 0:
             raise ConfigError(f"samples_per_slot must be positive, got {self.samples_per_slot}")
         require_real("step_size", self.step_size)
         if self.step_size <= 0:
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
-        if self.intentional_delay > 0:
-            if self.num_devices % self.group_size != 0:
-                raise ConfigError(
-                    "intentional_delay > 0 requires num_devices divisible by group_size"
-                )
-            if self.intentional_delay > self.num_groups - 1:
-                raise ConfigError(
-                    f"intentional_delay must be <= num_groups - 1 = {self.num_groups - 1}, "
-                    f"got {self.intentional_delay}"
-                )
+        if self.num_devices % self.group_size != 0:  # also rejects S > N
+            raise ConfigError(
+                f"group_size must divide num_devices (TDMA groups are equal), got "
+                f"group_size={self.group_size} with num_devices={self.num_devices}"
+            )
+        if self.intentional_delay > self.num_groups - 1:
+            raise ConfigError(
+                f"intentional_delay must be <= num_groups - 1 = {self.num_groups - 1}, "
+                f"got {self.intentional_delay}"
+            )
 
     @classmethod
     def from_times(
@@ -150,8 +146,8 @@ class SystemConfig:
 
     @property
     def num_groups(self) -> int:
-        """G, the number of TDMA groups: ceil(N / S)."""
-        return -(-self.num_devices // self.group_size)
+        """G, the number of TDMA groups: N / S."""
+        return self.num_devices // self.group_size
 
     @property
     def tau_comp(self) -> int:
@@ -215,13 +211,7 @@ def optimal_intentional_delay(cfg: SystemConfig) -> DelayChoice:
     fills the rotation gap and no deferral is free, so alpha = 0 and the
     steady staleness stays G - 1. Otherwise the effective delay d* is the
     unique integer with (d*-1)(S+1) < x <= d*(S+1) and alpha = G - d* - 1.
-
-    Requires N divisible by S (static group rotation).
     """
-    if cfg.num_devices % cfg.group_size != 0:
-        raise ConfigError(
-            "optimal_intentional_delay requires num_devices divisible by group_size"
-        )
     g = cfg.num_groups
     s = cfg.group_size
     x = Fraction(cfg.tau_comp, cfg.slots_per_transfer)

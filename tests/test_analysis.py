@@ -77,8 +77,8 @@ class TestDescentInequality:
         eta = 0.05
         w = task.w_star + rng.normal(size=4)
         g = task.grad(w)
-        rhs = descent_rhs(task, consts, eta, 1, 1, w, [w], [0])
-        lhs, se = descent_lhs_mc(task, eta, 1, 1, w, [w], [0], trials=16,
+        rhs = descent_rhs(task, consts, eta, 1, w, [w], [0])
+        lhs, se = descent_lhs_mc(task, eta, 1, w, [w], [0], trials=16,
                                  rng=np.random.default_rng(10))
         assert se == pytest.approx(0.0, abs=1e-12)  # deterministic batches
         rayleigh = float(g @ task.hessian @ g / (g @ g))
@@ -97,8 +97,8 @@ class TestDescentInequality:
         s, b = 2, 4
 
         def margin(eta):
-            rhs = descent_rhs(hetero_quad, consts, eta, s, b, w_now, stale, transmitters)
-            lhs, _ = descent_lhs_mc(hetero_quad, eta, s, b, w_now, stale,
+            rhs = descent_rhs(hetero_quad, consts, eta, b, w_now, stale, transmitters)
+            lhs, _ = descent_lhs_mc(hetero_quad, eta, b, w_now, stale,
                                     transmitters, trials=60_000,
                                     rng=np.random.default_rng(12))
             return rhs - lhs
@@ -170,9 +170,9 @@ class TestDescentInequality:
         rng = np.random.default_rng(15)
         w = hetero_quad.w_star + rng.normal(size=hetero_quad.dim)
         stale = [w, w]
-        fast, _ = descent_lhs_mc(hetero_quad, 0.05, 2, 4, w, stale, [0, 1],
+        fast, _ = descent_lhs_mc(hetero_quad, 0.05, 4, w, stale, [0, 1],
                                  trials=20_000, rng=np.random.default_rng(16))
-        slow, se = descent_lhs_mc(Wrapped(hetero_quad), 0.05, 2, 4, w, stale,
+        slow, se = descent_lhs_mc(Wrapped(hetero_quad), 0.05, 4, w, stale,
                                   [0, 1], trials=4000,
                                   rng=np.random.default_rng(17))
         assert fast == pytest.approx(slow, abs=6 * se)

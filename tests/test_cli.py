@@ -14,7 +14,6 @@ from tdmafl.cli import (
     EXIT_OK,
     ExperimentSpec,
     build_system_config,
-    canonical_json,
     main,
     read_metrics_csv,
     run_experiment,
@@ -90,7 +89,7 @@ class TestRunCommand:
         out = tmp_path / "out"
         main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(out)])
         summary = json.loads((out / "summary.json").read_text())
-        assert canonical_json(summary["config"]) == canonical_json(doc)
+        assert summary["config"] == doc
 
     def test_deterministic_outputs(self, tmp_path):
         doc = quad_spec()
@@ -175,9 +174,11 @@ class TestExitCodes:
         {"system": {"num_devices": 4, "group_size": 2}, "metrics_every": -2},
         {"system": 5},
         {"system": {"num_devices": 4, "group_size": 2, "step_size": "x"}},
+        {"system": {"num_devices": 4, "group_size": 2}, "mode": []},
+        {"system": {"num_devices": 4, "group_size": 2}, "grid": 5},
     ], ids=["no-num-devices", "no-num-devices-compute-slots", "fractional-num-devices",
             "metrics-every-string", "seeds-not-list", "metrics-every-negative",
-            "system-not-object", "step-size-string"])
+            "system-not-object", "step-size-string", "mode-list", "grid-number"])
     def test_malformed_spec_field(self, tmp_path, capsys, doc):
         doc = {"name": "bad", **doc}
         if isinstance(doc["system"], dict):
@@ -285,6 +286,27 @@ class TestValidators:
         assert rc == EXIT_OK
         doc = json.loads((tmp_path / "rt" / "rate_trend.json").read_text())
         assert [p["num_groups"] for p in doc["points"]] == [1, 2]
+
+
+class TestStrictJson:
+    def test_every_json_artifact_is_strict(self, tmp_path):
+        doc = quad_spec(horizon=40)
+        doc["seeds"] = [0]
+        assert main(["run", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
+        doc["grid"] = {"group_size": [1, 2]}
+        assert main(["sweep", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        scenarios = tmp_path / "scen.json"
+        scenarios.write_text(json.dumps([{"num_devices": 4, "horizon": 60,
+                                          "compute_slots": 2, "group_sizes": [1, 4]}]))
+        assert main(["validate-timing", "--config", str(scenarios),
+                     "--out", str(tmp_path / "timing")]) == EXIT_OK
+        assert main(["rate-trend", "--groups", "1,2", "--rounds", "20", "--num-seeds", "1",
+                     "--num-devices", "4", "--out", str(tmp_path / "rt")]) == EXIT_OK
+        for name in ["run/summary.json", "sweep/sweep.json", "timing/timing.json",
+                     "rt/rate_trend.json"]:
+            json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
 
 
 class TestSpecParsing:

@@ -105,20 +105,20 @@ class TestCifarFormat:
 
 class TestSingleLabelPartition:
     def test_shards_are_pure_disjoint_and_sized(self, dataset):
-        shards = partition_single_label(dataset, 10, 25, np.random.default_rng(3))
-        assert len(shards) == 10
+        feats, labels = partition_single_label(dataset, 10, 25, np.random.default_rng(3))
+        assert len(feats) == len(labels) == 10
         seen = set()
-        for shard in shards:
-            assert shard.size == 25
-            assert len(set(shard.labels.tolist())) == 1
-            rows = {tuple(row) for row in shard.features}
+        for x, y in zip(feats, labels):
+            assert x.shape[0] == y.shape[0] == 25
+            assert len(set(y.tolist())) == 1
+            rows = {tuple(row) for row in x}
             assert not rows & seen
             seen |= rows
-        assert sum(s.size for s in shards) == 250
+        assert sum(x.shape[0] for x in feats) == 250
 
     def test_single_device(self, dataset):
-        shards = partition_single_label(dataset, 1, 30, np.random.default_rng(4))
-        assert len(shards) == 1 and len(set(shards[0].labels.tolist())) == 1
+        _, labels = partition_single_label(dataset, 1, 30, np.random.default_rng(4))
+        assert len(labels) == 1 and len(set(labels[0].tolist())) == 1
 
     def test_insufficient_data(self, dataset):
         with pytest.raises(DataError):
@@ -139,18 +139,18 @@ class TestSingleLabelPartition:
         # ten classes; chi-square should not reject at the 1% level.
         counts = np.zeros(10)
         for seed in range(100):
-            shards = partition_single_label(dataset, 8, 10,
-                                            np.random.default_rng(seed))
-            for shard in shards:
-                counts[shard.labels[0]] += 1
+            _, labels = partition_single_label(dataset, 8, 10,
+                                               np.random.default_rng(seed))
+            for y in labels:
+                counts[y[0]] += 1
         _, pvalue = stats.chisquare(counts)
         assert pvalue > 0.01
 
 
 class TestIidPartition:
     def test_disjoint_and_sized(self, dataset):
-        shards = partition_iid(dataset, 6, 40, np.random.default_rng(7))
-        all_rows = np.concatenate([s.features for s in shards])
+        feats, _ = partition_iid(dataset, 6, 40, np.random.default_rng(7))
+        all_rows = np.concatenate(feats)
         assert all_rows.shape[0] == 240
         assert len({tuple(r) for r in all_rows}) == 240
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tdmafl import (
     ConfigError,
     SystemConfig,
+    TimelineEvent,
     average_round_duration,
     idfl_staleness,
     measured_staleness,
@@ -18,7 +19,6 @@ from tdmafl import (
     select_transmitters,
     steady_round_duration,
 )
-from tdmafl.simulator import format_trace, parse_trace
 from util import divisors
 
 
@@ -65,24 +65,21 @@ class TestGoldenTimeline:
         assert measured_staleness(result.staleness_records, 2) == [2, 2]
 
     def test_full_trace_golden(self, result):
-        expected = ["slot,kind,device,round"]
+        expected = []
         for dev in range(1, 7):
-            expected += [f"0,compute_start,{dev},0", f"1,compute_done,{dev},0"]
+            expected += [(0, "compute_start", dev, 0), (1, "compute_done", dev, 0)]
         expected += [
-            "2,uplink,1,0", "3,uplink,2,0", "4,downlink,0,0",
-            "5,compute_start,1,1", "6,compute_done,1,1",
-            "5,compute_start,2,1", "6,compute_done,2,1",
-            "5,uplink,3,1", "6,uplink,4,1", "7,downlink,0,1",
-            "8,compute_start,3,2", "9,compute_done,3,2",
-            "8,compute_start,4,2", "9,compute_done,4,2",
-            "8,uplink,5,2", "9,uplink,6,2", "10,downlink,0,2",
-            "11,compute_start,5,3", "12,compute_done,5,3",
-            "11,compute_start,6,3", "12,compute_done,6,3",
+            (2, "uplink", 1, 0), (3, "uplink", 2, 0), (4, "downlink", 0, 0),
+            (5, "compute_start", 1, 1), (6, "compute_done", 1, 1),
+            (5, "compute_start", 2, 1), (6, "compute_done", 2, 1),
+            (5, "uplink", 3, 1), (6, "uplink", 4, 1), (7, "downlink", 0, 1),
+            (8, "compute_start", 3, 2), (9, "compute_done", 3, 2),
+            (8, "compute_start", 4, 2), (9, "compute_done", 4, 2),
+            (8, "uplink", 5, 2), (9, "uplink", 6, 2), (10, "downlink", 0, 2),
+            (11, "compute_start", 5, 3), (12, "compute_done", 5, 3),
+            (11, "compute_start", 6, 3), (12, "compute_done", 6, 3),
         ]
-        assert format_trace(result.events) == "\n".join(expected) + "\n"
-
-    def test_trace_round_trips(self, result):
-        assert parse_trace(format_trace(result.events)) == result.events
+        assert result.events == [TimelineEvent(*e) for e in expected]
 
 
 class TestComputeBoundSchedule:
@@ -173,11 +170,11 @@ class TestScheduleInvariants:
 
 @st.composite
 def schedules(draw):
-    """A random system, ragged N % S != 0 included, with every valid deferral."""
+    """A random system of equal groups, with every valid deferral."""
     n = draw(st.integers(1, 30))
-    s = draw(st.integers(1, n))
-    g = -(-n // s)
-    alpha = draw(st.integers(0, g - 1)) if n % s == 0 else 0
+    s = draw(st.sampled_from(divisors(n)))
+    g = n // s
+    alpha = draw(st.integers(0, g - 1))
     cfg = SystemConfig.from_times(n, s, draw(st.integers(1, 60)), draw(st.integers(1, 5)),
                                   horizon=10**7, intentional_delay=alpha)
     return cfg, draw(st.integers(1, 3 * g + 5))
@@ -280,12 +277,10 @@ class TestDeferredDownlink:
         assert steady(alpha + 1) > steady(0)
 
 class TestHorizonAccounting:
-    def test_no_round_completes_warns_and_empties(self):
+    def test_no_round_completes_is_a_config_error(self):
         cfg = SystemConfig.from_times(4, 2, compute_slots=50, horizon=10)
-        with pytest.warns(UserWarning, match="no training round completed"):
-            result = run_timeline(cfg)
-        assert result.completed_rounds == 0
-        assert len(result.metrics) == 0
+        with pytest.raises(ConfigError, match="no training round completes"):
+            run_timeline(cfg)
 
     def test_boundary_round_still_launches(self):
         # A round whose start coincides with budget exhaustion is still run.

@@ -12,7 +12,6 @@ from tdmafl import (
     make_clustered_dataset,
     make_quadratic,
     partition_iid,
-    shard_arrays,
 )
 from util import central_difference, relative_error
 
@@ -27,15 +26,15 @@ def quad():
 @pytest.fixture()
 def softmax_task():
     data = make_clustered_dataset(3, 6, 40, np.random.default_rng(1))
-    shards = partition_iid(data, 4, 25, np.random.default_rng(2))
-    return SoftmaxRegressionTask(*shard_arrays(shards), num_classes=3)
+    feats, labels = partition_iid(data, 4, 25, np.random.default_rng(2))
+    return SoftmaxRegressionTask(feats, labels, num_classes=3)
 
 
 @pytest.fixture()
 def mlp_task():
     data = make_clustered_dataset(3, 6, 40, np.random.default_rng(3))
-    shards = partition_iid(data, 4, 25, np.random.default_rng(4))
-    return MlpTask(*shard_arrays(shards), num_classes=3, hidden=7)
+    feats, labels = partition_iid(data, 4, 25, np.random.default_rng(4))
+    return MlpTask(feats, labels, num_classes=3, hidden=7)
 
 
 class TestQuadratic:

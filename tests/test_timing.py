@@ -106,7 +106,7 @@ class TestStalenessLaw:
         # For a fixed device count, larger groups never increase the plateau.
         for n in (4, 6, 20, 100):
             plateaus = []
-            for s in range(1, n + 1):
+            for s in divisors(n):
                 cfg = SystemConfig(num_devices=n, group_size=s)
                 plateaus.append(idfl_staleness(cfg.num_groups, cfg))
             assert all(b <= a for a, b in zip(plateaus, plateaus[1:]))
@@ -135,9 +135,8 @@ class TestOptimalDelay:
         assert optimal_intentional_delay(cfg) == (alpha, d)
 
     def test_requires_divisibility(self):
-        cfg = SystemConfig.from_times(5, 2, compute_slots=4)
         with pytest.raises(ConfigError):
-            optimal_intentional_delay(cfg)
+            SystemConfig.from_times(5, 2, compute_slots=4)
 
     def test_bracketing_inequality(self):
         # In the deferrable branch, d* satisfies the strict/weak bracket and
@@ -165,9 +164,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SystemConfig(num_devices=3, group_size=4)
 
-    def test_delay_needs_divisibility(self):
-        with pytest.raises(ConfigError):
-            SystemConfig(num_devices=5, group_size=2, intentional_delay=1)
+    @pytest.mark.parametrize("alpha", [0, 1])
+    def test_groups_must_be_equal(self, alpha):
+        with pytest.raises(ConfigError, match="must divide"):
+            SystemConfig(num_devices=5, group_size=2, intentional_delay=alpha)
 
     def test_delay_bounded_by_groups(self):
         with pytest.raises(ConfigError):
