@@ -473,7 +473,8 @@ def rate_trend(
     Runs the full pipeline for each group count (group size N / G) with the
     schedule step size derived from the constants, averaging over seeds. Also
     reruns one group count with ``kscale_factor`` times the rounds to expose
-    the budget scaling of the average.
+    the budget scaling of the average. Group counts that do not divide N are
+    skipped and listed in the report; if none is left, ConfigError.
     """
     if constants is None:
         if not isinstance(task, QuadraticTask):
@@ -491,6 +492,8 @@ def rate_trend(
             for seed in seeds
         ]
         points.append(RatePoint(num_groups=g, group_size=n // g, eta=eta, per_seed=vals))
+    if not points:
+        raise ConfigError(f"no group count in {list(group_counts)} divides {n} devices")
     points.sort(key=lambda p: p.num_groups)
 
     ratio = None

@@ -419,8 +419,14 @@ def _run_sweep_point(args: tuple) -> dict:
 
 
 def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1) -> list[dict]:
+    """Run every grid point and write sweep.csv and sweep.json.
+
+    A failed point becomes an ``error`` row and the others still run; if no
+    point succeeds, the files are written and a ConfigError is raised.
+    """
     if not spec.grid:
         raise ConfigError("sweep mode needs a non-empty grid")
+    require_integer("workers", workers, 1)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     points = _grid_points(spec.grid)
@@ -440,6 +446,8 @@ def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1)
 
     _print_table(rows, columns)
     _print_delay_deltas(rows)
+    if all(row["status"] != "ok" for row in rows):
+        raise ConfigError(f"all {len(rows)} sweep points failed; the first: {rows[0]['error']}")
     return rows
 
 
@@ -616,6 +624,17 @@ def _load_spec(args, default_mode: str) -> ExperimentSpec:
     return spec
 
 
+def _parse_groups(text: str) -> list[int]:
+    """The comma-separated group counts of ``rate-trend --groups``."""
+    try:
+        groups = [int(g) for g in text.split(",") if g]
+    except ValueError:
+        raise ConfigError(f"--groups must be comma-separated integers, got {text!r}") from None
+    for g in groups:
+        require_integer("each --groups entry", g, 1)
+    return groups
+
+
 def _dispatch(args) -> int:
     if args.command == "run":
         spec = _load_spec(args, "run")
@@ -659,7 +678,11 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "rate-trend":
-        groups = [int(g) for g in str(args.groups).split(",") if g]
+        groups = _parse_groups(args.groups)
+        for flag, value in (("--rounds", args.rounds), ("--num-seeds", args.num_seeds),
+                            ("--num-devices", args.num_devices),
+                            ("--batch-size", args.batch_size)):
+            require_integer(flag, value, 1)
         rng = np.random.default_rng(5)
         task = make_quadratic(
             args.num_devices, 5, args.heterogeneity, rng,

@@ -84,5 +84,6 @@ class SgdLearner:
         return new_model
 
     def round_metrics(self, model: np.ndarray) -> tuple[float, float]:
-        g = self.task.grad(model)
-        return self.task.loss(model), float(g @ g)
+        """Global loss and squared gradient norm, from one pass over all data."""
+        loss, g = self.task.loss_and_grad(model)
+        return loss, float(g @ g)

@@ -1,9 +1,11 @@
 """Objective functions with analytic gradients for federated experiments.
 
-Each task exposes the same small surface: a global mean loss over all data,
-per-device losses and gradients, and mini-batch gradients addressed by sample
-indices within a device shard. Devices are indexed 0..N-1 here; the scheduler
-layer uses 1-based device ids and converts.
+Each task exposes the same small surface: ``loss``, ``grad`` and
+``loss_and_grad``, each at all data (the global mean), at one device, or at a
+mini-batch addressed by sample indices within a device shard.
+``loss_and_grad`` returns exactly ``(loss, grad)`` from one pass over the
+data, which is what per-round metric evaluation needs. Devices are indexed
+0..N-1 here; the scheduler layer uses 1-based device ids and converts.
 
 The quadratic task is the analysis workhorse: every device shares one
 curvature matrix and differs only in the linear term, so the optimum, the
@@ -13,6 +15,7 @@ level are all exact closed forms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +25,12 @@ from .errors import ConfigError, DataError, SamplingError
 
 
 class Task:
-    """Common helpers; subclasses implement loss/grad on (device, batch)."""
+    """Common helpers; subclasses implement loss/grad on (device, batch).
+
+    ``loss_and_grad`` falls back to one ``loss`` and one ``grad`` call; the
+    tasks below override it with one pass over the data that gives the same
+    floats.
+    """
 
     dim: int
     num_devices: int
@@ -38,6 +46,10 @@ class Task:
     def grad(self, w: np.ndarray, device: Optional[int] = None,
              batch: Optional[np.ndarray] = None) -> np.ndarray:
         raise NotImplementedError
+
+    def loss_and_grad(self, w: np.ndarray, device: Optional[int] = None,
+                      batch: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
+        return self.loss(w, device, batch), self.grad(w, device, batch)
 
     def persample_grad_sq_mean(self, w: np.ndarray, device: int) -> float:
         """Mean over the shard of the squared single-sample gradient norm."""
@@ -103,6 +115,7 @@ class QuadraticTask(Task):
         self._sample_const = 0.5 * np.einsum(
             "ndi,ij,ndj->nd", self.sample_offsets, self._hinv, self.sample_offsets
         )
+        self._global_const = float(self._sample_const.mean())
 
     @property
     def shard_sizes(self) -> list[int]:
@@ -112,25 +125,37 @@ class QuadraticTask(Task):
     def w_star(self) -> np.ndarray:
         return np.linalg.solve(self.hessian, self._global_offset)
 
-    def _moments(self, device, batch):
+    def _offset(self, device, batch):
+        """Mean linear term b over the selected samples."""
         self.check_batch(device, batch)
         if device is None:
-            return self._global_offset, float(self._sample_const.mean())
+            return self._global_offset
         if batch is None:
-            return self._device_offsets[device], float(self._sample_const[device].mean())
-        b = np.asarray(batch)
-        return (
-            self.sample_offsets[device, b].mean(axis=0),
-            float(self._sample_const[device, b].mean()),
-        )
+            return self._device_offsets[device]
+        return self.sample_offsets[device, np.asarray(batch)].mean(axis=0)
 
-    def loss(self, w, device=None, batch=None):
-        offset, const = self._moments(device, batch)
+    def _moments(self, device, batch):
+        """(mean offset, mean loss constant) over the selected samples."""
+        offset = self._offset(device, batch)
+        if device is None:
+            return offset, self._global_const
+        consts = self._sample_const[device]
+        if batch is not None:
+            consts = consts[np.asarray(batch)]
+        return offset, float(consts.mean())
+
+    def _loss_at(self, w, offset, const):
         return float(0.5 * w @ self.hessian @ w - offset @ w + const)
 
+    def loss(self, w, device=None, batch=None):
+        return self._loss_at(w, *self._moments(device, batch))
+
     def grad(self, w, device=None, batch=None):
-        offset, _ = self._moments(device, batch)
-        return self.hessian @ w - offset
+        return self.hessian @ w - self._offset(device, batch)
+
+    def loss_and_grad(self, w, device=None, batch=None):
+        offset, const = self._moments(device, batch)
+        return self._loss_at(w, offset, const), self.hessian @ w - offset
 
     def persample_grad_sq_mean(self, w, device):
         g = self.hessian @ w
@@ -214,6 +239,18 @@ def _softmax_logits(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return expd / total, shifted - np.log(total)
 
 
+def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy of the labels under the given log-probabilities."""
+    return float(-log_probs[np.arange(len(labels)), labels].mean())
+
+
+def _logit_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of the mean cross-entropy in the logits; overwrites ``probs``."""
+    probs[np.arange(len(labels)), labels] -= 1.0
+    probs /= len(labels)
+    return probs
+
+
 class ShardedTask(Task):
     """Base for tasks over explicit per-device (features, labels) shards."""
 
@@ -269,23 +306,31 @@ class SoftmaxRegressionTask(ShardedTask):
         c, d = self.num_classes, self.feature_dim
         return w[: c * d].reshape(c, d), w[c * d:]
 
+    def _logits(self, x, w):
+        weights, bias = self._unpack(w)
+        return x @ weights.T + bias
+
+    def _backward(self, x, y, probs):
+        d_logits = _logit_grad(probs, y)
+        return np.concatenate([(d_logits.T @ x).ravel(), d_logits.sum(axis=0)])
+
     def loss(self, w, device=None, batch=None):
         x, y = self._select(device, batch)
-        weights, bias = self._unpack(w)
-        _, log_probs = _softmax_logits(x @ weights.T + bias)
-        return float(-log_probs[np.arange(len(y)), y].mean())
+        _, log_probs = _softmax_logits(self._logits(x, w))
+        return _mean_nll(log_probs, y)
 
     def grad(self, w, device=None, batch=None):
         x, y = self._select(device, batch)
-        weights, bias = self._unpack(w)
-        probs, _ = _softmax_logits(x @ weights.T + bias)
-        probs[np.arange(len(y)), y] -= 1.0
-        probs /= len(y)
-        return np.concatenate([(probs.T @ x).ravel(), probs.sum(axis=0)])
+        probs, _ = _softmax_logits(self._logits(x, w))
+        return self._backward(x, y, probs)
+
+    def loss_and_grad(self, w, device=None, batch=None):
+        x, y = self._select(device, batch)
+        probs, log_probs = _softmax_logits(self._logits(x, w))
+        return _mean_nll(log_probs, y), self._backward(x, y, probs)
 
     def predict(self, x, w):
-        weights, bias = self._unpack(w)
-        return (x @ weights.T + bias).argmax(axis=1)
+        return self._logits(x, w).argmax(axis=1)
 
 
 class MlpTask(ShardedTask):
@@ -295,16 +340,15 @@ class MlpTask(ShardedTask):
         super().__init__(features, labels, num_classes)
         self.hidden = hidden
         d, h, c = self.feature_dim, hidden, num_classes
-        self._shapes = [(h, d), (h,), (c, h), (c,)]
-        self.dim = sum(int(np.prod(s)) for s in self._shapes)
+        self._slices, at = [], 0  # (start, stop, shape) of w1, b1, w2, b2 in w
+        for shape in [(h, d), (h,), (c, h), (c,)]:
+            size = math.prod(shape)
+            self._slices.append((at, at + size, shape))
+            at += size
+        self.dim = at
 
     def _unpack(self, w: np.ndarray):
-        parts, at = [], 0
-        for shape in self._shapes:
-            size = int(np.prod(shape))
-            parts.append(w[at: at + size].reshape(shape))
-            at += size
-        return parts
+        return [w[start:stop].reshape(shape) for start, stop, shape in self._slices]
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         d, h = self.feature_dim, self.hidden
@@ -315,30 +359,37 @@ class MlpTask(ShardedTask):
         )
 
     def _forward(self, x, w):
+        """(w2, hidden activations, logits); the backward pass needs w2."""
         w1, b1, w2, b2 = self._unpack(w)
         hidden = np.tanh(x @ w1.T + b1)
-        return hidden, hidden @ w2.T + b2
+        return w2, hidden, hidden @ w2.T + b2
+
+    def _backward(self, x, y, w2, hidden, probs):
+        d_logits = _logit_grad(probs, y)
+        back = (d_logits @ w2) * (1.0 - hidden * hidden)
+        return np.concatenate([
+            (back.T @ x).ravel(), back.sum(axis=0),
+            (d_logits.T @ hidden).ravel(), d_logits.sum(axis=0),
+        ])
 
     def loss(self, w, device=None, batch=None):
         x, y = self._select(device, batch)
-        _, logits = self._forward(x, w)
+        _, _, logits = self._forward(x, w)
         _, log_probs = _softmax_logits(logits)
-        return float(-log_probs[np.arange(len(y)), y].mean())
+        return _mean_nll(log_probs, y)
 
     def grad(self, w, device=None, batch=None):
         x, y = self._select(device, batch)
-        w1, b1, w2, b2 = self._unpack(w)
-        hidden = np.tanh(x @ w1.T + b1)
-        probs, _ = _softmax_logits(hidden @ w2.T + b2)
-        probs[np.arange(len(y)), y] -= 1.0
-        probs /= len(y)
-        grad_w2 = probs.T @ hidden
-        grad_b2 = probs.sum(axis=0)
-        back = (probs @ w2) * (1.0 - hidden * hidden)
-        return np.concatenate(
-            [(back.T @ x).ravel(), back.sum(axis=0), grad_w2.ravel(), grad_b2]
-        )
+        w2, hidden, logits = self._forward(x, w)
+        probs, _ = _softmax_logits(logits)
+        return self._backward(x, y, w2, hidden, probs)
+
+    def loss_and_grad(self, w, device=None, batch=None):
+        x, y = self._select(device, batch)
+        w2, hidden, logits = self._forward(x, w)
+        probs, log_probs = _softmax_logits(logits)
+        return _mean_nll(log_probs, y), self._backward(x, y, w2, hidden, probs)
 
     def predict(self, x, w):
-        _, logits = self._forward(x, w)
+        _, _, logits = self._forward(x, w)
         return logits.argmax(axis=1)

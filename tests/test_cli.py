@@ -205,6 +205,48 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--groups", "x"], "--groups"),
+        (["--groups", "0"], "--groups"),
+        (["--groups", "3"], "divides"),  # no group count divides 4 devices
+        (["--num-seeds", "0"], "--num-seeds"),
+        (["--rounds", "0"], "--rounds"),
+        (["--num-devices", "0"], "--num-devices"),
+        (["--batch-size", "0"], "--batch-size"),
+    ], ids=["groups-string", "groups-zero", "groups-none-valid", "num-seeds-zero",
+            "rounds-zero", "num-devices-zero", "batch-size-zero"])
+    def test_rate_trend_bad_flag(self, capsys, flags, named):
+        rc = main(["rate-trend", "--groups", "1,2", "--rounds", "5", "--num-seeds", "1",
+                   "--num-devices", "4", *flags])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert named in err
+
+    def test_sweep_zero_workers(self, tmp_path, capsys):
+        doc = quad_spec(horizon=40)
+        doc["grid"] = {"group_size": [1, 2]}
+        rc = main(["sweep", "--config", str(write_spec(tmp_path, doc)),
+                   "--out", str(tmp_path / "sweep"), "--workers", "0"])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sizes, rc", [([3, 5], EXIT_CONFIG), ([2, 3], EXIT_OK)],
+                             ids=["all-fail", "one-fails"])
+    def test_sweep_fails_only_when_every_point_fails(self, tmp_path, capsys, sizes, rc):
+        doc = quad_spec(horizon=40)
+        doc["seeds"] = [0]
+        doc["grid"] = {"group_size": sizes}  # 3 and 5 do not divide N = 4
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        assert err.count("configuration error:") == err.count("\n") == (rc == EXIT_CONFIG)
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [r["status"] for r in rows] == ["ok" if s == 2 else "error" for s in sizes]
+        assert (out / "sweep.csv").exists()
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         rc = main(["run", "--config", str(write_spec(tmp_path, quad_spec(horizon=40))),
                    "--out", str(tmp_path / "out"), "--seed", "-1"])

@@ -5,13 +5,16 @@ import pytest
 
 from tdmafl import (
     ConfigError,
+    MlpTask,
     NumericsError,
     SgdLearner,
     SystemConfig,
+    make_clustered_dataset,
     make_quadratic,
+    partition_iid,
     run_timeline,
 )
-from tdmafl.tasks import QuadraticTask
+from tdmafl.tasks import QuadraticTask, Task
 from util import central_difference, relative_error
 
 
@@ -158,6 +161,43 @@ class TestGlobalLoss:
         sizes = task.shard_sizes
         weighted = sum(sz * task.loss(w, n) for n, sz in enumerate(sizes)) / sum(sizes)
         assert task.loss(w) == pytest.approx(weighted, rel=1e-12)
+
+
+def metrics_task(kind):
+    """A small task of the given kind and a point to evaluate it at."""
+    if kind == "quadratic":
+        task = make_quadratic(4, 3, 1.0, np.random.default_rng(12),
+                              samples_per_device=6, sample_noise=0.2)
+        return task, np.random.default_rng(13).normal(size=task.dim)
+    data = make_clustered_dataset(3, 5, 20, np.random.default_rng(14))
+    task = MlpTask(*partition_iid(data, 4, 10, np.random.default_rng(15)),
+                   num_classes=3, hidden=6)
+    return task, task.init_params(np.random.default_rng(16))
+
+
+class TestRoundMetrics:
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+    def test_one_full_data_pass_per_call(self, monkeypatch, kind):
+        # Every loss or gradient evaluation validates its selection first, so
+        # the full-data check_batch calls count the passes over all data.
+        task, w = metrics_task(kind)
+        full_passes = []
+        check = Task.check_batch
+
+        def spy(self, device, batch):
+            if device is None:
+                full_passes.append(batch)
+            return check(self, device, batch)
+
+        monkeypatch.setattr(Task, "check_batch", spy)
+        learner_for(task).round_metrics(w)
+        assert full_passes == [None]
+
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+    def test_values_are_the_global_loss_and_squared_grad_norm(self, kind):
+        task, w = metrics_task(kind)
+        g = task.grad(w)
+        assert learner_for(task).round_metrics(w) == (task.loss(w), float(g @ g))
 
 
 class TestPipelineEquivalences:

@@ -13,6 +13,7 @@ from tdmafl import (
     make_quadratic,
     partition_iid,
 )
+from tdmafl.tasks import QuadraticTask, Task
 from util import central_difference, relative_error
 
 
@@ -197,6 +198,39 @@ class TestMlp:
         for _ in range(100):
             w = w - 0.5 * mlp_task.grad(w)
         assert mlp_task.loss(w) < start
+
+
+class TestLossAndGrad:
+    """The fused pass gives exactly the floats of separate loss and grad calls."""
+
+    @pytest.mark.parametrize("name", ["quad", "softmax_task", "mlp_task"])
+    @pytest.mark.parametrize("device, batch", [(None, None), (2, None), (1, [0, 3, 3, 7])],
+                             ids=["all-data", "one-device", "one-batch"])
+    def test_equals_separate_calls(self, request, name, device, batch):
+        task = request.getfixturevalue(name)
+        w = np.random.default_rng(60).normal(size=task.dim)
+        batch = None if batch is None else np.array(batch)
+        loss, grad = task.loss_and_grad(w, device, batch)
+        assert type(loss) is float and loss == task.loss(w, device, batch)
+        assert np.array_equal(grad, task.grad(w, device, batch))
+
+    def test_base_class_falls_back_to_loss_and_grad(self, quad):
+        calls = []
+
+        class Recording(QuadraticTask):
+            def loss(self, w, device=None, batch=None):
+                calls.append("loss")
+                return super().loss(w, device, batch)
+
+            def grad(self, w, device=None, batch=None):
+                calls.append("grad")
+                return super().grad(w, device, batch)
+
+        task = Recording(hessian=quad.hessian, sample_offsets=quad.sample_offsets)
+        w = np.ones(task.dim)
+        loss, grad = Task.loss_and_grad(task, w, 0)
+        assert calls == ["loss", "grad"]
+        assert loss == quad.loss(w, 0) and np.array_equal(grad, quad.grad(w, 0))
 
 
 class TestPersampleMoment:
