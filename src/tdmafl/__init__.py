@@ -23,11 +23,7 @@ from .simulator import (
     SimResult,
     StalenessRecord,
     TimelineEvent,
-    average_round_duration,
-    measured_staleness,
     run_timeline,
-    select_transmitters,
-    steady_round_duration,
 )
 from .learner import SgdLearner
 from .tasks import (
@@ -46,8 +42,6 @@ from .data import (
     make_clustered_dataset,
     partition_iid,
     partition_single_label,
-    write_idx_images,
-    write_idx_labels,
 )
 
 __version__ = "0.1.0"

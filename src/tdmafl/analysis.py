@@ -32,6 +32,9 @@ from .timing import SystemConfig
 _ENVELOPE_GUARD = 1.0 + 1e-9
 _POWER_ITERS = 60  # power-iteration steps that sharpen the smoothness estimate
 _NOISE_POINTS = 16  # leading probe points that feed the noise-envelope fit
+# rate_trend reruns this group count with this many times the round budget.
+KSCALE_GROUP = 2
+KSCALE_FACTOR = 4
 
 
 @dataclass
@@ -266,10 +269,6 @@ class DescentReport:
     def violations(self) -> int:
         return sum(not p.ok for p in self.probes)
 
-    @property
-    def fraction_ok(self) -> float:
-        return 1.0 - self.violations / len(self.probes)
-
 
 def check_descent_lemma(
     task: Task,
@@ -391,7 +390,6 @@ class RateTrendReport:
     points: list[RatePoint]
     rounds: int
     skipped: list[int] = field(default_factory=list)
-    kscale_group: Optional[int] = None
     kscale_ratio: Optional[float] = None
 
     def monotone_in_groups(self) -> bool:
@@ -413,7 +411,7 @@ class RateTrendReport:
             "skipped_groups": self.skipped,
             "monotone_in_groups": self.monotone_in_groups(),
             "adjacent_separations": [_finite(x) for x in self.adjacent_separations()],
-            "kscale_group": self.kscale_group,
+            "kscale_group": KSCALE_GROUP,
             "kscale_ratio": _finite(self.kscale_ratio),
             "points": [
                 {
@@ -465,16 +463,14 @@ def rate_trend(
     batch_size: int = 4,
     constants: Optional[AssumptionConstants] = None,
     initial: Optional[np.ndarray] = None,
-    kscale_group: Optional[int] = 2,
-    kscale_factor: int = 4,
 ) -> RateTrendReport:
     """Average squared gradient norm versus the number of TDMA groups.
 
     Runs the full pipeline for each group count (group size N / G) with the
     schedule step size derived from the constants, averaging over seeds. Also
-    reruns one group count with ``kscale_factor`` times the rounds to expose
-    the budget scaling of the average. Group counts that do not divide N are
-    skipped and listed in the report; if none is left, ConfigError.
+    reruns group count KSCALE_GROUP with KSCALE_FACTOR times the rounds to
+    expose the budget scaling of the average. Group counts that do not divide
+    N are skipped and listed in the report; if none is left, ConfigError.
     """
     if constants is None:
         if not isinstance(task, QuadraticTask):
@@ -497,20 +493,20 @@ def rate_trend(
     points.sort(key=lambda p: p.num_groups)
 
     ratio = None
-    if kscale_group is not None and n % kscale_group == 0:
-        short = next((p for p in points if p.num_groups == kscale_group), None)
+    if n % KSCALE_GROUP == 0:
+        short = next((p for p in points if p.num_groups == KSCALE_GROUP), None)
         if short is None:
-            eta = theorem_step_size(constants, n, n // kscale_group, batch_size, rounds)
+            eta = theorem_step_size(constants, n, n // KSCALE_GROUP, batch_size, rounds)
             short_vals = [
-                _avg_grad_norm_sq_run(task, kscale_group, rounds, seed, eta, batch_size, initial)
+                _avg_grad_norm_sq_run(task, KSCALE_GROUP, rounds, seed, eta, batch_size, initial)
                 for seed in seeds
             ]
         else:
             short_vals = short.per_seed
-        long_rounds = rounds * kscale_factor
-        eta_long = theorem_step_size(constants, n, n // kscale_group, batch_size, long_rounds)
+        long_rounds = rounds * KSCALE_FACTOR
+        eta_long = theorem_step_size(constants, n, n // KSCALE_GROUP, batch_size, long_rounds)
         long_vals = [
-            _avg_grad_norm_sq_run(task, kscale_group, long_rounds, seed, eta_long, batch_size, initial)
+            _avg_grad_norm_sq_run(task, KSCALE_GROUP, long_rounds, seed, eta_long, batch_size, initial)
             for seed in seeds
         ]
         ratio = float(np.mean(short_vals) / np.mean(long_vals))
@@ -519,6 +515,5 @@ def rate_trend(
         points=points,
         rounds=rounds,
         skipped=skipped,
-        kscale_group=kscale_group,
         kscale_ratio=ratio,
     )

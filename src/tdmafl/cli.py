@@ -312,44 +312,39 @@ def write_metrics_csv(path, metrics) -> None:
             ])
 
 
-def read_metrics_csv(path) -> dict[str, list]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise DataError(f"unexpected metrics header {header}")
-        out: dict[str, list] = {name: [] for name in CSV_HEADER}
-        for row in reader:
-            out["round"].append(int(row[0]))
-            out["slot"].append(int(row[1]))
-            out["loss"].append(float(row[2]))
-            out["grad_norm_sq"].append(float(row[3]))
-            out["staleness"].append(float(row[4]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # run / sweep
 # ---------------------------------------------------------------------------
 
 
 def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
-    """Execute one experiment spec; returns the summary dict it wrote."""
+    """Execute one experiment spec; returns the summary dict it wrote.
+
+    The summary's ``timing`` block gives tau_asyn and rounds_closed_form only
+    where they hold (alpha <= alpha*); above it both are null, and
+    ``closed_form_note`` says why.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = build_system_config(spec.system)
     task, init = build_task(spec.task, dataset_dir, num_devices=cfg.num_devices)
 
+    timing = {
+        "tau_comp": cfg.tau_comp,
+        "tau_comm": cfg.tau_comm,
+        "tau_asyn": str(cfg.tau_asyn),
+        "num_groups": cfg.num_groups,
+        "rounds_closed_form": cfg.rounds_closed_form(),
+    }
+    alpha_star = optimal_intentional_delay(cfg).alpha
+    if cfg.intentional_delay > alpha_star:
+        timing.update(tau_asyn=None, rounds_closed_form=None, closed_form_note=(
+            f"intentional_delay {cfg.intentional_delay} exceeds alpha* = {alpha_star}, "
+            "which lengthens rounds beyond the closed forms"))
     summary: dict = {
         "name": spec.name,
         "config": spec.raw if spec.raw is not None else {},
-        "timing": {
-            "tau_comp": cfg.tau_comp,
-            "tau_comm": cfg.tau_comm,
-            "tau_asyn": str(cfg.tau_asyn),
-            "num_groups": cfg.num_groups,
-            "rounds_closed_form": cfg.rounds_closed_form(),
-        },
+        "timing": timing,
         "per_seed": [],
     }
     error: Optional[NumericsError] = None
@@ -555,6 +550,8 @@ def validate_prop1(triples=None) -> list[dict]:
 
 
 def _apply_overrides(doc: dict, overrides: Sequence[str]) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"experiment spec must be a JSON object, got {type(doc).__name__}")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -698,7 +695,7 @@ def _dispatch(args) -> int:
                   f"avg|grad|^2={p.mean:.6f} (se {p.std_error:.2g})")
         print(f"monotone in G: {report.monotone_in_groups()}")
         if report.kscale_ratio is not None:
-            print(f"K vs {4}K average ratio at G={report.kscale_group}: "
+            print(f"K vs {analysis.KSCALE_FACTOR}K average ratio at G={analysis.KSCALE_GROUP}: "
                   f"{report.kscale_ratio:.3f}")
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)

@@ -103,24 +103,6 @@ def load_idx_labels(path) -> np.ndarray:
         return np.frombuffer(raw, dtype=np.uint8).copy()
 
 
-def write_idx_images(path, images: np.ndarray) -> None:
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    if images.ndim != 3:
-        raise DataError("images must have shape (count, rows, cols)")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, *images.shape))
-        fh.write(images.tobytes())
-
-
-def write_idx_labels(path, labels: np.ndarray) -> None:
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
-    if labels.ndim != 1:
-        raise DataError("labels must be one-dimensional")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">ii", IDX_LABEL_MAGIC, labels.shape[0]))
-        fh.write(labels.tobytes())
-
-
 def load_idx_dataset(images_path, labels_path) -> LabeledDataset:
     """Load paired IDX files; pixels are flattened and scaled to [0, 1]."""
     images = load_idx_images(images_path)

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -102,14 +101,9 @@ def select_transmitters(ready: list[int], group_size: int) -> list[int]:
 
     ``ready`` lists the devices holding a finished update in upload order
     (see the module docstring), so these are its first S entries, and the
-    returned order is the within-round TDMA upload order.
+    returned order is the within-round TDMA upload order. SystemConfig keeps
+    S >= 1 and the wait loop fills ``ready`` to S entries before the call.
     """
-    if group_size < 1:
-        raise ConfigError(f"group_size must be >= 1, got {group_size}")
-    if len(ready) < group_size:
-        raise ConfigError(
-            f"need at least {group_size} available devices, got {len(ready)}"
-        )
     return ready[:group_size]
 
 
@@ -259,38 +253,3 @@ def run_timeline(
         final_model=model,
         model_history=history,
     )
-
-
-def measured_staleness(records: Sequence[StalenessRecord], round_index: int) -> list[int]:
-    """Multiset (sorted) of transmitter staleness values for one round."""
-    if not records or round_index > max(rec.round_index for rec in records):
-        raise ValueError(f"round {round_index} was not simulated")
-    if round_index < 0:
-        raise ValueError(f"round_index must be >= 0, got {round_index}")
-    return sorted(rec.staleness for rec in records if rec.round_index == round_index)
-
-
-def average_round_duration(result: SimResult, first_round: int, last_round: int) -> Fraction:
-    """Exact mean slots per round between two downlink completions."""
-    ends = result.downlink_end_slots
-    if not 0 <= first_round < last_round < len(ends):
-        raise ValueError(
-            f"need 0 <= first < last < {len(ends)}, got ({first_round}, {last_round})"
-        )
-    return Fraction(ends[last_round] - ends[first_round], last_round - first_round)
-
-
-def steady_round_duration(result: SimResult, cycles: int = 2) -> Fraction:
-    """Average round length over the trailing ``cycles`` full rotations.
-
-    Measured late in the run so warm-up effects are excluded; the window is a
-    multiple of the group count so the compute-bound sawtooth averages out.
-    """
-    g = result.config.num_groups
-    window = cycles * g
-    last = result.completed_rounds - 1
-    if last - window < 0:
-        raise ValueError(
-            f"run too short: need more than {window + 1} rounds, have {result.completed_rounds}"
-        )
-    return average_round_duration(result, last - window, last)

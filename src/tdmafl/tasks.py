@@ -196,8 +196,8 @@ def make_quadratic(
     """
     if dim < 1 or num_devices < 1:
         raise ConfigError("need dim >= 1 and num_devices >= 1")
-    if heterogeneity < 0 or sample_noise < 0:
-        raise ConfigError("heterogeneity and sample_noise must be >= 0")
+    if not (0 <= heterogeneity < math.inf and 0 <= sample_noise < math.inf):  # NaN fails too
+        raise ConfigError("heterogeneity and sample_noise must be finite and >= 0")
     lo, hi = eig_range
     if not 0 < lo <= hi:
         raise ConfigError(f"eig_range must satisfy 0 < lo <= hi, got {eig_range}")
@@ -287,13 +287,6 @@ class ShardedTask(Task):
         b = np.asarray(batch)
         return x[b], y[b]
 
-    def accuracy(self, w, device=None) -> float:
-        x, y = self._select(device, None)
-        return float((self.predict(x, w) == y).mean())
-
-    def predict(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
 
 class SoftmaxRegressionTask(ShardedTask):
     """Multinomial logistic regression; params are (C, d) weights then C biases."""
@@ -328,9 +321,6 @@ class SoftmaxRegressionTask(ShardedTask):
         x, y = self._select(device, batch)
         probs, log_probs = _softmax_logits(self._logits(x, w))
         return _mean_nll(log_probs, y), self._backward(x, y, probs)
-
-    def predict(self, x, w):
-        return self._logits(x, w).argmax(axis=1)
 
 
 class MlpTask(ShardedTask):
@@ -389,7 +379,3 @@ class MlpTask(ShardedTask):
         w2, hidden, logits = self._forward(x, w)
         probs, log_probs = _softmax_logits(logits)
         return _mean_nll(log_probs, y), self._backward(x, y, w2, hidden, probs)
-
-    def predict(self, x, w):
-        _, _, logits = self._forward(x, w)
-        return logits.argmax(axis=1)

@@ -23,21 +23,23 @@ from .errors import ConfigError
 RationalLike = Union[int, float, str, Fraction]
 
 
-def as_fraction(value: RationalLike) -> Fraction:
+def as_fraction(name: str, value: RationalLike) -> Fraction:
     """Convert a user-supplied rate to an exact Fraction.
 
     Floats go through their shortest decimal repr so that an input such as
-    6.4 means 32/5, not the nearest binary double.
+    6.4 means 32/5, not the nearest binary double. NaN, an infinity or an
+    unparseable string is a ConfigError that names the field ``name``.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    if isinstance(value, str):
-        return Fraction(value)
-    raise ConfigError(f"cannot interpret {value!r} as a rational number")
+    if isinstance(value, (float, str)):
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            pass  # NaN, an infinity, or text such as "abc" or "1/0"
+    raise ConfigError(f"{name} must be a finite rational number, got {value!r}")
 
 
 def require_integer(name: str, value, minimum: int) -> None:
@@ -49,9 +51,10 @@ def require_integer(name: str, value, minimum: int) -> None:
 
 
 def require_real(name: str, value) -> None:
-    """Raise ConfigError unless ``value`` is a real number (not a bool)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    """Raise ConfigError unless ``value`` is a finite real number (not a bool)."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not -math.inf < value < math.inf):  # NaN fails the comparison too
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
 
 
 _INTEGER_FIELDS = (
@@ -96,7 +99,8 @@ class SystemConfig:
     def __post_init__(self) -> None:
         for name, minimum in _INTEGER_FIELDS:
             require_integer(name, getattr(self, name), minimum)
-        object.__setattr__(self, "samples_per_slot", as_fraction(self.samples_per_slot))
+        q = as_fraction("samples_per_slot", self.samples_per_slot)
+        object.__setattr__(self, "samples_per_slot", q)
         if self.samples_per_slot <= 0:
             raise ConfigError(f"samples_per_slot must be positive, got {self.samples_per_slot}")
         require_real("step_size", self.step_size)
@@ -161,7 +165,7 @@ class SystemConfig:
 
     @property
     def tau_asyn(self) -> Fraction:
-        """Average slots per round once group rotation is in steady state.
+        """Average slots per round in steady state, for alpha <= alpha*.
 
         When local compute is at least as long as the channel time of the other
         G - 1 groups, a cycle of G rounds costs tau_comp + r(S+1) slots; otherwise
@@ -174,11 +178,15 @@ class SystemConfig:
         return Fraction(self.tau_comm)
 
     def rounds_closed_form(self) -> int:
-        """floor(T / tau_asyn): round count predicted by the slot algebra.
+        """floor(T / tau_asyn), the paper's round count; valid for alpha <= alpha*.
 
-        The event simulator's count can differ by a few rounds because of the
-        initial compute fill; use that one when comparing against simulated
-        traces.
+        tau_asyn ignores the deferral, and a larger one lengthens rounds, so run
+        summaries write null above optimal_intentional_delay(self).alpha. Within
+        the domain the simulated count falls short by about tau_comp / tau_asyn,
+        the rounds the first local updates take: by that minus 0 to 2 when the
+        channel is the bottleneck (45 against 45.5 for N = 1000, S = 10,
+        tau_comp = 500, r = 1, T = 40,000), minus 1 to G/2 + 4 when compute is
+        (600 random configurations).
         """
         return math.floor(Fraction(self.horizon) / self.tau_asyn)
 

@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, schemas, exit codes."""
 
+import csv
 import json
 import math
 
@@ -15,7 +16,6 @@ from tdmafl.cli import (
     ExperimentSpec,
     build_system_config,
     main,
-    read_metrics_csv,
     run_experiment,
     run_sweep,
 )
@@ -51,6 +51,16 @@ def write_spec(tmp_path, doc):
     return path
 
 
+def read_metrics(path):
+    """A metrics.csv as columns: round and slot as int, the rest as float."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == CSV_HEADER
+    kinds = [int, int, float, float, float]
+    return {name: [kind(row[i]) for row in rows]
+            for i, (name, kind) in enumerate(zip(header, kinds))}
+
+
 class TestRunCommand:
     def test_artifacts_and_schema(self, tmp_path):
         out = tmp_path / "out"
@@ -63,7 +73,7 @@ class TestRunCommand:
         csv_path = out / "seed0" / "metrics.csv"
         header = csv_path.read_text().splitlines()[0]
         assert header == ",".join(CSV_HEADER)
-        table = read_metrics_csv(csv_path)
+        table = read_metrics(csv_path)
         assert table["round"][0] == 0
         assert all(b > a for a, b in zip(table["slot"], table["slot"][1:]))
         assert math.isfinite(table["loss"][0])
@@ -73,7 +83,7 @@ class TestRunCommand:
         main(["run", "--config", str(write_spec(tmp_path, quad_spec())),
               "--out", str(out)])
         path = out / "seed0" / "metrics.csv"
-        table = read_metrics_csv(path)
+        table = read_metrics(path)
         # Re-serialize with the same formatting and compare bytes.
         lines = [",".join(CSV_HEADER)]
         for i in range(len(table["round"])):
@@ -117,12 +127,32 @@ class TestRunCommand:
         rc = main(["run", "--config", str(write_spec(tmp_path, doc)),
                    "--out", str(out)])
         assert rc == EXIT_OK
-        table = read_metrics_csv(out / "seed0" / "metrics.csv")
+        table = read_metrics(out / "seed0" / "metrics.csv")
         assert all(math.isnan(v) for v in table["loss"])
         assert table["staleness"][-1] == 1.0  # plateau at G - 1
         summary = json.loads((out / "summary.json").read_text(),
                              parse_constant=_reject_constant)
         assert all(e["avg_grad_norm_sq"] is None for e in summary["per_seed"])
+
+    def test_closed_forms_are_null_beyond_alpha_star(self, tmp_path):
+        # N = 4 singleton groups with 2-slot compute: alpha* = 2, tau_asyn = 2.
+        doc = {"name": "defer", "system": {"num_devices": 4, "group_size": 1,
+                                           "compute_slots": 2, "horizon": 400}}
+        summaries = {}
+        for alpha in (0, 2, 3):
+            doc["system"]["intentional_delay"] = alpha
+            summaries[alpha] = run_experiment(ExperimentSpec.from_dict(doc), tmp_path / str(alpha))
+            written = json.loads((tmp_path / str(alpha) / "summary.json").read_text())
+            assert written["timing"] == summaries[alpha]["timing"]
+        for alpha in (0, 2):
+            timing = summaries[alpha]["timing"]
+            assert (timing["tau_asyn"], timing["rounds_closed_form"]) == ("2", 200)
+            assert "closed_form_note" not in timing
+        # One more deferral slows every round: 101 rounds, not the 200 of T / tau_asyn.
+        assert summaries[3]["completed_rounds"] == 101
+        timing = summaries[3]["timing"]
+        assert timing["tau_asyn"] is None and timing["rounds_closed_form"] is None
+        assert "alpha* = 2" in timing["closed_form_note"]
 
 
 class TestExitCodes:
@@ -176,9 +206,15 @@ class TestExitCodes:
         {"system": {"num_devices": 4, "group_size": 2, "step_size": "x"}},
         {"system": {"num_devices": 4, "group_size": 2}, "mode": []},
         {"system": {"num_devices": 4, "group_size": 2}, "grid": 5},
+        {"system": {"num_devices": 4, "group_size": 2, "step_size": math.nan}},
+        {"system": {"num_devices": 4, "group_size": 2, "samples_per_slot": math.nan}},
+        {"system": {"num_devices": 4, "group_size": 2, "samples_per_slot": math.inf}},
+        {"system": {"num_devices": 4, "group_size": 2, "samples_per_slot": "abc"}},
     ], ids=["no-num-devices", "no-num-devices-compute-slots", "fractional-num-devices",
             "metrics-every-string", "seeds-not-list", "metrics-every-negative",
-            "system-not-object", "step-size-string", "mode-list", "grid-number"])
+            "system-not-object", "step-size-string", "mode-list", "grid-number",
+            "step-size-nan", "samples-per-slot-nan", "samples-per-slot-inf",
+            "samples-per-slot-string"])
     def test_malformed_spec_field(self, tmp_path, capsys, doc):
         doc = {"name": "bad", **doc}
         if isinstance(doc["system"], dict):
@@ -195,7 +231,10 @@ class TestExitCodes:
         {"kind": "quadratic", "eig_range": 5},
         {"kind": "mlp", "hidden": 2.5},
         {"kind": ["quadratic"]},
-    ], ids=["not-object", "dim-string", "eig-range-number", "fractional-hidden", "kind-list"])
+        {"kind": "quadratic", "heterogeneity": math.nan},
+        {"kind": "quadratic", "sample_noise": math.nan},
+    ], ids=["not-object", "dim-string", "eig-range-number", "fractional-hidden", "kind-list",
+            "heterogeneity-nan", "sample-noise-nan"])
     def test_malformed_task_field(self, tmp_path, capsys, task):
         doc = {"name": "bad", "system": {"num_devices": 4, "group_size": 2, "horizon": 40},
                "task": task}
@@ -213,8 +252,9 @@ class TestExitCodes:
         (["--rounds", "0"], "--rounds"),
         (["--num-devices", "0"], "--num-devices"),
         (["--batch-size", "0"], "--batch-size"),
+        (["--heterogeneity", "nan"], "heterogeneity"),
     ], ids=["groups-string", "groups-zero", "groups-none-valid", "num-seeds-zero",
-            "rounds-zero", "num-devices-zero", "batch-size-zero"])
+            "rounds-zero", "num-devices-zero", "batch-size-zero", "heterogeneity-nan"])
     def test_rate_trend_bad_flag(self, capsys, flags, named):
         rc = main(["rate-trend", "--groups", "1,2", "--rounds", "5", "--num-seeds", "1",
                    "--num-devices", "4", *flags])
@@ -246,6 +286,13 @@ class TestExitCodes:
         rows = json.loads((out / "sweep.json").read_text())
         assert [r["status"] for r in rows] == ["ok" if s == 2 else "error" for s in sizes]
         assert (out / "sweep.csv").exists()
+
+    def test_override_on_a_non_object_config(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        assert main(["run", "--config", str(path), "--set", "a=1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         rc = main(["run", "--config", str(write_spec(tmp_path, quad_spec(horizon=40))),

@@ -17,9 +17,8 @@ from tdmafl import (
     make_clustered_dataset,
     partition_iid,
     partition_single_label,
-    write_idx_images,
-    write_idx_labels,
 )
+from util import write_idx_images, write_idx_labels
 
 
 @pytest.fixture()

@@ -1,5 +1,6 @@
 """Event-level scheduler behavior: golden timelines, invariants, oracles."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,13 +12,9 @@ from tdmafl import (
     ConfigError,
     SystemConfig,
     TimelineEvent,
-    average_round_duration,
     idfl_staleness,
-    measured_staleness,
     optimal_intentional_delay,
     run_timeline,
-    select_transmitters,
-    steady_round_duration,
 )
 from util import divisors
 
@@ -30,10 +27,10 @@ def downlinks(result):
     return [(e.slot, e.round_index) for e in result.events if e.kind == "downlink"]
 
 
-class TestSelectTransmitters:
-    def test_needs_enough_devices(self):
-        with pytest.raises(ConfigError):
-            select_transmitters([1], 2)
+def staleness_of(result, round_index):
+    """Sorted staleness values of one round's transmitters."""
+    return sorted(rec.staleness for rec in result.staleness_records
+                  if rec.round_index == round_index)
 
 
 class TestGoldenTimeline:
@@ -60,9 +57,9 @@ class TestGoldenTimeline:
         assert starts == [(5, 1), (5, 2)]
 
     def test_staleness_ramp(self, result):
-        assert measured_staleness(result.staleness_records, 0) == [0, 0]
-        assert measured_staleness(result.staleness_records, 1) == [1, 1]
-        assert measured_staleness(result.staleness_records, 2) == [2, 2]
+        assert staleness_of(result, 0) == [0, 0]
+        assert staleness_of(result, 1) == [1, 1]
+        assert staleness_of(result, 2) == [2, 2]
 
     def test_full_trace_golden(self, result):
         expected = []
@@ -99,7 +96,9 @@ class TestComputeBoundSchedule:
         ]
 
     def test_steady_duration_is_exact_average(self, result):
-        assert steady_round_duration(result) == Fraction(53, 2)
+        ends, g = result.downlink_end_slots, result.config.num_groups
+        # Mean round length over the last two full rotations.
+        assert Fraction(ends[-1] - ends[-1 - 2 * g], 2 * g) == Fraction(53, 2)
         assert result.config.tau_asyn == Fraction(53, 2)
 
 
@@ -157,8 +156,8 @@ class TestScheduleInvariants:
         cfg = SystemConfig.from_times(n, s, comp, r, horizon=10**7)
         g = cfg.num_groups
         result = run_timeline(cfg, max_rounds=11 * g + 1, record_events=False)
-        last = result.completed_rounds - 1
-        assert average_round_duration(result, last - 10 * g, last) == cfg.tau_asyn
+        ends = result.downlink_end_slots
+        assert Fraction(ends[-1] - ends[-1 - 10 * g], 10 * g) == cfg.tau_asyn
 
     def test_determinism(self):
         cfg = SystemConfig.from_times(6, 2, compute_slots=4, horizon=4000)
@@ -169,12 +168,12 @@ class TestScheduleInvariants:
 
 
 @st.composite
-def schedules(draw):
-    """A random system of equal groups, with every valid deferral."""
+def schedules(draw, deferred=True):
+    """A random system of equal groups, with every valid deferral (or none)."""
     n = draw(st.integers(1, 30))
     s = draw(st.sampled_from(divisors(n)))
     g = n // s
-    alpha = draw(st.integers(0, g - 1))
+    alpha = draw(st.integers(0, g - 1)) if deferred else 0
     cfg = SystemConfig.from_times(n, s, draw(st.integers(1, 60)), draw(st.integers(1, 5)),
                                   horizon=10**7, intentional_delay=alpha)
     return cfg, draw(st.integers(1, 3 * g + 5))
@@ -221,6 +220,18 @@ class TestScheduleProperties:
                 (k, dev, k - ready[dev][0]) for dev in chosen]
             for dev in chosen:
                 del ready[dev]
+
+    @settings(max_examples=300, deadline=None)
+    @given(schedules(deferred=False))
+    def test_optimal_delay_moves_no_round(self, case):
+        """Proposition 1 as an equality: alpha* keeps every downlink and transmitter."""
+        cfg, rounds = case
+        alpha = optimal_intentional_delay(cfg).alpha
+        plain = run_timeline(cfg, max_rounds=rounds, record_events=False)
+        deferred = run_timeline(replace(cfg, intentional_delay=alpha), max_rounds=rounds,
+                                record_events=False)
+        assert deferred.downlink_end_slots == plain.downlink_end_slots
+        assert deferred.transmitter_sets == plain.transmitter_sets
 
 
 class TestSynchronousDegenerate:
@@ -270,8 +281,8 @@ class TestDeferredDownlink:
         def steady(a):
             cfg = SystemConfig.from_times(4, 1, compute_slots=2, horizon=10**6,
                                           intentional_delay=a)
-            return steady_round_duration(run_timeline(cfg, max_rounds=40,
-                                                      record_events=False))
+            ends = run_timeline(cfg, max_rounds=40, record_events=False).downlink_end_slots
+            return Fraction(ends[-1] - ends[-9], 8)  # the last two rotations of G = 4
 
         assert steady(alpha) == steady(0) == Fraction(2)
         assert steady(alpha + 1) > steady(0)
@@ -293,7 +304,8 @@ class TestMeasuredStaleness:
     def test_multiset_and_range(self):
         cfg = SystemConfig.from_times(6, 2, compute_slots=2, horizon=500)
         result = run_timeline(cfg, max_rounds=10)
-        assert measured_staleness(result.staleness_records, 0) == [0, 0]
-        assert measured_staleness(result.staleness_records, 9) == [2, 2]
-        with pytest.raises(ValueError):
-            measured_staleness(result.staleness_records, 10)
+        assert staleness_of(result, 0) == [0, 0]
+        assert staleness_of(result, 9) == [2, 2]
+        # The records cover exactly the ten simulated rounds, S = 2 each.
+        assert [rec.round_index for rec in result.staleness_records] == \
+            [k for k in range(10) for _ in range(2)]

@@ -31,6 +31,14 @@ def softmax_task():
     return SoftmaxRegressionTask(feats, labels, num_classes=3)
 
 
+def softmax_accuracy(task, w):
+    """Share of all samples whose largest logit is their label."""
+    c, d = task.num_classes, task.feature_dim
+    x, y = np.concatenate(task.features), np.concatenate(task.labels)
+    logits = x @ w[: c * d].reshape(c, d).T + w[c * d:]
+    return float((logits.argmax(axis=1) == y).mean())
+
+
 @pytest.fixture()
 def mlp_task():
     data = make_clustered_dataset(3, 6, 40, np.random.default_rng(3))
@@ -120,6 +128,11 @@ class TestQuadratic:
         rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
             make_quadratic(2, 3, -1.0, rng)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                make_quadratic(2, 3, bad, rng)
+            with pytest.raises(ConfigError, match="finite"):
+                make_quadratic(2, 3, 1.0, rng, sample_noise=bad)
         with pytest.raises(ConfigError):
             make_quadratic(2, 3, 1.0, rng, eig_range=(2.0, 1.0))
 
@@ -176,10 +189,10 @@ class TestSoftmax:
 
     def test_accuracy_improves_with_training(self, softmax_task):
         w = np.zeros(softmax_task.dim)
-        before = softmax_task.accuracy(w)
+        before = softmax_accuracy(softmax_task, w)
         for _ in range(200):
             w = w - 0.5 * softmax_task.grad(w)
-        assert softmax_task.accuracy(w) > before
+        assert softmax_accuracy(softmax_task, w) > before
 
     def test_label_range_enforced(self):
         with pytest.raises(DataError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 
@@ -25,3 +27,21 @@ def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:
 
 def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def write_idx_images(path, images: np.ndarray) -> None:
+    """Write a uint8 (count, rows, cols) array as an IDX image file (magic 0x803)."""
+    images = np.ascontiguousarray(images, dtype=np.uint8)
+    assert images.ndim == 3
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">iiii", 0x00000803, *images.shape))
+        fh.write(images.tobytes())
+
+
+def write_idx_labels(path, labels: np.ndarray) -> None:
+    """Write a uint8 (count,) array as an IDX label file (magic 0x801)."""
+    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    assert labels.ndim == 1
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">ii", 0x00000801, labels.shape[0]))
+        fh.write(labels.tobytes())
