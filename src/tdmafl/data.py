@@ -21,6 +21,7 @@ from .errors import DataError, IdxParseError
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixels
+LABEL_RETRIES = 20  # label draws per device in partition_single_label
 
 
 @dataclass
@@ -159,14 +160,12 @@ def partition_single_label(
     num_devices: int,
     per_device: int,
     rng: np.random.Generator,
-    *,
-    max_retries: int = 20,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Give every device ``per_device`` samples of one randomly chosen label.
 
     Labels are drawn uniformly per device; samples are drawn without
     replacement across the whole partition. If the chosen label runs out of
-    samples the label is redrawn up to ``max_retries`` times before failing.
+    samples the label is redrawn up to ``LABEL_RETRIES`` times before failing.
     Returns the per-device feature and label lists the task classes take.
     """
     if len(dataset) < num_devices * per_device:
@@ -182,7 +181,7 @@ def partition_single_label(
     feats, labels = [], []
     for dev in range(num_devices):
         chosen = None
-        for _ in range(max_retries):
+        for _ in range(LABEL_RETRIES):
             lab = int(rng.choice(label_values))
             if len(pools[lab]) >= per_device:
                 chosen = lab
@@ -190,7 +189,7 @@ def partition_single_label(
         if chosen is None:
             raise DataError(
                 f"could not find a label with {per_device} remaining samples "
-                f"for device {dev} after {max_retries} draws"
+                f"for device {dev} after {LABEL_RETRIES} draws"
             )
         take = [pools[chosen].pop() for _ in range(per_device)]
         feats.append(dataset.features[take])

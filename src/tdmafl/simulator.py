@@ -1,26 +1,20 @@
 """Slot-accurate event simulation of asynchronous federated rounds over TDMA.
 
 The simulator advances an integer slot clock through training rounds. Each
-round waits until at least S devices hold a finished local update, picks the
-S transmitters whose updates are oldest (lowest start round, then earliest
-compute completion, then lowest device index), occupies the channel with S
-uploads of r slots plus one r-slot broadcast, applies the global update, and
-hands the fresh model to its recipients.
+round waits until the S devices with the oldest finished updates are ready,
+occupies the channel with their S uploads of r slots plus one r-slot
+broadcast, applies the global update, and hands the fresh model to its
+recipients.
 
-No sort is needed to keep that order. Every device that receives the
-round-k model starts computing at round k's downlink end, so its
-compute-done slot depends only on k and grows with k. The (done slot, device
-index) heap thus releases devices in upload order, and a device pushed later
-starts at the current clock, after every device already released has
-finished. The ready list therefore stays in upload order, and the
-transmitters are its first S entries.
-
-With ``intentional_delay == 0`` the broadcast of round k goes back to round
-k's own transmitters. With a positive delay alpha it goes to the transmitters
-of round k - alpha; for k < alpha those recipient sets are the pre-assigned
-warm-up groups (devices are split into G contiguous index groups, groups
-1..G-alpha start computing at slot 0, and group G-alpha+j first receives a
-model at the end of round j-1).
+The devices form G = N / S equal groups; group j holds devices j*S + 1 to
+(j + 1)*S. The schedule is a rotation of the groups: the transmitters of
+round k are group k mod G, and the broadcast of round k goes to group
+(k - alpha) mod G, where alpha is ``intentional_delay``. Groups 0..G-alpha-1
+start computing at slot 0, so for k < alpha the negative index names a group
+that has not yet received a model. The scheduler keeps the in-flight groups
+in one FIFO: groups enter it in start-slot order, the initial groups in index
+order, and each round takes one whole group, so the head holds the oldest
+updates.
 
 A new round is launched while the consumed-slot clock is still within the
 horizon (clock <= T); the final launched round runs to completion. This is
@@ -30,7 +24,7 @@ reproduced exactly.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -96,27 +90,14 @@ class SimResult:
     model_history: Optional[list[np.ndarray]] = None
 
 
-def select_transmitters(ready: list[int], group_size: int) -> list[int]:
-    """Pick the S devices whose pending updates started from the oldest rounds.
+def select_transmitters(ready: tuple[int, ...], group_size: int) -> tuple[int, ...]:
+    """Return the round's transmitters in TDMA upload order.
 
-    ``ready`` lists the devices holding a finished update in upload order
-    (see the module docstring), so these are its first S entries, and the
-    returned order is the within-round TDMA upload order. SystemConfig keeps
-    S >= 1 and the wait loop fills ``ready`` to S entries before the call.
+    ``ready`` is the round's group, whose S updates are the oldest ready ones
+    (see the module docstring), so this returns it whole. It stays a function
+    as the per-round selection hook that the benchmark patches.
     """
     return ready[:group_size]
-
-
-def _warmup_group(cfg: SystemConfig, set_index: int) -> list[int]:
-    """Pre-assigned recipient set for a negative round index (warm-up).
-
-    Index -1 maps to the last device group, -alpha to group G - alpha + 1.
-    """
-    g = cfg.num_groups
-    s = cfg.group_size
-    group = g + set_index + 1  # 1-based group number
-    start = (group - 1) * s + 1
-    return list(range(start, start + s))
 
 
 def run_timeline(
@@ -137,7 +118,6 @@ def run_timeline(
     Runs are fully deterministic: the scheduler itself draws no randomness,
     and a learner's randomness is keyed on (device, round).
     """
-    n = cfg.num_devices
     s = cfg.group_size
     r = cfg.slots_per_transfer
     horizon = cfg.horizon
@@ -145,10 +125,12 @@ def run_timeline(
     g = cfg.num_groups
     tau_comp = cfg.tau_comp
 
-    model_round = [0] * (n + 1)  # indexed by device_id; entry 0 unused
-    pending: list[Optional[np.ndarray]] = [None] * (n + 1)
-    computing: list[tuple[int, int]] = []  # (done_slot, device_id) heap
-    available: list[int] = []  # ready devices, in upload order
+    # In-flight groups, oldest first: (ready slot, round of the model they
+    # compute on, devices, their local updates or None). Each round pops one
+    # and appends one, so it always holds G - alpha >= 1 entries.
+    in_flight: deque[tuple[int, int, tuple[int, ...], Optional[list[np.ndarray]]]] = deque()
+    # One id tuple per group, so the run's records share G tuples of ints.
+    members = [tuple(range(j * s + 1, (j + 1) * s + 1)) for j in range(g)]
     events: list[TimelineEvent] = []
     stal_records: list[StalenessRecord] = []
     metrics = RunMetrics()
@@ -159,50 +141,36 @@ def run_timeline(
     model = learner.initial_model() if learner is not None else None
     history: Optional[list[np.ndarray]] = [model.copy()] if (keep_model_history and model is not None) else None
 
-    def start_compute(device_id: int, round_index: int, slot: int) -> None:
-        done_slot = slot + tau_comp - 1
-        model_round[device_id] = round_index
+    def start_group(group: int, round_index: int, slot: int) -> None:
+        devices = members[group]
+        updates = None
         if learner is not None:
             # Pure function of (model snapshot, device, round); evaluating at
             # schedule time is equivalent to evaluating during the slots.
-            pending[device_id] = learner.local_update(device_id, model, round_index)
-        heapq.heappush(computing, (done_slot, device_id))
+            updates = [learner.local_update(dev, model, round_index) for dev in devices]
         if record_events:
-            events.append(TimelineEvent(slot, "compute_start", device_id, round_index))
-            events.append(TimelineEvent(done_slot, "compute_done", device_id, round_index))
+            for dev in devices:
+                events.append(TimelineEvent(slot, "compute_start", dev, round_index))
+                events.append(TimelineEvent(slot + tau_comp - 1, "compute_done", dev, round_index))
+        in_flight.append((slot + tau_comp, round_index, devices, updates))
 
-    for dev in range(1, (g - alpha) * s + 1):
-        start_compute(dev, 0, 0)
+    for group in range(g - alpha):
+        start_group(group, 0, 0)
 
     clock = 0
     k = 0
     while clock <= horizon and (max_rounds is None or k < max_rounds):
         launch_clocks.append(clock)
+        ready_slot, base_round, devices, updates = in_flight.popleft()
+        clock = max(clock, ready_slot)
 
-        # Wait until S finished updates exist, then admit everything that
-        # finished before the first upload slot.
-        while len(available) < s:
-            if not computing:
-                raise RuntimeError("scheduler stalled: no device is computing")
-            done_slot, dev = heapq.heappop(computing)
-            clock = max(clock, done_slot + 1)
-            available.append(dev)
-        while computing and computing[0][0] < clock:
-            _, dev = heapq.heappop(computing)
-            available.append(dev)
-
-        chosen = select_transmitters(available, s)
-        del available[:s]
-        transmitter_sets.append(tuple(chosen))
-
-        updates = []
+        chosen = select_transmitters(devices, s)
+        transmitter_sets.append(chosen)
+        staleness = k - base_round
         for i, dev in enumerate(chosen):
-            stal_records.append(StalenessRecord(k, dev, k - model_round[dev]))
+            stal_records.append(StalenessRecord(k, dev, staleness))
             if record_events:
                 events.append(TimelineEvent(clock + i * r, "uplink", dev, k))
-            if learner is not None:
-                updates.append(pending[dev])
-                pending[dev] = None
         clock += s * r
 
         if metrics_every and k % metrics_every == 0 and learner is not None:
@@ -221,21 +189,13 @@ def run_timeline(
         downlink_ends.append(downlink_end)
         clock = downlink_end + 1
 
-        mean_stal = sum(rec.staleness for rec in stal_records[-s:]) / s
         metrics.rounds.append(k)
         metrics.slots.append(downlink_end)
-        metrics.staleness.append(mean_stal)
+        metrics.staleness.append(float(staleness))
         metrics.loss.append(loss)
         metrics.grad_norm_sq.append(gsq)
 
-        recv_index = k - alpha
-        if recv_index >= 0:
-            recipients = list(transmitter_sets[recv_index])
-        else:
-            recipients = _warmup_group(cfg, recv_index)
-        for dev in recipients:
-            start_compute(dev, k + 1, clock)
-
+        start_group((k - alpha) % g, k + 1, clock)
         k += 1
 
     if k == 1 and downlink_ends[0] >= horizon:

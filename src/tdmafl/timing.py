@@ -27,12 +27,12 @@ def as_fraction(name: str, value: RationalLike) -> Fraction:
     """Convert a user-supplied rate to an exact Fraction.
 
     Floats go through their shortest decimal repr so that an input such as
-    6.4 means 32/5, not the nearest binary double. NaN, an infinity or an
-    unparseable string is a ConfigError that names the field ``name``.
+    6.4 means 32/5, not the nearest binary double. NaN, an infinity, a bool
+    or an unparseable string is a ConfigError that names the field ``name``.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, (float, str)):
         try:

@@ -131,7 +131,7 @@ class TestSingleLabelPartition:
         labels = np.array([0] * 35 + [1] * 5)
         ds = LabeledDataset(feats, labels)
         with pytest.raises(DataError, match="could not find a label"):
-            partition_single_label(ds, 4, 10, np.random.default_rng(6), max_retries=50)
+            partition_single_label(ds, 4, 10, np.random.default_rng(6))
 
     def test_label_choice_uniform_over_seeds(self, dataset):
         # Monte-Carlo over seeds: chosen labels should be uniform across the

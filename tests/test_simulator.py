@@ -222,6 +222,18 @@ class TestScheduleProperties:
                 del ready[dev]
 
     @settings(max_examples=300, deadline=None)
+    @given(schedules())
+    def test_transmitters_rotate_through_the_groups(self, case):
+        """Round k uploads group k mod G, whose S updates share one staleness."""
+        cfg, rounds = case
+        s, g = cfg.group_size, cfg.num_groups
+        result = run_timeline(cfg, max_rounds=rounds, record_events=False)
+        for k, chosen in enumerate(result.transmitter_sets):
+            assert chosen == tuple(range((k % g) * s + 1, (k % g + 1) * s + 1))
+            records = result.staleness_records[k * s:(k + 1) * s]
+            assert len({rec.staleness for rec in records}) == 1
+
+    @settings(max_examples=300, deadline=None)
     @given(schedules(deferred=False))
     def test_optimal_delay_moves_no_round(self, case):
         """Proposition 1 as an equality: alpha* keeps every downlink and transmitter."""

@@ -189,6 +189,7 @@ class TestConfigValidation:
         ("intentional_delay", -1),
         ("local_steps", 1.5),
         ("horizon", True),
+        ("samples_per_slot", True),
     ])
     def test_rejects_bad_field(self, field, value):
         kwargs = dict(num_devices=4, group_size=2)
