@@ -489,13 +489,13 @@ TIMING_SCENARIO_KEYS = frozenset({"num_devices", "horizon", "compute_slots", "gr
 
 
 def validate_timing(scenarios=None) -> list[dict]:
-    scenarios = scenarios or TIMING_SCENARIOS
-    if not isinstance(scenarios, list) or not all(
+    scenarios = TIMING_SCENARIOS if scenarios is None else scenarios
+    if not isinstance(scenarios, list) or not scenarios or not all(
         isinstance(sc, dict) and TIMING_SCENARIO_KEYS <= sc.keys()
         and isinstance(sc["group_sizes"], list) for sc in scenarios
     ):
         raise ConfigError(
-            "timing scenarios must be a JSON list of objects with "
+            "timing scenarios must be a non-empty JSON list of objects with "
             f"{sorted(TIMING_SCENARIO_KEYS)} (group_sizes a list)"
         )
     rows = []
@@ -523,12 +523,13 @@ PROP1_TRIPLES = [(50, 1, 100), (10, 1, 100), (2, 1, 100)]
 
 
 def validate_prop1(triples=None) -> list[dict]:
-    triples = triples or PROP1_TRIPLES
-    if not isinstance(triples, list) or not all(
+    triples = PROP1_TRIPLES if triples is None else triples
+    if not isinstance(triples, list) or not triples or not all(
         isinstance(t, (list, tuple)) and len(t) == 3 for t in triples
     ):
         raise ConfigError(
-            "prop1 config must be a JSON list of [compute_slots, group_size, num_devices] triples"
+            "prop1 config must be a non-empty JSON list of "
+            "[compute_slots, group_size, num_devices] triples"
         )
     rows = []
     for compute_slots, s, n in triples:

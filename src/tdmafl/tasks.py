@@ -11,6 +11,11 @@ The quadratic task is the analysis workhorse: every device shares one
 curvature matrix and differs only in the linear term, so the optimum, the
 smoothness constant, the gradient-dispersion bound, and the sampling-noise
 level are all exact closed forms.
+
+``MlpTask`` owns reusable work buffers: metrics evaluate all data every round,
+and a fresh 256 KB temporary would be faulted in again on every round. So one
+task instance must not be used from two threads at once (a process-pool sweep
+builds one task per point).
 """
 
 from __future__ import annotations
@@ -232,11 +237,14 @@ def make_quadratic(
     return QuadraticTask(hessian=hessian, sample_offsets=samples)
 
 
-def _softmax_logits(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    total = expd.sum(axis=1, keepdims=True)
-    return expd / total, shifted - np.log(total)
+def _softmax_logits(logits: np.ndarray, probs: Optional[np.ndarray] = None):
+    """(probs, log-probs); log-probs overwrite ``logits``, probs go to ``probs`` if given."""
+    logits -= logits.max(axis=1, keepdims=True)
+    probs = np.exp(logits, out=probs)
+    total = probs.sum(axis=1, keepdims=True)
+    probs /= total
+    logits -= np.log(total)
+    return probs, logits
 
 
 def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
@@ -265,9 +273,11 @@ class ShardedTask(Task):
         self.feature_dim = dims.pop()
         self.num_classes = num_classes
         self.num_devices = len(self.features)
-        for x, y in zip(self.features, self.labels):
+        for device, (x, y) in enumerate(zip(self.features, self.labels)):
             if x.shape[0] != y.shape[0]:
                 raise DataError("features and labels disagree on shard size")
+            if x.shape[0] == 0:
+                raise DataError(f"device {device} has an empty shard")
             if y.size and (y.min() < 0 or y.max() >= num_classes):
                 raise DataError("label outside [0, num_classes)")
         self._all_x = np.concatenate(self.features, axis=0)
@@ -324,7 +334,12 @@ class SoftmaxRegressionTask(ShardedTask):
 
 
 class MlpTask(ShardedTask):
-    """Two-layer perceptron (tanh hidden layer) with cross-entropy loss."""
+    """Two-layer perceptron (tanh hidden layer) with cross-entropy loss.
+
+    Every pass writes into leading rows of work buffers sized to all data, as
+    a fresh (samples, hidden) temporary is faulted in again on every round.
+    Results never alias them; one instance must not be used from two threads.
+    """
 
     def __init__(self, features, labels, num_classes: int, hidden: int = 32):
         super().__init__(features, labels, num_classes)
@@ -336,6 +351,17 @@ class MlpTask(ShardedTask):
             self._slices.append((at, at + size, shape))
             at += size
         self.dim = at
+        self._allocate(self._all_x.shape[0])
+
+    def _allocate(self, rows: int) -> None:
+        """Work buffers (hidden, logits, probs, back, slope) of ``rows`` rows."""
+        h, c = self.hidden, self.num_classes
+        self._work = [np.empty((rows, width)) for width in (h, c, c, h, h)]
+
+    def _rows(self, n: int) -> list[np.ndarray]:
+        if n > len(self._work[0]):  # a batch with repeats can outgrow all data
+            self._allocate(n)
+        return [buf[:n] for buf in self._work]
 
     def _unpack(self, w: np.ndarray):
         return [w[start:stop].reshape(shape) for start, stop, shape in self._slices]
@@ -349,14 +375,23 @@ class MlpTask(ShardedTask):
         )
 
     def _forward(self, x, w):
-        """(w2, hidden activations, logits); the backward pass needs w2."""
+        """(w2, hidden activations, probs, log-probs); backward needs w2."""
         w1, b1, w2, b2 = self._unpack(w)
-        hidden = np.tanh(x @ w1.T + b1)
-        return w2, hidden, hidden @ w2.T + b2
+        hidden, logits, probs, *_ = self._rows(x.shape[0])
+        np.matmul(x, w1.T, out=hidden)
+        hidden += b1
+        np.tanh(hidden, out=hidden)
+        np.matmul(hidden, w2.T, out=logits)
+        logits += b2
+        return (w2, hidden, *_softmax_logits(logits, probs))
 
     def _backward(self, x, y, w2, hidden, probs):
         d_logits = _logit_grad(probs, y)
-        back = (d_logits @ w2) * (1.0 - hidden * hidden)
+        *_, back, slope = self._rows(x.shape[0])
+        np.matmul(d_logits, w2, out=back)
+        np.multiply(hidden, hidden, out=slope)
+        np.subtract(1.0, slope, out=slope)
+        back *= slope
         return np.concatenate([
             (back.T @ x).ravel(), back.sum(axis=0),
             (d_logits.T @ hidden).ravel(), d_logits.sum(axis=0),
@@ -364,18 +399,15 @@ class MlpTask(ShardedTask):
 
     def loss(self, w, device=None, batch=None):
         x, y = self._select(device, batch)
-        _, _, logits = self._forward(x, w)
-        _, log_probs = _softmax_logits(logits)
+        *_, log_probs = self._forward(x, w)
         return _mean_nll(log_probs, y)
 
     def grad(self, w, device=None, batch=None):
         x, y = self._select(device, batch)
-        w2, hidden, logits = self._forward(x, w)
-        probs, _ = _softmax_logits(logits)
+        w2, hidden, probs, _ = self._forward(x, w)
         return self._backward(x, y, w2, hidden, probs)
 
     def loss_and_grad(self, w, device=None, batch=None):
         x, y = self._select(device, batch)
-        w2, hidden, logits = self._forward(x, w)
-        probs, log_probs = _softmax_logits(logits)
+        w2, hidden, probs, log_probs = self._forward(x, w)
         return _mean_nll(log_probs, y), self._backward(x, y, w2, hidden, probs)

@@ -184,9 +184,9 @@ class TestExitCodes:
         assert main(["run"]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("command", ["run", "validate-timing", "validate-prop1"])
-    @pytest.mark.parametrize("content", [None, "{not json", "\xff\xfe", "[{}]", '{"a": 1}'],
+    @pytest.mark.parametrize("content", [None, "{not json", "\xff\xfe", "[{}]", '{"a": 1}', "[]"],
                              ids=["missing", "malformed", "not-utf8", "list-of-empty",
-                                  "object"])
+                                  "object", "empty-list"])
     def test_unreadable_config_file(self, tmp_path, capsys, command, content):
         path = tmp_path / "config.json"
         if content is not None:

@@ -1,5 +1,7 @@
 """Objective correctness: closed forms, brute-force evaluation, gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,55 @@ class TestMlp:
         for _ in range(100):
             w = w - 0.5 * mlp_task.grad(w)
         assert mlp_task.loss(w) < start
+
+
+@pytest.mark.parametrize("cls", [SoftmaxRegressionTask, MlpTask])
+def test_empty_shard_is_rejected(cls):
+    feats = [np.ones((2, 3)), np.zeros((0, 3))]
+    labels = [np.array([0, 1]), np.array([], dtype=np.int64)]
+    with pytest.raises(DataError, match="device 1 has an empty shard"):
+        cls(feats, labels, num_classes=2)
+
+
+class TestMlpWorkBuffers:
+    """Every MlpTask pass runs in reused buffers; no result may depend on that."""
+
+    def test_full_data_pass_allocates_less_than_one_activation(self):
+        data = make_clustered_dataset(10, 16, 100, np.random.default_rng(70))
+        feats, labels = partition_iid(data, 20, 50, np.random.default_rng(71))
+        task = MlpTask(feats, labels, num_classes=10, hidden=32)
+        w = task.init_params(np.random.default_rng(72))
+        task.loss_and_grad(w)  # warm-up
+        tracemalloc.start()
+        try:
+            task.loss_and_grad(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 32 * 8  # one (samples, hidden) float64 array
+
+    def test_interleaved_calls_match_a_fresh_task(self, mlp_task):
+        def fresh():
+            return MlpTask(mlp_task.features, mlp_task.labels, mlp_task.num_classes,
+                           hidden=mlp_task.hidden)
+
+        calls = [(None, None), (1, None), (2, np.array([0, 4, 4, 9, 11, 3, 2, 8])),
+                 (0, np.array([5])), (3, np.tile(np.arange(25), 5)),  # longer than all data
+                 (None, None)]
+        rng = np.random.default_rng(73)
+        kept = []
+        for _ in range(3):
+            w = rng.normal(size=mlp_task.dim)
+            for device, batch in calls:
+                assert mlp_task.loss(w, device, batch) == fresh().loss(w, device, batch)
+                grad = mlp_task.grad(w, device, batch)
+                assert np.array_equal(grad, fresh().grad(w, device, batch))
+                loss, fused = mlp_task.loss_and_grad(w, device, batch)
+                ref_loss, ref_grad = fresh().loss_and_grad(w, device, batch)
+                assert loss == ref_loss and np.array_equal(fused, ref_grad)
+                kept += [(grad, grad.copy()), (fused, fused.copy())]
+        assert all(np.array_equal(g, copy) for g, copy in kept)
+        assert mlp_task.persample_grad_sq_mean(w, 3) == fresh().persample_grad_sq_mean(w, 3)
 
 
 class TestLossAndGrad:
