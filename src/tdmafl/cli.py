@@ -302,14 +302,8 @@ def write_metrics_csv(path, metrics) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for i in range(len(metrics)):
-            writer.writerow([
-                metrics.rounds[i],
-                metrics.slots[i],
-                repr(metrics.loss[i]),
-                repr(metrics.grad_norm_sq[i]),
-                repr(metrics.staleness[i]),
-            ])
+        writer.writerows(zip(metrics.rounds, metrics.slots, map(repr, metrics.loss),
+                             map(repr, metrics.grad_norm_sq), map(repr, metrics.staleness)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,14 @@ bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericsError
 from .tasks import Task
-from .timing import SystemConfig
+from .timing import SystemConfig, require_integer
 
 
 @dataclass
@@ -35,7 +36,8 @@ class SgdLearner:
     eta, B and H come from ``config`` (``step_size``, ``batch_size`` and
     ``local_steps``), which has already validated them. Device ids arriving
     from the scheduler are 1-based; shard indices are 0-based. Batch
-    randomness is keyed on (seed, device, round).
+    randomness is keyed on (seed, device, round); ``seed``, an integer >= 0,
+    is read once at construction.
     """
 
     task: Task
@@ -43,13 +45,29 @@ class SgdLearner:
     seed: int = 0
     initial: Optional[np.ndarray] = None
 
+    def __post_init__(self) -> None:
+        require_integer("seed", self.seed, 0)
+        seed = int(self.seed)
+        self._seed_words = [(seed >> shift) & 0xFFFFFFFF
+                            for shift in range(0, max(seed.bit_length(), 1), 32)]
+
     def initial_model(self) -> np.ndarray:
         if self.initial is not None:
             return np.array(self.initial, dtype=float, copy=True)
         return np.zeros(self.task.dim)
 
     def rng_for(self, device_id: int, round_index: int) -> np.random.Generator:
-        return np.random.default_rng([self.seed, device_id, round_index])
+        """The generator of ``default_rng([seed, device_id, round_index])``.
+
+        ``SeedSequence`` splits each Python int of a list into little-endian
+        32-bit words, one array per int, and that coercion costs more than the
+        rest of the seeding. The seed's words are split once at construction;
+        one uint32 array of them and the two ids gives the same entropy, hence
+        the same stream. ``index`` makes a numpy integer a Python int, so with
+        numpy 2 an id >= 2**32 raises OverflowError instead of wrapping.
+        """
+        key = [*self._seed_words, index(device_id), index(round_index)]
+        return np.random.default_rng(np.array(key, dtype=np.uint32))
 
     def local_update(self, device_id: int, model: np.ndarray, round_index: int) -> np.ndarray:
         """Run H local SGD steps and return the transmitted update direction.

@@ -39,10 +39,7 @@ class Task:
 
     dim: int
     num_devices: int
-
-    @property
-    def shard_sizes(self) -> list[int]:
-        raise NotImplementedError
+    shard_sizes: tuple[int, ...]  # samples per device, set once at construction
 
     def loss(self, w: np.ndarray, device: Optional[int] = None,
              batch: Optional[np.ndarray] = None) -> float:
@@ -80,8 +77,6 @@ class Task:
     def sample_batch(self, device: int, batch_size: int, rng: np.random.Generator) -> np.ndarray:
         """Uniform without replacement within the shard."""
         size = self.shard_sizes[device]
-        if size == 0:
-            raise DataError(f"device {device} has an empty shard")
         if batch_size > size:
             raise SamplingError(
                 f"batch_size {batch_size} exceeds shard size {size} of device {device}"
@@ -108,7 +103,10 @@ class QuadraticTask(Task):
         self.sample_offsets = np.asarray(self.sample_offsets, dtype=float)
         if self.sample_offsets.ndim != 3:
             raise DataError("sample_offsets must have shape (devices, samples, dim)")
-        self.num_devices, self._per_device, self.dim = self.sample_offsets.shape
+        self.num_devices, per_device, self.dim = self.sample_offsets.shape
+        if per_device == 0:
+            raise DataError("every device needs at least one sample")
+        self.shard_sizes = (per_device,) * self.num_devices
         if self.hessian.shape != (self.dim, self.dim):
             raise DataError("hessian shape does not match offset dimension")
         if not np.allclose(self.hessian, self.hessian.T):
@@ -123,10 +121,6 @@ class QuadraticTask(Task):
         self._global_const = float(self._sample_const.mean())
 
     @property
-    def shard_sizes(self) -> list[int]:
-        return [self._per_device] * self.num_devices
-
-    @property
     def w_star(self) -> np.ndarray:
         return np.linalg.solve(self.hessian, self._global_offset)
 
@@ -137,7 +131,8 @@ class QuadraticTask(Task):
             return self._global_offset
         if batch is None:
             return self._device_offsets[device]
-        return self.sample_offsets[device, np.asarray(batch)].mean(axis=0)
+        rows = self.sample_offsets[device, np.asarray(batch)]
+        return np.add.reduce(rows, axis=0) / len(rows)  # np.mean's floats, without its layers
 
     def _moments(self, device, batch):
         """(mean offset, mean loss constant) over the selected samples."""
@@ -280,12 +275,9 @@ class ShardedTask(Task):
                 raise DataError(f"device {device} has an empty shard")
             if y.size and (y.min() < 0 or y.max() >= num_classes):
                 raise DataError("label outside [0, num_classes)")
+        self.shard_sizes = tuple(x.shape[0] for x in self.features)
         self._all_x = np.concatenate(self.features, axis=0)
         self._all_y = np.concatenate(self.labels, axis=0)
-
-    @property
-    def shard_sizes(self) -> list[int]:
-        return [x.shape[0] for x in self.features]
 
     def _select(self, device, batch):
         self.check_batch(device, batch)

@@ -18,7 +18,9 @@ from tdmafl.cli import (
     main,
     run_experiment,
     run_sweep,
+    write_metrics_csv,
 )
+from tdmafl.simulator import RunMetrics
 
 
 def quad_spec(**system_overrides):
@@ -93,6 +95,24 @@ class TestRunCommand:
                 repr(table["staleness"][i]),
             ]))
         assert path.read_text().strip().splitlines() == lines
+
+    def test_metrics_csv_matches_a_row_by_row_writer(self, tmp_path):
+        big = 2**53 + 1
+        metrics = RunMetrics(
+            rounds=[0, 1, 2, big], slots=[5, 9, big, 2**64],
+            staleness=[0.0, -0.0, float(big), 1 / 3],
+            loss=[float("nan"), float("inf"), -0.0, 1e-300],
+            grad_norm_sq=[float("-inf"), 2.5, float("nan"), 1e300],
+        )
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, metrics)
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(CSV_HEADER)
+            for i in range(len(metrics)):
+                writer.writerow([metrics.rounds[i], metrics.slots[i], repr(metrics.loss[i]),
+                                 repr(metrics.grad_norm_sq[i]), repr(metrics.staleness[i])])
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
     def test_config_echo_round_trips(self, tmp_path):
         doc = quad_spec()

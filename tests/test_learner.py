@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmafl import (
     ConfigError,
@@ -267,3 +269,35 @@ class TestPipelineEquivalences:
         c = learner.local_update(1, np.ones(3), 5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestBatchRng:
+    """rng_for keys a generator on (seed, device, round) as a uint32 array."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**100 - 1), device=st.integers(1, 10**6),
+           round_index=st.integers(0, 2**32 - 1))
+    def test_stream_is_default_rng_of_the_int_list(self, seed, device, round_index):
+        learner = learner_for(identity_quadratic(), seed=seed)
+        expect = np.random.default_rng([seed, device, round_index]).bit_generator.state
+        assert learner.rng_for(device, round_index).bit_generator.state == expect
+
+    def test_numpy_integer_ids_draw_the_same_stream(self):
+        learner = learner_for(identity_quadratic(), seed=9)
+        expect = learner.rng_for(3, 2**32 - 1).bit_generator.state
+        assert learner.rng_for(np.int64(3), np.uint32(2**32 - 1)).bit_generator.state == expect
+
+    @pytest.mark.parametrize("key", [(1, 2**32), (2**32, 0), (1, np.int64(2**32)),
+                                     (np.int64(-1), 0)])
+    def test_key_beyond_uint32_raises(self, key):
+        with pytest.raises(OverflowError):
+            learner_for(identity_quadratic()).rng_for(*key)
+
+    def test_non_integer_id_is_rejected(self):
+        with pytest.raises(TypeError):
+            learner_for(identity_quadratic()).rng_for(1.5, 0)
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.0, "3", None])
+    def test_seed_is_checked_at_construction(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+            learner_for(identity_quadratic(), seed=seed)

@@ -223,6 +223,48 @@ def test_empty_shard_is_rejected(cls):
         cls(feats, labels, num_classes=2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: QuadraticTask(hessian=np.eye(2), sample_offsets=np.zeros((2, 0, 2))),
+    lambda: make_quadratic(3, 2, 0.0, np.random.default_rng(0), samples_per_device=0),
+], ids=["QuadraticTask", "make_quadratic"])
+def test_empty_quadratic_shard_is_rejected(build):
+    with pytest.raises(DataError, match="at least one sample"):
+        build()
+
+
+def uneven_task(kind):
+    """A three-device task of the given kind and its per-device sample counts.
+
+    The sharded kinds get shards of 3, 5 and 2 samples; quadratic shards are
+    equal by construction.
+    """
+    if kind == "quadratic":
+        task = make_quadratic(3, 2, 1.0, np.random.default_rng(80), samples_per_device=4)
+        return task, [4, 4, 4]
+    rng = np.random.default_rng(81)
+    sizes = [3, 5, 2]
+    feats = [rng.normal(size=(n, 4)) for n in sizes]
+    labels = [rng.integers(0, 2, size=n) for n in sizes]
+    cls = SoftmaxRegressionTask if kind == "softmax" else MlpTask
+    return cls(feats, labels, num_classes=2), sizes
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "softmax", "mlp"])
+class TestShardSizes:
+    def test_shard_sizes_are_the_row_counts(self, kind):
+        task, sizes = uneven_task(kind)
+        assert list(task.shard_sizes) == sizes
+
+    def test_out_of_range_batches_are_rejected(self, kind):
+        task, sizes = uneven_task(kind)
+        w = np.zeros(task.dim)
+        for device, size in enumerate(sizes):
+            task.grad(w, device, np.array([0, size - 1]))  # both ends are in range
+            for bad in ([], [-1], [size], [0, size]):
+                with pytest.raises(SamplingError, match=f"shard of size {size}"):
+                    task.grad(w, device, np.array(bad, dtype=np.int64))
+
+
 class TestMlpWorkBuffers:
     """Every MlpTask pass runs in reused buffers; no result may depend on that."""
 
