@@ -316,7 +316,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
 
     The summary's ``timing`` block gives tau_asyn and rounds_closed_form only
     where they hold (alpha <= alpha*); above it both are null, and
-    ``closed_form_note`` says why.
+    ``closed_form_note`` says why. ``rounds_exact``, the schedule law's round
+    count, holds for every alpha.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -329,6 +330,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
         "tau_asyn": str(cfg.tau_asyn),
         "num_groups": cfg.num_groups,
         "rounds_closed_form": cfg.rounds_closed_form(),
+        "rounds_exact": cfg.rounds_exact(),
     }
     alpha_star = optimal_intentional_delay(cfg).alpha
     if cfg.intentional_delay > alpha_star:

@@ -1,31 +1,33 @@
-"""Slot-accurate event simulation of asynchronous federated rounds over TDMA.
-
-The simulator advances an integer slot clock through training rounds. Each
-round waits until the S devices with the oldest finished updates are ready,
-occupies the channel with their S uploads of r slots plus one r-slot
-broadcast, applies the global update, and hands the fresh model to its
-recipients.
+"""Slot-exact schedule of asynchronous federated rounds over TDMA.
 
 The devices form G = N / S equal groups; group j holds devices j*S + 1 to
-(j + 1)*S. The schedule is a rotation of the groups: the transmitters of
-round k are group k mod G, and the broadcast of round k goes to group
-(k - alpha) mod G, where alpha is ``intentional_delay``. Groups 0..G-alpha-1
-start computing at slot 0, so for k < alpha the negative index names a group
-that has not yet received a model. The scheduler keeps the in-flight groups
-in one FIFO: groups enter it in start-slot order, the initial groups in index
-order, and each round takes one whole group, so the head holds the oldest
-updates.
+(j + 1)*S. The schedule is a rotation of the groups. Round k occupies the
+channel with the uploads of group k mod G, S transfers of r slots, plus one
+r-slot broadcast, applies the global update, and hands the fresh model to
+group (k - alpha) mod G, where alpha is ``intentional_delay``. Groups 0..m-1,
+m = G - alpha, start computing at slot 0, so for k < alpha the negative index
+names a group that has not yet received a model. Round k thus uploads the
+group that started right after round k - m (at slot 0 for k < m), and its
+staleness is min(k, m - 1).
 
 A new round is launched while the consumed-slot clock is still within the
 horizon (clock <= T); the final launched round runs to completion. This is
 the accounting under which the round counts of long reference runs are
 reproduced exactly.
+
+The timing is a max-plus law in closed form: the clock after round k is
+E_k = tau_comp + (k + 1)*tau_comm + floor(k/m)*Delta with
+Delta = max(0, tau_comp - (m - 1)*tau_comm), and the round count follows
+from it (``SystemConfig.downlink_ends`` and ``SystemConfig.rounds_exact``).
+So ``run_timeline`` builds the round table in bulk and loops over the rounds
+only to drive a learner.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -93,9 +95,10 @@ class SimResult:
 def select_transmitters(ready: tuple[int, ...], group_size: int) -> tuple[int, ...]:
     """Return the round's transmitters in TDMA upload order.
 
-    ``ready`` is the round's group, whose S updates are the oldest ready ones
-    (see the module docstring), so this returns it whole. It stays a function
-    as the per-round selection hook that the benchmark patches.
+    ``ready`` is the round's group, the one of those in flight that started
+    first, so its S updates are the oldest ready ones; this returns it whole.
+    It stays a function as the per-round selection hook that the benchmark
+    patches.
     """
     return ready[:group_size]
 
@@ -109,104 +112,95 @@ def run_timeline(
     metrics_every: int = 1,
     keep_model_history: bool = False,
 ) -> SimResult:
-    """Simulate the full slotted schedule, optionally training a model.
+    """The full slotted schedule of a run, optionally training a model.
 
-    Without a learner only the scheduling is simulated (no gradients are
-    computed), which is enough for round counting and staleness checks.
-    ``max_rounds`` truncates the run before the slot budget is exhausted; a
-    horizon too short for one round to complete is a ConfigError.
-    Runs are fully deterministic: the scheduler itself draws no randomness,
-    and a learner's randomness is keyed on (device, round).
+    The round table is read off the schedule law (see the module docstring).
+    The run completes K = ``cfg.rounds_exact()`` rounds, or ``max_rounds`` if
+    that is fewer; a horizon too short for one round to complete is a
+    ConfigError, raised before the learner is called. Round k ends its
+    downlink at ``cfg.downlink_ends(K)[k]``, launches one slot after the
+    previous downlink end (round 0 at slot 0), uploads group k mod G and has
+    staleness min(k, m - 1), with m = G - alpha. Without a learner nothing
+    else is computed.
+
+    A learner is driven by one loop over the rounds and a FIFO of the update
+    lists of the m groups in flight, oldest first. Round k pops the head,
+    evaluates the model, takes the server step, and then computes the S
+    updates of group (k - alpha) mod G on the new model, but only if a later
+    round uploads them (k + m < K). Runs are fully deterministic: the
+    scheduler itself draws no randomness, and a learner's randomness is keyed
+    on (device, round).
     """
     s = cfg.group_size
     r = cfg.slots_per_transfer
-    horizon = cfg.horizon
     alpha = cfg.intentional_delay
     g = cfg.num_groups
-    tau_comp = cfg.tau_comp
+    m = g - alpha
+    tau_comp, tau_comm = cfg.tau_comp, cfg.tau_comm
 
-    # In-flight groups, oldest first: (ready slot, round of the model they
-    # compute on, devices, their local updates or None). Each round pops one
-    # and appends one, so it always holds G - alpha >= 1 entries.
-    in_flight: deque[tuple[int, int, tuple[int, ...], Optional[list[np.ndarray]]]] = deque()
+    rounds = cfg.rounds_exact()
+    if max_rounds is not None:
+        rounds = max(0, min(rounds, max_rounds))
+    downlink_ends = cfg.downlink_ends(rounds)
+    if rounds == 1 and downlink_ends[0] >= cfg.horizon:
+        raise ConfigError(f"no training round completes within the {cfg.horizon}-slot horizon")
+
     # One id tuple per group, so the run's records share G tuples of ints.
     members = [tuple(range(j * s + 1, (j + 1) * s + 1)) for j in range(g)]
-    events: list[TimelineEvent] = []
-    stal_records: list[StalenessRecord] = []
-    metrics = RunMetrics()
-    launch_clocks: list[int] = []
-    downlink_ends: list[int] = []
-    transmitter_sets: list[tuple[int, ...]] = []
+    launch_clocks = [0, *(end + 1 for end in downlink_ends[:-1])] if rounds else []
+    transmitter_sets = [select_transmitters(members[k % g], s) for k in range(rounds)]
+    staleness = [*range(min(rounds, m)), *repeat(m - 1, rounds - m)]
+    new_record = tuple.__new__  # skips the NamedTuple's Python-level __new__
+    stal_records = [new_record(StalenessRecord, (k, dev, stale))
+                    for k, chosen, stale in zip(count(), transmitter_sets, staleness)
+                    for dev in chosen]
+    nan = float("nan")
+    metrics = RunMetrics(rounds=list(range(rounds)), slots=list(downlink_ends),
+                         staleness=list(map(float, staleness)),
+                         loss=[nan] * rounds, grad_norm_sq=[nan] * rounds)
 
-    model = learner.initial_model() if learner is not None else None
-    history: Optional[list[np.ndarray]] = [model.copy()] if (keep_model_history and model is not None) else None
-
-    def start_group(group: int, round_index: int, slot: int) -> None:
-        devices = members[group]
-        updates = None
-        if learner is not None:
-            # Pure function of (model snapshot, device, round); evaluating at
-            # schedule time is equivalent to evaluating during the slots.
-            updates = [learner.local_update(dev, model, round_index) for dev in devices]
-        if record_events:
-            for dev in devices:
-                events.append(TimelineEvent(slot, "compute_start", dev, round_index))
-                events.append(TimelineEvent(slot + tau_comp - 1, "compute_done", dev, round_index))
-        in_flight.append((slot + tau_comp, round_index, devices, updates))
-
-    for group in range(g - alpha):
-        start_group(group, 0, 0)
-
-    clock = 0
-    k = 0
-    while clock <= horizon and (max_rounds is None or k < max_rounds):
-        launch_clocks.append(clock)
-        ready_slot, base_round, devices, updates = in_flight.popleft()
-        clock = max(clock, ready_slot)
-
-        chosen = select_transmitters(devices, s)
-        transmitter_sets.append(chosen)
-        staleness = k - base_round
-        for i, dev in enumerate(chosen):
-            stal_records.append(StalenessRecord(k, dev, staleness))
-            if record_events:
-                events.append(TimelineEvent(clock + i * r, "uplink", dev, k))
-        clock += s * r
-
-        if metrics_every and k % metrics_every == 0 and learner is not None:
-            loss, gsq = learner.round_metrics(model)
-        else:
-            loss, gsq = float("nan"), float("nan")
-
-        if learner is not None:
-            model = learner.apply_round(model, updates)
+    model: Optional[np.ndarray] = None
+    history: Optional[list[np.ndarray]] = None
+    if learner is not None:
+        model = learner.initial_model()
+        if keep_model_history:
+            history = [model.copy()]
+        # Each update is a pure function of (model snapshot, device, round);
+        # evaluating it at schedule time equals evaluating it during the slots.
+        pending = deque([learner.local_update(dev, model, 0) for dev in members[j]]
+                        for j in range(min(m, rounds)))
+        for k in range(rounds):
+            if metrics_every and k % metrics_every == 0:
+                metrics.loss[k], metrics.grad_norm_sq[k] = learner.round_metrics(model)
+            model = learner.apply_round(model, pending.popleft())
             if history is not None:
                 history.append(model.copy())
+            if k + m < rounds:
+                pending.append([learner.local_update(dev, model, k + 1)
+                                for dev in members[(k - alpha) % g]])
 
-        if record_events:
-            events.append(TimelineEvent(clock, "downlink", SERVER_ID, k))
-        downlink_end = clock + r - 1
-        downlink_ends.append(downlink_end)
-        clock = downlink_end + 1
+    events: list[TimelineEvent] = []
+    if record_events:
+        def start_group(group: int, round_index: int, slot: int) -> None:
+            for dev in members[group]:
+                events.append(TimelineEvent(slot, "compute_start", dev, round_index))
+                events.append(TimelineEvent(slot + tau_comp - 1, "compute_done", dev, round_index))
 
-        metrics.rounds.append(k)
-        metrics.slots.append(downlink_end)
-        metrics.staleness.append(float(staleness))
-        metrics.loss.append(loss)
-        metrics.grad_norm_sq.append(gsq)
-
-        start_group((k - alpha) % g, k + 1, clock)
-        k += 1
-
-    if k == 1 and downlink_ends[0] >= horizon:
-        raise ConfigError(f"no training round completes within the {horizon}-slot horizon")
+        for group in range(m):
+            start_group(group, 0, 0)
+        for k, chosen, end in zip(count(), transmitter_sets, downlink_ends):
+            first_upload = end + 1 - tau_comm
+            events += [TimelineEvent(first_upload + i * r, "uplink", dev, k)
+                       for i, dev in enumerate(chosen)]
+            events.append(TimelineEvent(end + 1 - r, "downlink", SERVER_ID, k))
+            start_group((k - alpha) % g, k + 1, end + 1)
 
     return SimResult(
         config=cfg,
         events=events,
         staleness_records=stal_records,
         metrics=metrics,
-        completed_rounds=k,
+        completed_rounds=rounds,
         launch_clocks=launch_clocks,
         downlink_end_slots=downlink_ends,
         transmitter_sets=transmitter_sets,

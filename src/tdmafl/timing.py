@@ -2,8 +2,10 @@
 
 Everything here is pure arithmetic on the scenario constants: per-round
 compute and communication costs, the average round length under pipelined
-(asynchronous) scheduling, the staleness law induced by group rotation, and
-the largest downlink deferral that keeps the pipeline saturated.
+(asynchronous) scheduling, the exact downlink end and round count of every
+run (the schedule law, for every deferral), the staleness law induced by
+group rotation, and the largest downlink deferral that keeps the pipeline
+saturated.
 
 Average round lengths are kept as exact ``Fraction`` values because the
 pipelined average divides an integer slot count by the group count; rounding
@@ -182,13 +184,50 @@ class SystemConfig:
 
         tau_asyn ignores the deferral, and a larger one lengthens rounds, so run
         summaries write null above optimal_intentional_delay(self).alpha. Within
-        the domain the simulated count falls short by about tau_comp / tau_asyn,
-        the rounds the first local updates take: by that minus 0 to 2 when the
-        channel is the bottleneck (45 against 45.5 for N = 1000, S = 10,
-        tau_comp = 500, r = 1, T = 40,000), minus 1 to G/2 + 4 when compute is
-        (600 random configurations).
+        the domain it still exceeds the exact count, rounds_exact(), by about
+        tau_comp / tau_asyn rounds: floor(T / tau_asyn) ignores the first
+        tau_comp slots, which pass before the first upload can start.
         """
         return math.floor(Fraction(self.horizon) / self.tau_asyn)
+
+    def _rotation(self) -> tuple[int, int, int]:
+        """(m, Delta, P) of the schedule law; see downlink_ends."""
+        m = self.num_groups - self.intentional_delay
+        tau_comp, tau_comm = self.tau_comp, self.tau_comm
+        delta = max(0, tau_comp - (m - 1) * tau_comm)
+        return m, delta, m * tau_comm + delta
+
+    def rounds_exact(self) -> int:
+        """K, the number of rounds a run completes, for every alpha.
+
+        Round 0 always launches, and round k + 1 launches iff E_k <= T (see
+        downlink_ends), so K = 1 if T < tau_comp + tau_comm, and otherwise
+        K = 2 + q*m + min(m - 1, floor((T - tau_comp - q*P) / tau_comm) - 1)
+        with q = floor((T - tau_comp - tau_comm) / P).
+        """
+        m, _, period = self._rotation()
+        tau_comp, tau_comm, horizon = self.tau_comp, self.tau_comm, self.horizon
+        if horizon < tau_comp + tau_comm:
+            return 1
+        q = (horizon - tau_comp - tau_comm) // period
+        return 2 + q * m + min(m - 1, (horizon - tau_comp - q * period) // tau_comm - 1)
+
+    def downlink_ends(self, rounds: int) -> list[int]:
+        """Downlink end slot of rounds 0 .. rounds - 1; rounds_exact() of them complete.
+
+        This is the schedule law, exact for every alpha. Let m = G - alpha and
+        E_k the clock after round k (its downlink end + 1). Round k uploads
+        the group that started right after round k - m (at slot 0 for k < m),
+        so E_k = max(E_{k-1}, E_{k-m} + tau_comp) + tau_comm with E_j = 0 for
+        j < 0. Unrolled, E_k = tau_comp + (k + 1)*tau_comm + floor(k/m)*Delta
+        with Delta = max(0, tau_comp - (m - 1)*tau_comm): the channel idles
+        Delta slots once every m rounds, so m rounds advance the clock by
+        P = m*tau_comm + Delta = max(m*tau_comm, tau_comp + tau_comm).
+        """
+        m, delta, _ = self._rotation()
+        tau_comm = self.tau_comm
+        first = self.tau_comp + tau_comm - 1
+        return [first + k * tau_comm + k // m * delta for k in range(rounds)]
 
 
 def idfl_staleness(round_index: int, cfg: SystemConfig) -> int:

@@ -174,6 +174,15 @@ class TestRunCommand:
         assert timing["tau_asyn"] is None and timing["rounds_closed_form"] is None
         assert "alpha* = 2" in timing["closed_form_note"]
 
+    def test_exact_round_count_holds_for_every_alpha(self, tmp_path):
+        # Same system: alpha* = 2, and alpha = 3 lengthens the rounds.
+        doc = {"name": "defer", "system": {"num_devices": 4, "group_size": 1,
+                                           "compute_slots": 2, "horizon": 400}}
+        for alpha, rounds in ((0, 200), (2, 200), (3, 101)):
+            doc["system"]["intentional_delay"] = alpha
+            summary = run_experiment(ExperimentSpec.from_dict(doc), tmp_path / str(alpha))
+            assert summary["timing"]["rounds_exact"] == summary["completed_rounds"] == rounds
+
 
 class TestExitCodes:
     def test_config_error(self, tmp_path):

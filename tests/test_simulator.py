@@ -1,7 +1,9 @@
 """Event-level scheduler behavior: golden timelines, invariants, oracles."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,9 +12,11 @@ from hypothesis import strategies as st
 
 from tdmafl import (
     ConfigError,
+    SgdLearner,
     SystemConfig,
     TimelineEvent,
     idfl_staleness,
+    make_quadratic,
     optimal_intentional_delay,
     run_timeline,
 )
@@ -179,7 +183,57 @@ def schedules(draw, deferred=True):
     return cfg, draw(st.integers(1, 3 * g + 5))
 
 
+def recurrence_clocks(cfg):
+    """E_0, E_1, ...: the clock after each round, from the max-plus recurrence.
+
+    E_k = max(E_{k-1}, E_{k-m} + tau_comp) + tau_comm with E_j = 0 for j < 0
+    and m = G - alpha; the downlink end of round k is E_k - 1.
+    """
+    m = cfg.num_groups - cfg.intentional_delay
+    clocks = []
+    while True:
+        k = len(clocks)
+        prev = clocks[k - 1] if k >= 1 else 0
+        back = clocks[k - m] if k >= m else 0
+        clocks.append(max(prev, back + cfg.tau_comp) + cfg.tau_comm)
+        yield clocks[-1]
+
+
+def launched_ends(cfg):
+    """Downlink ends of the launched rounds: round 0, and round k + 1 iff E_k <= T."""
+    ends = []
+    for clock in recurrence_clocks(cfg):
+        ends.append(clock - 1)
+        if clock > cfg.horizon:
+            return ends
+
+
+@st.composite
+def horizons(draw):
+    """A random system of equal groups and deferral, with a horizon of up to 2,000 slots."""
+    cfg, _ = draw(schedules())
+    return replace(cfg, horizon=draw(st.integers(1, 2000)))
+
+
 class TestScheduleProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(horizons())
+    def test_law_matches_the_recurrence(self, cfg):
+        """The closed-form ends and count equal the max-plus recurrence, for every alpha."""
+        oracle = launched_ends(cfg)
+        assert cfg.rounds_exact() == len(oracle)
+        assert cfg.downlink_ends(len(oracle)) == oracle
+        more = len(oracle) + 7  # the law holds past the horizon too
+        assert cfg.downlink_ends(more) == [c - 1 for c in islice(recurrence_clocks(cfg), more)]
+        if cfg.tau_comp + cfg.tau_comm - 1 >= cfg.horizon:
+            assert len(oracle) == 1
+            with pytest.raises(ConfigError, match="no training round completes"):
+                run_timeline(cfg, record_events=False, metrics_every=0)
+        else:
+            result = run_timeline(cfg, record_events=False, metrics_every=0)
+            assert result.completed_rounds == len(oracle)
+            assert result.downlink_end_slots == oracle
+
     @settings(max_examples=300, deadline=None)
     @given(schedules())
     def test_transmitters_are_the_oldest_ready_updates(self, case):
@@ -299,17 +353,62 @@ class TestDeferredDownlink:
         assert steady(alpha) == steady(0) == Fraction(2)
         assert steady(alpha + 1) > steady(0)
 
+class CountingLearner(SgdLearner):
+    """An SgdLearner that counts its local updates and metric evaluations."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.calls = Counter()
+
+    def local_update(self, device_id, model, round_index):
+        self.calls["local_update"] += 1
+        return super().local_update(device_id, model, round_index)
+
+    def round_metrics(self, model):
+        self.calls["round_metrics"] += 1
+        return super().round_metrics(model)
+
+
+def counting_learner(cfg):
+    task = make_quadratic(cfg.num_devices, 3, 1.0, np.random.default_rng(4),
+                          samples_per_device=6, sample_noise=0.3)
+    return CountingLearner(task, cfg, seed=2, initial=np.ones(3))
+
+
 class TestHorizonAccounting:
     def test_no_round_completes_is_a_config_error(self):
         cfg = SystemConfig.from_times(4, 2, compute_slots=50, horizon=10)
         with pytest.raises(ConfigError, match="no training round completes"):
             run_timeline(cfg)
 
+    def test_no_round_completes_calls_no_learner(self):
+        cfg = SystemConfig.from_times(4, 2, compute_slots=50, horizon=52)  # 52 < 50 + 3
+        learner = counting_learner(cfg)
+        with pytest.raises(ConfigError, match="no training round completes"):
+            run_timeline(cfg, learner)
+        assert learner.calls == Counter()
+
     def test_boundary_round_still_launches(self):
         # A round whose start coincides with budget exhaustion is still run.
         cfg = SystemConfig.from_times(2, 2, compute_slots=2, horizon=5)
         result = run_timeline(cfg)
         assert result.completed_rounds == 2
+
+
+class TestLearnerDriving:
+    # Six devices in pairs with two-slot compute: G = 3 and alpha* = 1. In 60
+    # slots the rotation completes 20 rounds, and 13 once alpha > alpha*
+    # lengthens them.
+    @pytest.mark.parametrize("alpha,rounds", [(0, 20), (1, 20), (2, 13)])
+    @pytest.mark.parametrize("max_rounds", [None, 7])
+    def test_every_computed_update_is_uploaded(self, alpha, rounds, max_rounds):
+        cfg = SystemConfig.from_times(6, 2, compute_slots=2, horizon=60, intentional_delay=alpha)
+        assert optimal_intentional_delay(replace(cfg, intentional_delay=0)).alpha == 1
+        learner = counting_learner(cfg)
+        result = run_timeline(cfg, learner, max_rounds=max_rounds, record_events=False)
+        assert result.completed_rounds == (rounds if max_rounds is None else 7)
+        assert learner.calls == {"local_update": 2 * result.completed_rounds,
+                                 "round_metrics": result.completed_rounds}
 
 
 class TestMeasuredStaleness:
