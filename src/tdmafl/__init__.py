@@ -1,8 +1,8 @@
 """Asynchronous federated learning over a slotted TDMA channel.
 
-Slot-exact scheduling simulation, stale-gradient SGD, heterogeneous data
-provisioning, and the empirical verification layer for the timing and
-convergence claims, plus a CLI experiment runner.
+Slot-exact scheduling simulation and its closed-form timing and staleness
+laws, stale-gradient SGD, heterogeneous data provisioning, the rate trend of
+the convergence bound, and a CLI experiment runner.
 """
 
 from .errors import (

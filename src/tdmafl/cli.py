@@ -510,6 +510,7 @@ def validate_timing(scenarios=None) -> list[dict]:
                 "tau_comm": cfg.tau_comm,
                 "tau_asyn": str(cfg.tau_asyn),
                 "rounds_closed_form": cfg.rounds_closed_form(),
+                "rounds_exact": cfg.rounds_exact(),
                 "rounds_simulated": result.completed_rounds,
             })
     return rows
@@ -651,7 +652,7 @@ def _dispatch(args) -> int:
             scenarios = _read_json_config(args.config)
         rows = validate_timing(scenarios)
         cols = ["scenario", "group_size", "num_groups", "tau_comp", "tau_comm",
-                "tau_asyn", "rounds_closed_form", "rounds_simulated"]
+                "tau_asyn", "rounds_closed_form", "rounds_exact", "rounds_simulated"]
         _print_table(rows, cols)
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, NumericsError, SamplingError
 from .tasks import Task
 from .timing import SystemConfig, require_integer
 
@@ -37,7 +37,8 @@ class SgdLearner:
     ``local_steps``), which has already validated them. Device ids arriving
     from the scheduler are 1-based; shard indices are 0-based. Batch
     randomness is keyed on (seed, device, round); ``seed``, an integer >= 0,
-    is read once at construction.
+    is read once at construction. A batch larger than some device's shard is
+    a SamplingError at construction, not when that device first trains.
     """
 
     task: Task
@@ -47,6 +48,11 @@ class SgdLearner:
 
     def __post_init__(self) -> None:
         require_integer("seed", self.seed, 0)
+        sizes = self.task.shard_sizes
+        size = min(sizes)
+        if self.config.batch_size > size:
+            raise SamplingError(f"batch_size {self.config.batch_size} exceeds shard size "
+                                f"{size} of device {sizes.index(size)}")
         seed = int(self.seed)
         self._seed_words = [(seed >> shift) & 0xFFFFFFFF
                             for shift in range(0, max(seed.bit_length(), 1), 32)]

@@ -7,10 +7,11 @@ mini-batch addressed by sample indices within a device shard.
 data, which is what per-round metric evaluation needs. Devices are indexed
 0..N-1 here; the scheduler layer uses 1-based device ids and converts.
 
-The quadratic task is the analysis workhorse: every device shares one
+The quadratic task is the one the rate trend runs: every device shares one
 curvature matrix and differs only in the linear term, so the optimum, the
 smoothness constant, the gradient-dispersion bound, and the sampling-noise
-level are all exact closed forms.
+level are all exact closed forms, and the theorem's step size needs no
+estimate.
 
 ``MlpTask`` owns reusable work buffers: metrics evaluate all data every round,
 and a fresh 256 KB temporary would be faulted in again on every round. So one
@@ -52,14 +53,6 @@ class Task:
     def loss_and_grad(self, w: np.ndarray, device: Optional[int] = None,
                       batch: Optional[np.ndarray] = None) -> tuple[float, np.ndarray]:
         return self.loss(w, device, batch), self.grad(w, device, batch)
-
-    def persample_grad_sq_mean(self, w: np.ndarray, device: int) -> float:
-        """Mean over the shard of the squared single-sample gradient norm."""
-        total = 0.0
-        for i in range(self.shard_sizes[device]):
-            gi = self.grad(w, device, np.array([i]))
-            total += float(gi @ gi)
-        return total / self.shard_sizes[device]
 
     def check_batch(self, device: Optional[int], batch) -> None:
         if device is None:
@@ -156,11 +149,6 @@ class QuadraticTask(Task):
     def loss_and_grad(self, w, device=None, batch=None):
         offset, const = self._moments(device, batch)
         return self._loss_at(w, offset, const), self.hessian @ w - offset
-
-    def persample_grad_sq_mean(self, w, device):
-        g = self.hessian @ w
-        diffs = g[None, :] - self.sample_offsets[device]
-        return float((diffs * diffs).sum(axis=1).mean())
 
     # Exact scenario constants, available because the structure is synthetic.
 

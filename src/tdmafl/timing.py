@@ -254,15 +254,11 @@ class DelayChoice(NamedTuple):
 def optimal_intentional_delay(cfg: SystemConfig) -> DelayChoice:
     """Largest downlink deferral that leaves the round length unchanged.
 
-    With x = tau_comp / r: if x >= (G-1)(S+1) the compute window already
-    fills the rotation gap and no deferral is free, so alpha = 0 and the
-    steady staleness stays G - 1. Otherwise the effective delay d* is the
-    unique integer with (d*-1)(S+1) < x <= d*(S+1) and alpha = G - d* - 1.
+    By the schedule law (see SystemConfig.downlink_ends), deferral alpha moves
+    no round iff Delta = 0, i.e. tau_comp <= (G - 1 - alpha) * tau_comm. So
+    alpha* = max(0, G - 1 - ceil(tau_comp / tau_comm)): 0 when compute already
+    fills the rotation gap, and the steady staleness is d* = G - 1 - alpha*.
     """
     g = cfg.num_groups
-    s = cfg.group_size
-    x = Fraction(cfg.tau_comp, cfg.slots_per_transfer)
-    if x >= (g - 1) * (s + 1):
-        return DelayChoice(alpha=0, effective_delay=g - 1)
-    d_star = math.ceil(x / (s + 1))
-    return DelayChoice(alpha=g - d_star - 1, effective_delay=d_star)
+    alpha = max(0, g - 1 - math.ceil(Fraction(cfg.tau_comp, cfg.tau_comm)))
+    return DelayChoice(alpha=alpha, effective_delay=g - 1 - alpha)

@@ -396,6 +396,7 @@ class TestValidators:
         by_s = {r["group_size"]: r for r in rows}
         assert by_s[2]["rounds_simulated"] == 200  # 600 slots / 3 per round
         assert by_s[6]["tau_asyn"] == "9"
+        assert all(r["rounds_exact"] == r["rounds_simulated"] for r in rows)
 
     def test_rate_trend_smoke(self, tmp_path, capsys):
         rc = main(["rate-trend", "--groups", "1,2", "--rounds", "40",

@@ -9,7 +9,9 @@ from tdmafl import (
     ConfigError,
     MlpTask,
     NumericsError,
+    SamplingError,
     SgdLearner,
+    SoftmaxRegressionTask,
     SystemConfig,
     make_clustered_dataset,
     make_quadratic,
@@ -98,9 +100,21 @@ class TestLocalUpdate:
         assert len({tuple(b) for b in drawn}) > 1
 
     def test_batch_larger_than_shard(self):
-        learner = learner_for(identity_quadratic(samples=3), step_size=0.1, batch_size=10)
         with pytest.raises(Exception, match="exceeds shard size"):
-            learner.local_update(1, np.zeros(2), 0)
+            learner_for(identity_quadratic(samples=3), step_size=0.1, batch_size=10)
+
+    @pytest.mark.parametrize("alpha", range(4))
+    def test_small_shard_fails_before_any_round(self, alpha):
+        # Device 3's group may first train after max_rounds; the run must not
+        # complete rounds with a batch that device can never draw.
+        rng = np.random.default_rng(3)
+        sizes = (6, 6, 6, 2)
+        task = SoftmaxRegressionTask([rng.normal(size=(n, 2)) for n in sizes],
+                                     [rng.integers(0, 2, n) for n in sizes], num_classes=2)
+        cfg = SystemConfig.from_times(4, 1, compute_slots=1, horizon=10**6,
+                                      batch_size=4, intentional_delay=alpha)
+        with pytest.raises(SamplingError, match="exceeds shard size 2 of device 3"):
+            run_timeline(cfg, SgdLearner(task, cfg), max_rounds=3)
 
 
 class TestAggregate:

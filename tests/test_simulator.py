@@ -298,6 +298,10 @@ class TestScheduleProperties:
                                 record_events=False)
         assert deferred.downlink_end_slots == plain.downlink_end_slots
         assert deferred.transmitter_sets == plain.transmitter_sets
+        g = cfg.num_groups
+        if alpha + 1 <= g - 1:  # alpha* is the largest free deferral
+            later = replace(cfg, intentional_delay=alpha + 1)
+            assert later.downlink_ends(2 * g + 2) != cfg.downlink_ends(2 * g + 2)
 
 
 class TestSynchronousDegenerate:
