@@ -157,7 +157,7 @@ def _avg_grad_norm_sq_run(
     initial: Optional[np.ndarray],
 ) -> float:
     n = task.num_devices
-    cfg = SystemConfig.from_times(
+    cfg = SystemConfig(
         num_devices=n,
         group_size=n // num_groups,
         compute_slots=1,

@@ -15,11 +15,14 @@ import concurrent.futures
 import csv
 import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
+from urllib.parse import quote
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .timing import SystemConfig, optimal_intentional_delay, require_integer, re
 
 DATA_DIR_ENV = "TDMAFL_DATA_DIR"
 CSV_HEADER = ["round", "slot", "loss", "grad_norm_sq", "staleness"]
-SYSTEM_FIELDS = frozenset(f.name for f in fields(SystemConfig))
+SYSTEM_FIELDS = frozenset(f.name for f in fields(SystemConfig)) | {"samples_per_slot"}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,12 +87,13 @@ class ExperimentSpec:
 
     The ``system`` block takes the SystemConfig fields: num_devices and
     group_size (required; group_size must divide num_devices, so the TDMA
-    groups are equal), slots_per_transfer, samples_per_slot, local_steps,
-    batch_size, step_size, horizon and intentional_delay. ``compute_slots``
-    may replace ``samples_per_slot``: it sets q = H*B/compute_slots so that
-    one local update takes exactly that many slots. ``intentional_delay`` may
-    be the string "optimal" for the largest deferral that keeps the round
-    length unchanged.
+    groups are equal), compute_slots, slots_per_transfer, local_steps,
+    batch_size, step_size, horizon and intentional_delay. ``samples_per_slot``,
+    a processing rate q (an integer, a float or a "p/d" string), may replace
+    ``compute_slots``: it sets compute_slots = ceil(H*B/q), the slots one
+    local update of H steps of B samples takes; without either, q = 1.
+    ``intentional_delay`` may be the string "optimal" for the largest deferral
+    that keeps the round length unchanged.
 
     Task kinds and their fields (all optional):
         none: timing only, no model is trained.
@@ -147,12 +151,34 @@ class ExperimentSpec:
         return spec
 
 
+RationalLike = Union[int, float, str, Fraction]
+
+
+def as_fraction(name: str, value: RationalLike) -> Fraction:
+    """Convert a user-supplied rate to an exact Fraction.
+
+    Floats go through their shortest decimal repr so that an input such as
+    6.4 means 32/5, not the nearest binary double. NaN, an infinity, a bool
+    or an unparseable string is a ConfigError that names the field ``name``.
+    """
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, (float, str)):
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            pass  # NaN, an infinity, or text such as "abc" or "1/0"
+    raise ConfigError(f"{name} must be a finite rational number, got {value!r}")
+
+
 def build_system_config(system: dict) -> SystemConfig:
     """Turn the spec's system block into a SystemConfig.
 
-    Either ``samples_per_slot`` or the convenience field ``compute_slots``
-    sets the local-compute cost; ``intentional_delay`` may be the string
-    "optimal" to apply the largest free deferral.
+    A rate ``samples_per_slot`` = q becomes compute_slots = ceil(H*B/q) here
+    and nowhere else; a null ``compute_slots`` counts as absent.
+    ``intentional_delay`` "optimal" applies the largest free deferral.
     """
     sysd = dict(system)
     delay = sysd.pop("intentional_delay", 0)
@@ -166,12 +192,15 @@ def build_system_config(system: dict) -> SystemConfig:
     if compute_slots is not None:
         if "samples_per_slot" in sysd:
             raise ConfigError("give either compute_slots or samples_per_slot, not both")
-        base = SystemConfig.from_times(
-            sysd.pop("num_devices"), sysd.pop("group_size"),
-            compute_slots, sysd.pop("slots_per_transfer", 1), **sysd,
-        )
     else:
-        base = SystemConfig(**sysd)
+        local_steps, batch_size = sysd.get("local_steps", 1), sysd.get("batch_size", 1)
+        require_integer("local_steps", local_steps, 1)
+        require_integer("batch_size", batch_size, 1)
+        q = as_fraction("samples_per_slot", sysd.pop("samples_per_slot", 1))
+        if q <= 0:
+            raise ConfigError(f"samples_per_slot must be positive, got {q}")
+        compute_slots = math.ceil(local_steps * batch_size / q)
+    base = SystemConfig(compute_slots=compute_slots, **sysd)
     if delay == "optimal":
         delay = optimal_intentional_delay(base).alpha
     if delay:
@@ -319,13 +348,11 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
     ``closed_form_note`` says why. ``rounds_exact``, the schedule law's round
     count, holds for every alpha.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     cfg = build_system_config(spec.system)
     task, init = build_task(spec.task, dataset_dir, num_devices=cfg.num_devices)
 
     timing = {
-        "tau_comp": cfg.tau_comp,
+        "tau_comp": cfg.compute_slots,
         "tau_comm": cfg.tau_comm,
         "tau_asyn": str(cfg.tau_asyn),
         "num_groups": cfg.num_groups,
@@ -337,6 +364,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
         timing.update(tau_asyn=None, rounds_closed_form=None, closed_form_note=(
             f"intentional_delay {cfg.intentional_delay} exceeds alpha* = {alpha_star}, "
             "which lengthens rounds beyond the closed forms"))
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     summary: dict = {
         "name": spec.name,
         "config": spec.raw if spec.raw is not None else {},
@@ -392,7 +421,8 @@ def _run_sweep_point(args: tuple) -> dict:
     doc = json.loads(json.dumps(spec_doc))  # deep copy
     doc.pop("grid", None)
     doc.setdefault("system", {}).update(overrides)
-    point_name = "_".join(f"{k}-{v}" for k, v in sorted(overrides.items()))
+    # Quoting keeps a value such as "1/2" or "../x" inside one directory name.
+    point_name = "_".join(f"{k}-{quote(str(v), safe='')}" for k, v in sorted(overrides.items()))
     doc["name"] = f"{doc.get('name', 'sweep')}_{point_name}"
     spec = ExperimentSpec.from_dict(doc)
     row = dict(overrides)
@@ -497,21 +527,19 @@ def validate_timing(scenarios=None) -> list[dict]:
     rows = []
     for sc in scenarios:
         for s in sc["group_sizes"]:
-            cfg = SystemConfig.from_times(
+            cfg = SystemConfig(
                 sc["num_devices"], s, sc["compute_slots"],
                 sc.get("slots_per_transfer", 1), horizon=sc["horizon"],
             )
-            result = run_timeline(cfg, record_events=False, metrics_every=0)
             rows.append({
                 "scenario": sc.get("label", "custom"),
                 "group_size": s,
                 "num_groups": cfg.num_groups,
-                "tau_comp": cfg.tau_comp,
+                "tau_comp": cfg.compute_slots,
                 "tau_comm": cfg.tau_comm,
                 "tau_asyn": str(cfg.tau_asyn),
                 "rounds_closed_form": cfg.rounds_closed_form(),
                 "rounds_exact": cfg.rounds_exact(),
-                "rounds_simulated": result.completed_rounds,
             })
     return rows
 
@@ -530,7 +558,7 @@ def validate_prop1(triples=None) -> list[dict]:
         )
     rows = []
     for compute_slots, s, n in triples:
-        cfg = SystemConfig.from_times(n, s, compute_slots)
+        cfg = SystemConfig(n, s, compute_slots)
         choice = optimal_intentional_delay(cfg)
         rows.append({
             "compute_over_transfer": compute_slots,
@@ -587,7 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a spec field, e.g. system.group_size=5")
     p_sweep.add_argument("--workers", type=int, default=1, help="parallel sweep points")
-    p_vt = sub.add_parser("validate-timing", help="round counts: algebra vs simulation")
+    p_vt = sub.add_parser("validate-timing", help="round counts: paper closed form vs exact schedule law")
     p_vt.add_argument("--config", type=Path, help="JSON list of timing scenarios")
     p_vt.add_argument("--out", type=Path, help="output directory")
     p_vp = sub.add_parser("validate-prop1", help="optimal downlink deferral worked examples")
@@ -652,7 +680,7 @@ def _dispatch(args) -> int:
             scenarios = _read_json_config(args.config)
         rows = validate_timing(scenarios)
         cols = ["scenario", "group_size", "num_groups", "tau_comp", "tau_comm",
-                "tau_asyn", "rounds_closed_form", "rounds_exact", "rounds_simulated"]
+                "tau_asyn", "rounds_closed_form", "rounds_exact"]
         _print_table(rows, cols)
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)

@@ -8,8 +8,8 @@ gradient, so the single-step equations are recovered verbatim; for H > 1 the
 same server rule reproduces H-step local SGD.
 
 The step size eta, the batch size B and the local step count H are read from
-the run's SystemConfig, the same object that turns H and B into the compute
-time tau_comp of the TDMA schedule, so the two can never disagree.
+the learner's SystemConfig. ``run_timeline`` refuses a learner whose config is
+not the one it schedules, so the updates it drives use the run's B, H and eta.
 
 Each of the H steps draws a fresh mini-batch, without replacement within the
 batch, from a generator keyed on (seed, device, round), so reruns are

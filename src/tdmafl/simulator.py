@@ -116,8 +116,10 @@ def run_timeline(
 
     The round table is read off the schedule law (see the module docstring).
     The run completes K = ``cfg.rounds_exact()`` rounds, or ``max_rounds`` if
-    that is fewer; a horizon too short for one round to complete is a
-    ConfigError, raised before the learner is called. Round k ends its
+    that is fewer; ``rounds_exact`` raises ConfigError for a horizon too short
+    for one round to complete, whatever ``max_rounds`` is, before the learner
+    is called. So does a learner built on a config other than ``cfg``, whose
+    B, H and eta would not match the schedule. Round k ends its
     downlink at ``cfg.downlink_ends(K)[k]``, launches one slot after the
     previous downlink end (round 0 at slot 0), uploads group k mod G and has
     staleness min(k, m - 1), with m = G - alpha. Without a learner nothing
@@ -136,14 +138,14 @@ def run_timeline(
     alpha = cfg.intentional_delay
     g = cfg.num_groups
     m = g - alpha
-    tau_comp, tau_comm = cfg.tau_comp, cfg.tau_comm
+    tau_comp, tau_comm = cfg.compute_slots, cfg.tau_comm
+    if learner is not None and learner.config != cfg:
+        raise ConfigError("the learner was built on another SystemConfig than the schedule's")
 
     rounds = cfg.rounds_exact()
     if max_rounds is not None:
         rounds = max(0, min(rounds, max_rounds))
     downlink_ends = cfg.downlink_ends(rounds)
-    if rounds == 1 and downlink_ends[0] >= cfg.horizon:
-        raise ConfigError(f"no training round completes within the {cfg.horizon}-slot horizon")
 
     # One id tuple per group, so the run's records share G tuples of ints.
     members = [tuple(range(j * s + 1, (j + 1) * s + 1)) for j in range(g)]

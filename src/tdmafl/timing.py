@@ -1,11 +1,11 @@
 """Closed-form slot accounting for TDMA-scheduled federated training.
 
-Everything here is pure arithmetic on the scenario constants: per-round
-compute and communication costs, the average round length under pipelined
-(asynchronous) scheduling, the exact downlink end and round count of every
-run (the schedule law, for every deferral), the staleness law induced by
-group rotation, and the largest downlink deferral that keeps the pipeline
-saturated.
+Everything here is pure arithmetic on the scenario constants, all slot counts:
+per-round compute (``compute_slots``) and communication costs, the average
+round length under pipelined (asynchronous) scheduling, the exact downlink end
+and round count of every run (the schedule law, for every deferral), the
+staleness law induced by group rotation, and the largest downlink deferral
+that keeps the pipeline saturated. A spec's rate becomes slots in the CLI.
 
 Average round lengths are kept as exact ``Fraction`` values because the
 pipelined average divides an integer slot count by the group count; rounding
@@ -18,30 +18,9 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import ConfigError
-
-RationalLike = Union[int, float, str, Fraction]
-
-
-def as_fraction(name: str, value: RationalLike) -> Fraction:
-    """Convert a user-supplied rate to an exact Fraction.
-
-    Floats go through their shortest decimal repr so that an input such as
-    6.4 means 32/5, not the nearest binary double. NaN, an infinity, a bool
-    or an unparseable string is a ConfigError that names the field ``name``.
-    """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, (float, str)):
-        try:
-            return Fraction(str(value))
-        except (ValueError, ZeroDivisionError):
-            pass  # NaN, an infinity, or text such as "abc" or "1/0"
-    raise ConfigError(f"{name} must be a finite rational number, got {value!r}")
 
 
 def require_integer(name: str, value, minimum: int) -> None:
@@ -59,12 +38,14 @@ def require_real(name: str, value) -> None:
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
 
 
+# The compute cost first, as a spec that gives a rate checks H and B first.
 _INTEGER_FIELDS = (
+    ("compute_slots", 1),
+    ("local_steps", 1),
+    ("batch_size", 1),
     ("num_devices", 1),
     ("group_size", 1),
     ("slots_per_transfer", 1),
-    ("local_steps", 1),
-    ("batch_size", 1),
     ("horizon", 1),
     ("intentional_delay", 0),
 )
@@ -78,8 +59,10 @@ class SystemConfig:
         num_devices: N, number of devices holding data shards.
         group_size: S, devices that upload in each training round; it must
             divide N, so the devices form G = N / S equal TDMA groups.
+        compute_slots: tau_comp, slots one local update takes (H steps of B
+            samples). An experiment spec may give a processing rate q
+            instead, which sets it to ceil(H * B / q).
         slots_per_transfer: r, slots needed for one model upload or download.
-        samples_per_slot: q, per-device processing rate (samples per slot).
         local_steps: H, gradient steps per local update.
         batch_size: B, mini-batch size per gradient step.
         step_size: eta, server step size.
@@ -90,8 +73,8 @@ class SystemConfig:
 
     num_devices: int
     group_size: int
+    compute_slots: int
     slots_per_transfer: int = 1
-    samples_per_slot: RationalLike = 1
     local_steps: int = 1
     batch_size: int = 1
     step_size: float = 0.01
@@ -101,10 +84,6 @@ class SystemConfig:
     def __post_init__(self) -> None:
         for name, minimum in _INTEGER_FIELDS:
             require_integer(name, getattr(self, name), minimum)
-        q = as_fraction("samples_per_slot", self.samples_per_slot)
-        object.__setattr__(self, "samples_per_slot", q)
-        if self.samples_per_slot <= 0:
-            raise ConfigError(f"samples_per_slot must be positive, got {self.samples_per_slot}")
         require_real("step_size", self.step_size)
         if self.step_size <= 0:
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
@@ -119,46 +98,10 @@ class SystemConfig:
                 f"got {self.intentional_delay}"
             )
 
-    @classmethod
-    def from_times(
-        cls,
-        num_devices: int,
-        group_size: int,
-        compute_slots: int,
-        slots_per_transfer: int = 1,
-        **kwargs,
-    ) -> "SystemConfig":
-        """Build a config with a prescribed local-compute cost in slots.
-
-        Picks the processing rate q = H*B/compute_slots so that the derived
-        compute time equals ``compute_slots`` exactly, leaving the learning
-        hyperparameters free.
-        """
-        local_steps = kwargs.pop("local_steps", 1)
-        batch_size = kwargs.pop("batch_size", 1)
-        for name, value in [("compute_slots", compute_slots), ("local_steps", local_steps),
-                            ("batch_size", batch_size)]:
-            require_integer(name, value, 1)
-        q = Fraction(local_steps * batch_size, compute_slots)
-        return cls(
-            num_devices=num_devices,
-            group_size=group_size,
-            slots_per_transfer=slots_per_transfer,
-            samples_per_slot=q,
-            local_steps=local_steps,
-            batch_size=batch_size,
-            **kwargs,
-        )
-
     @property
     def num_groups(self) -> int:
         """G, the number of TDMA groups: N / S."""
         return self.num_devices // self.group_size
-
-    @property
-    def tau_comp(self) -> int:
-        """Slots needed for one local update: ceil(H * B / q)."""
-        return math.ceil(Fraction(self.local_steps * self.batch_size) / self.samples_per_slot)
 
     @property
     def tau_comm(self) -> int:
@@ -174,7 +117,7 @@ class SystemConfig:
         the channel never idles and each round costs exactly tau_comm.
         """
         g = self.num_groups
-        tau_comp = self.tau_comp
+        tau_comp = self.compute_slots
         if tau_comp >= (g - 1) * self.tau_comm:
             return Fraction(tau_comp + self.tau_comm, g)
         return Fraction(self.tau_comm)
@@ -193,7 +136,7 @@ class SystemConfig:
     def _rotation(self) -> tuple[int, int, int]:
         """(m, Delta, P) of the schedule law; see downlink_ends."""
         m = self.num_groups - self.intentional_delay
-        tau_comp, tau_comm = self.tau_comp, self.tau_comm
+        tau_comp, tau_comm = self.compute_slots, self.tau_comm
         delta = max(0, tau_comp - (m - 1) * tau_comm)
         return m, delta, m * tau_comm + delta
 
@@ -201,14 +144,15 @@ class SystemConfig:
         """K, the number of rounds a run completes, for every alpha.
 
         Round 0 always launches, and round k + 1 launches iff E_k <= T (see
-        downlink_ends), so K = 1 if T < tau_comp + tau_comm, and otherwise
-        K = 2 + q*m + min(m - 1, floor((T - tau_comp - q*P) / tau_comm) - 1)
+        downlink_ends). If T < tau_comp + tau_comm, round 0 ends past the
+        horizon and no training round completes within it: a ConfigError.
+        Otherwise K = 2 + q*m + min(m - 1, floor((T - tau_comp - q*P) / tau_comm) - 1)
         with q = floor((T - tau_comp - tau_comm) / P).
         """
         m, _, period = self._rotation()
-        tau_comp, tau_comm, horizon = self.tau_comp, self.tau_comm, self.horizon
+        tau_comp, tau_comm, horizon = self.compute_slots, self.tau_comm, self.horizon
         if horizon < tau_comp + tau_comm:
-            return 1
+            raise ConfigError(f"no training round completes within the {horizon}-slot horizon")
         q = (horizon - tau_comp - tau_comm) // period
         return 2 + q * m + min(m - 1, (horizon - tau_comp - q * period) // tau_comm - 1)
 
@@ -226,7 +170,7 @@ class SystemConfig:
         """
         m, delta, _ = self._rotation()
         tau_comm = self.tau_comm
-        first = self.tau_comp + tau_comm - 1
+        first = self.compute_slots + tau_comm - 1
         return [first + k * tau_comm + k // m * delta for k in range(rounds)]
 
 
@@ -260,5 +204,5 @@ def optimal_intentional_delay(cfg: SystemConfig) -> DelayChoice:
     fills the rotation gap, and the steady staleness is d* = G - 1 - alpha*.
     """
     g = cfg.num_groups
-    alpha = max(0, g - 1 - math.ceil(Fraction(cfg.tau_comp, cfg.tau_comm)))
+    alpha = max(0, g - 1 - math.ceil(Fraction(cfg.compute_slots, cfg.tau_comm)))
     return DelayChoice(alpha=alpha, effective_delay=g - 1 - alpha)

@@ -121,8 +121,8 @@ class TestDescentInequality:
         assert m2 / 5e-5 == pytest.approx(slope, rel=0.02)
 
     def test_trajectory_probes_have_no_violations(self, hetero_quad):
-        cfg = SystemConfig.from_times(4, 2, compute_slots=1, horizon=10**6,
-                                      step_size=0.02, batch_size=4)
+        cfg = SystemConfig(4, 2, compute_slots=1, horizon=10**6,
+                           step_size=0.02, batch_size=4)
         probes = check_descent_lemma(
             hetero_quad, exact_constants(hetero_quad), cfg, trials=2000,
             rng=np.random.default_rng(13), probes=25, trajectory_rounds=80,
@@ -132,8 +132,8 @@ class TestDescentInequality:
         assert all(margin >= -3.0 * se for _, margin, se in probes)
 
     def test_se_warning(self, hetero_quad):
-        cfg = SystemConfig.from_times(4, 2, compute_slots=1, horizon=10**6,
-                                      step_size=0.02, batch_size=4)
+        cfg = SystemConfig(4, 2, compute_slots=1, horizon=10**6,
+                           step_size=0.02, batch_size=4)
         with pytest.warns(UserWarning, match="standard error"):
             check_descent_lemma(
                 hetero_quad, exact_constants(hetero_quad), cfg, trials=16,
@@ -144,8 +144,8 @@ class TestDescentInequality:
     def test_rejects_multi_step_config(self, hetero_quad):
         # The probe's two sides model one local step; H = 2 must not be
         # silently replaced by H = 1.
-        cfg = SystemConfig.from_times(4, 2, compute_slots=1, horizon=10**6,
-                                      step_size=0.02, batch_size=4, local_steps=2)
+        cfg = SystemConfig(4, 2, compute_slots=1, horizon=10**6,
+                           step_size=0.02, batch_size=4, local_steps=2)
         with pytest.raises(ConfigError, match="local_steps=2"):
             check_descent_lemma(hetero_quad, exact_constants(hetero_quad), cfg,
                                 trials=16, rng=np.random.default_rng(14), probes=4)
@@ -213,8 +213,8 @@ class TestRateTrend:
         task = make_quadratic(4, 4, 0.0, np.random.default_rng(18),
                               samples_per_device=20, sample_noise=0.2,
                               eig_range=(0.5, 2.0))
-        cfg = SystemConfig.from_times(4, 1, compute_slots=1, horizon=10**6,
-                                      step_size=0.05, batch_size=4)
+        cfg = SystemConfig(4, 1, compute_slots=1, horizon=10**6,
+                           step_size=0.05, batch_size=4)
         learner = SgdLearner(task, cfg, seed=0, initial=task.w_star + 3.0)
         result = run_timeline(cfg, learner, max_rounds=800, record_events=False)
         start = float(np.sum(task.grad(task.w_star + 3.0) ** 2))

@@ -61,7 +61,7 @@ def test_probes_install_trace_and_restore(bench, tmp_path):
 
 def test_call_stats_reads_a_timing_only_result(bench):
     prog = bench.import_program()
-    cfg = SystemConfig.from_times(6, 2, compute_slots=2, horizon=40)
+    cfg = SystemConfig(6, 2, compute_slots=2, horizon=40)
     result = run_timeline(cfg, metrics_every=0)
     stats = bench.CallStats(prog.timing)
     stats.add_result(result)

@@ -316,6 +316,21 @@ class TestExitCodes:
         assert [r["status"] for r in rows] == ["ok" if s == 2 else "error" for s in sizes]
         assert (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("command", ["run", "validate-timing"])
+    def test_horizon_shorter_than_one_round(self, tmp_path, capsys, command):
+        # 6 compute slots and 3 channel slots: round 0 ends at slot 8 >= T = 8.
+        if command == "run":
+            path = write_spec(tmp_path, quad_spec(horizon=8))
+        else:
+            path = tmp_path / "scen.json"
+            path.write_text(json.dumps([{"num_devices": 4, "horizon": 8, "compute_slots": 6,
+                                         "group_sizes": [2]}]))
+        rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: no training round completes")
+        assert err.count("\n") == 1
+
     def test_override_on_a_non_object_config(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -366,6 +381,18 @@ class TestSweep:
         # Full-group runs are identical with and without deferral.
         assert pick[(4, 0)]["mean_final_loss"] == pick[(4, "optimal")]["mean_final_loss"]
 
+    def test_each_point_writes_one_directory_under_the_output(self, tmp_path):
+        doc = quad_spec(horizon=40)
+        del doc["system"]["compute_slots"]
+        doc["seeds"] = [0]
+        doc["grid"] = {"samples_per_slot": ["1/2", "../../esc"]}  # the second is invalid
+        rows = run_sweep(ExperimentSpec.from_dict(doc), tmp_path / "a" / "sweep")
+        assert [r["status"] for r in rows] == ["ok", "error"]
+        point = "a/sweep/samples_per_slot-1%2F2"
+        made = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_dir()}
+        assert made == {"a", "a/sweep", point, f"{point}/seed0"}
+        assert (tmp_path / point / "summary.json").exists()
+
     def test_sweep_needs_grid(self, tmp_path):
         doc = quad_spec()
         doc["mode"] = "sweep"
@@ -394,9 +421,9 @@ class TestValidators:
         assert rc == EXIT_OK
         rows = json.loads((tmp_path / "out" / "timing.json").read_text())
         by_s = {r["group_size"]: r for r in rows}
-        assert by_s[2]["rounds_simulated"] == 200  # 600 slots / 3 per round
+        assert by_s[2]["rounds_exact"] == 200  # 600 slots / 3 per round
+        assert by_s[6]["rounds_exact"] == 67  # 2 + 7 slots per round, the last one ends past T
         assert by_s[6]["tau_asyn"] == "9"
-        assert all(r["rounds_exact"] == r["rounds_simulated"] for r in rows)
 
     def test_rate_trend_smoke(self, tmp_path, capsys):
         rc = main(["rate-trend", "--groups", "1,2", "--rounds", "40",

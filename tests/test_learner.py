@@ -32,7 +32,9 @@ def identity_quadratic(num_devices=1, samples=4, dim=2):
 
 def learner_for(task, seed=0, initial=None, **run):
     """An SgdLearner whose eta, B and H are the given SystemConfig fields."""
-    cfg = SystemConfig(num_devices=task.num_devices, group_size=1, **run)
+    compute_slots = run.get("local_steps", 1) * run.get("batch_size", 1)
+    cfg = SystemConfig(num_devices=task.num_devices, group_size=1,
+                       compute_slots=compute_slots, **run)
     return SgdLearner(task, cfg, seed=seed, initial=initial)
 
 
@@ -111,8 +113,8 @@ class TestLocalUpdate:
         sizes = (6, 6, 6, 2)
         task = SoftmaxRegressionTask([rng.normal(size=(n, 2)) for n in sizes],
                                      [rng.integers(0, 2, n) for n in sizes], num_classes=2)
-        cfg = SystemConfig.from_times(4, 1, compute_slots=1, horizon=10**6,
-                                      batch_size=4, intentional_delay=alpha)
+        cfg = SystemConfig(4, 1, compute_slots=1, horizon=10**6,
+                           batch_size=4, intentional_delay=alpha)
         with pytest.raises(SamplingError, match="exceeds shard size 2 of device 3"):
             run_timeline(cfg, SgdLearner(task, cfg), max_rounds=3)
 
@@ -158,8 +160,8 @@ class TestGlobalUpdate:
         # the gradient below 1e-6 within 200 rounds.
         task = make_quadratic(4, 6, 0.0, np.random.default_rng(5),
                               eig_range=(0.7, 7.0))
-        cfg = SystemConfig.from_times(4, 4, compute_slots=1, horizon=10**6,
-                                      step_size=0.1, batch_size=32)
+        cfg = SystemConfig(4, 4, compute_slots=1, horizon=10**6,
+                           step_size=0.1, batch_size=32)
         learner = SgdLearner(task, cfg, seed=0, initial=task.w_star + 0.1)
         result = run_timeline(cfg, learner, max_rounds=200, record_events=False)
         assert np.linalg.norm(task.grad(result.final_model)) < 1e-6
@@ -227,8 +229,8 @@ class TestPipelineEquivalences:
         task = QuadraticTask(hessian=np.diag([0.5, 1.0, 2.0]),
                              sample_offsets=np.repeat(shard, n, axis=0))
         eta, batch = 0.05, 5
-        cfg = SystemConfig.from_times(n, n, compute_slots=1, horizon=10**6,
-                                      step_size=eta, batch_size=batch)
+        cfg = SystemConfig(n, n, compute_slots=1, horizon=10**6,
+                           step_size=eta, batch_size=batch)
         learner = SgdLearner(task, cfg, seed=123, initial=np.ones(3))
         result = run_timeline(cfg, learner, max_rounds=50,
                               record_events=False, keep_model_history=True)
@@ -252,8 +254,8 @@ class TestPipelineEquivalences:
         task = make_quadratic(6, 4, 1.0, np.random.default_rng(10),
                               samples_per_device=10, sample_noise=0.4)
         eta, batch = 0.05, 3
-        cfg = SystemConfig.from_times(6, 2, compute_slots=1, horizon=10**6,
-                                      step_size=eta, batch_size=batch)
+        cfg = SystemConfig(6, 2, compute_slots=1, horizon=10**6,
+                           step_size=eta, batch_size=batch)
         learner = SgdLearner(task, cfg, seed=42)
         result = run_timeline(cfg, learner, max_rounds=30,
                               record_events=False, keep_model_history=True)

@@ -42,7 +42,7 @@ class TestGoldenTimeline:
 
     @pytest.fixture()
     def result(self):
-        cfg = SystemConfig.from_times(6, 2, compute_slots=2, horizon=1000)
+        cfg = SystemConfig(6, 2, compute_slots=2, horizon=1000)
         return run_timeline(cfg, max_rounds=3)
 
     def test_uplink_slots_and_devices(self, result):
@@ -88,7 +88,7 @@ class TestComputeBoundSchedule:
 
     @pytest.fixture()
     def result(self):
-        cfg = SystemConfig.from_times(4, 2, compute_slots=50, horizon=10**6)
+        cfg = SystemConfig(4, 2, compute_slots=50, horizon=10**6)
         return run_timeline(cfg, max_rounds=12)
 
     def test_waits_for_recomputation(self, result):
@@ -109,7 +109,7 @@ class TestComputeBoundSchedule:
 class TestTableRoundCounts:
     @pytest.mark.parametrize("s,expect", [(1, 24976), (50, 980), (100, 332)])
     def test_long_horizon_counts(self, s, expect):
-        cfg = SystemConfig.from_times(100, s, compute_slots=50, horizon=50000)
+        cfg = SystemConfig(100, s, compute_slots=50, horizon=50000)
         result = run_timeline(cfg, record_events=False, metrics_every=0)
         assert result.completed_rounds == expect
 
@@ -143,13 +143,13 @@ GRID = [
 class TestScheduleInvariants:
     @pytest.mark.parametrize("n,s,comp,r", GRID)
     def test_channel_and_device_exclusivity(self, n, s, comp, r):
-        cfg = SystemConfig.from_times(n, s, comp, r, horizon=10**7)
+        cfg = SystemConfig(n, s, comp, r, horizon=10**7)
         g = cfg.num_groups
         assert_exclusive(run_timeline(cfg, max_rounds=3 * g + 5), comp, r)
 
     @pytest.mark.parametrize("n,s,comp,r", GRID)
     def test_staleness_identity_and_closed_form(self, n, s, comp, r):
-        cfg = SystemConfig.from_times(n, s, comp, r, horizon=10**7)
+        cfg = SystemConfig(n, s, comp, r, horizon=10**7)
         g = cfg.num_groups
         result = run_timeline(cfg, max_rounds=3 * g + 5, record_events=False)
         for rec in result.staleness_records:
@@ -157,14 +157,14 @@ class TestScheduleInvariants:
 
     @pytest.mark.parametrize("n,s,comp,r", GRID)
     def test_steady_average_matches_formula(self, n, s, comp, r):
-        cfg = SystemConfig.from_times(n, s, comp, r, horizon=10**7)
+        cfg = SystemConfig(n, s, comp, r, horizon=10**7)
         g = cfg.num_groups
         result = run_timeline(cfg, max_rounds=11 * g + 1, record_events=False)
         ends = result.downlink_end_slots
         assert Fraction(ends[-1] - ends[-1 - 10 * g], 10 * g) == cfg.tau_asyn
 
     def test_determinism(self):
-        cfg = SystemConfig.from_times(6, 2, compute_slots=4, horizon=4000)
+        cfg = SystemConfig(6, 2, compute_slots=4, horizon=4000)
         a = run_timeline(cfg)
         b = run_timeline(cfg)
         assert a.events == b.events
@@ -178,8 +178,8 @@ def schedules(draw, deferred=True):
     s = draw(st.sampled_from(divisors(n)))
     g = n // s
     alpha = draw(st.integers(0, g - 1)) if deferred else 0
-    cfg = SystemConfig.from_times(n, s, draw(st.integers(1, 60)), draw(st.integers(1, 5)),
-                                  horizon=10**7, intentional_delay=alpha)
+    cfg = SystemConfig(n, s, draw(st.integers(1, 60)), draw(st.integers(1, 5)),
+                       horizon=10**7, intentional_delay=alpha)
     return cfg, draw(st.integers(1, 3 * g + 5))
 
 
@@ -195,7 +195,7 @@ def recurrence_clocks(cfg):
         k = len(clocks)
         prev = clocks[k - 1] if k >= 1 else 0
         back = clocks[k - m] if k >= m else 0
-        clocks.append(max(prev, back + cfg.tau_comp) + cfg.tau_comm)
+        clocks.append(max(prev, back + cfg.compute_slots) + cfg.tau_comm)
         yield clocks[-1]
 
 
@@ -221,15 +221,17 @@ class TestScheduleProperties:
     def test_law_matches_the_recurrence(self, cfg):
         """The closed-form ends and count equal the max-plus recurrence, for every alpha."""
         oracle = launched_ends(cfg)
-        assert cfg.rounds_exact() == len(oracle)
         assert cfg.downlink_ends(len(oracle)) == oracle
         more = len(oracle) + 7  # the law holds past the horizon too
         assert cfg.downlink_ends(more) == [c - 1 for c in islice(recurrence_clocks(cfg), more)]
-        if cfg.tau_comp + cfg.tau_comm - 1 >= cfg.horizon:
+        if cfg.compute_slots + cfg.tau_comm - 1 >= cfg.horizon:
             assert len(oracle) == 1
+            with pytest.raises(ConfigError, match="no training round completes"):
+                cfg.rounds_exact()
             with pytest.raises(ConfigError, match="no training round completes"):
                 run_timeline(cfg, record_events=False, metrics_every=0)
         else:
+            assert cfg.rounds_exact() == len(oracle)
             result = run_timeline(cfg, record_events=False, metrics_every=0)
             assert result.completed_rounds == len(oracle)
             assert result.downlink_end_slots == oracle
@@ -246,7 +248,7 @@ class TestScheduleProperties:
         cfg, rounds = case
         s, r = cfg.group_size, cfg.slots_per_transfer
         result = run_timeline(cfg, max_rounds=rounds)
-        assert_exclusive(result, cfg.tau_comp, r)
+        assert_exclusive(result, cfg.compute_slots, r)
 
         finished = sorted((e.slot, e.device_id, e.round_index)
                           for e in result.events if e.kind == "compute_done")
@@ -306,7 +308,7 @@ class TestScheduleProperties:
 
 class TestSynchronousDegenerate:
     def test_full_group_staleness_all_zero(self):
-        cfg = SystemConfig.from_times(8, 8, compute_slots=5, horizon=5000)
+        cfg = SystemConfig(8, 8, compute_slots=5, horizon=5000)
         result = run_timeline(cfg, record_events=False)
         assert result.completed_rounds > 10
         assert all(rec.staleness == 0 for rec in result.staleness_records)
@@ -317,8 +319,8 @@ class TestDeferredDownlink:
         # Four devices, singleton groups, two-slot compute, deferral of 2:
         # groups 1..2 compute immediately, groups 3 and 4 receive their first
         # model at the end of rounds 0 and 1 respectively.
-        cfg = SystemConfig.from_times(4, 1, compute_slots=2, horizon=10**6,
-                                      intentional_delay=2)
+        cfg = SystemConfig(4, 1, compute_slots=2, horizon=10**6,
+                           intentional_delay=2)
         result = run_timeline(cfg, max_rounds=5)
         assert uplinks(result) == [
             (2, 1, 0), (4, 2, 1), (6, 3, 2), (8, 4, 3), (10, 1, 4),
@@ -333,10 +335,10 @@ class TestDeferredDownlink:
 
     def test_staleness_matches_deferred_law(self):
         for n, s, comp in [(4, 1, 2), (6, 2, 4), (20, 5, 7), (100, 1, 50)]:
-            base = SystemConfig.from_times(n, s, comp, horizon=10**7)
+            base = SystemConfig(n, s, comp, horizon=10**7)
             alpha = optimal_intentional_delay(base).alpha
-            cfg = SystemConfig.from_times(n, s, comp, horizon=10**7,
-                                          intentional_delay=alpha)
+            cfg = SystemConfig(n, s, comp, horizon=10**7,
+                               intentional_delay=alpha)
             g = cfg.num_groups
             result = run_timeline(cfg, max_rounds=3 * g + 5, record_events=False)
             for rec in result.staleness_records:
@@ -344,13 +346,13 @@ class TestDeferredDownlink:
                     n, s, comp, alpha, rec)
 
     def test_optimal_delay_keeps_duration_and_one_more_slows(self):
-        cfg0 = SystemConfig.from_times(4, 1, compute_slots=2, horizon=10**6)
+        cfg0 = SystemConfig(4, 1, compute_slots=2, horizon=10**6)
         alpha = optimal_intentional_delay(cfg0).alpha
         assert alpha == 2
 
         def steady(a):
-            cfg = SystemConfig.from_times(4, 1, compute_slots=2, horizon=10**6,
-                                          intentional_delay=a)
+            cfg = SystemConfig(4, 1, compute_slots=2, horizon=10**6,
+                               intentional_delay=a)
             ends = run_timeline(cfg, max_rounds=40, record_events=False).downlink_end_slots
             return Fraction(ends[-1] - ends[-9], 8)  # the last two rotations of G = 4
 
@@ -381,12 +383,12 @@ def counting_learner(cfg):
 
 class TestHorizonAccounting:
     def test_no_round_completes_is_a_config_error(self):
-        cfg = SystemConfig.from_times(4, 2, compute_slots=50, horizon=10)
+        cfg = SystemConfig(4, 2, compute_slots=50, horizon=10)
         with pytest.raises(ConfigError, match="no training round completes"):
             run_timeline(cfg)
 
     def test_no_round_completes_calls_no_learner(self):
-        cfg = SystemConfig.from_times(4, 2, compute_slots=50, horizon=52)  # 52 < 50 + 3
+        cfg = SystemConfig(4, 2, compute_slots=50, horizon=52)  # 52 < 50 + 3
         learner = counting_learner(cfg)
         with pytest.raises(ConfigError, match="no training round completes"):
             run_timeline(cfg, learner)
@@ -394,7 +396,7 @@ class TestHorizonAccounting:
 
     def test_boundary_round_still_launches(self):
         # A round whose start coincides with budget exhaustion is still run.
-        cfg = SystemConfig.from_times(2, 2, compute_slots=2, horizon=5)
+        cfg = SystemConfig(2, 2, compute_slots=2, horizon=5)
         result = run_timeline(cfg)
         assert result.completed_rounds == 2
 
@@ -406,7 +408,7 @@ class TestLearnerDriving:
     @pytest.mark.parametrize("alpha,rounds", [(0, 20), (1, 20), (2, 13)])
     @pytest.mark.parametrize("max_rounds", [None, 7])
     def test_every_computed_update_is_uploaded(self, alpha, rounds, max_rounds):
-        cfg = SystemConfig.from_times(6, 2, compute_slots=2, horizon=60, intentional_delay=alpha)
+        cfg = SystemConfig(6, 2, compute_slots=2, horizon=60, intentional_delay=alpha)
         assert optimal_intentional_delay(replace(cfg, intentional_delay=0)).alpha == 1
         learner = counting_learner(cfg)
         result = run_timeline(cfg, learner, max_rounds=max_rounds, record_events=False)
@@ -415,9 +417,21 @@ class TestLearnerDriving:
                                  "round_metrics": result.completed_rounds}
 
 
+    def test_learner_on_another_config_is_rejected(self):
+        # Without the check this trained 20 rounds with the learner's B, H and eta.
+        cfg = SystemConfig(6, 2, compute_slots=2, horizon=60, batch_size=2)
+        other = replace(cfg, batch_size=8, local_steps=3, step_size=0.5)
+        task = make_quadratic(6, 3, 1.0, np.random.default_rng(4), samples_per_device=8)
+        learner = CountingLearner(task, other, seed=2)
+        with pytest.raises(ConfigError, match="another SystemConfig"):
+            run_timeline(cfg, learner, record_events=False)
+        assert learner.calls == Counter()
+        assert run_timeline(other, learner, record_events=False).completed_rounds == 20
+
+
 class TestMeasuredStaleness:
     def test_multiset_and_range(self):
-        cfg = SystemConfig.from_times(6, 2, compute_slots=2, horizon=500)
+        cfg = SystemConfig(6, 2, compute_slots=2, horizon=500)
         result = run_timeline(cfg, max_rounds=10)
         assert staleness_of(result, 0) == [0, 0]
         assert staleness_of(result, 9) == [2, 2]
