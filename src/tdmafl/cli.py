@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -200,12 +200,9 @@ def build_system_config(system: dict) -> SystemConfig:
         if q <= 0:
             raise ConfigError(f"samples_per_slot must be positive, got {q}")
         compute_slots = math.ceil(local_steps * batch_size / q)
-    base = SystemConfig(compute_slots=compute_slots, **sysd)
     if delay == "optimal":
-        delay = optimal_intentional_delay(base).alpha
-    if delay:
-        base = replace(base, intentional_delay=delay)
-    return base
+        delay = optimal_intentional_delay(SystemConfig(compute_slots=compute_slots, **sysd)).alpha
+    return SystemConfig(compute_slots=compute_slots, intentional_delay=delay, **sysd)
 
 
 def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int):
@@ -364,6 +361,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
         timing.update(tau_asyn=None, rounds_closed_form=None, closed_form_note=(
             f"intentional_delay {cfg.intentional_delay} exceeds alpha* = {alpha_star}, "
             "which lengthens rounds beyond the closed forms"))
+    learners = [None if task is None else SgdLearner(task, cfg, seed=seed, initial=init)
+                for seed in spec.seeds]  # a bad batch size fails here, before any output
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary: dict = {
@@ -373,8 +372,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
         "per_seed": [],
     }
     error: Optional[NumericsError] = None
-    for seed in spec.seeds:
-        learner = None if task is None else SgdLearner(task, cfg, seed=seed, initial=init)
+    for seed, learner in zip(spec.seeds, learners):
         try:
             result = run_timeline(
                 cfg, learner, record_events=False, metrics_every=spec.metrics_every

@@ -9,6 +9,7 @@ non-IID experiments.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,8 +19,6 @@ import numpy as np
 
 from .errors import DataError, IdxParseError
 
-IDX_IMAGE_MAGIC = 0x00000803
-IDX_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixels
 LABEL_RETRIES = 20  # label draws per device in partition_single_label
 
@@ -64,44 +63,36 @@ def _read_be32(fh, field: str) -> int:
     return struct.unpack(">i", raw)[0]
 
 
-def load_idx_images(path) -> np.ndarray:
-    """Read an IDX image file into a uint8 array of shape (count, rows, cols)."""
+def _read_idx(path, ndim: int, payload: str) -> np.ndarray:
+    """Read an IDX file of unsigned bytes with ``ndim`` dimensions.
+
+    The header is the magic 0x800 + ndim, then ndim big-endian int32
+    dimensions; the payload is their product of bytes. Returns a read-only
+    uint8 view of that shape.
+    """
     with _open_maybe_gzip(path) as fh:
         magic = _read_be32(fh, "magic")
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxParseError(
-                f"bad magic in image file: expected {IDX_IMAGE_MAGIC:#010x}, got {magic:#010x}"
-            )
-        count = _read_be32(fh, "count")
-        rows = _read_be32(fh, "rows")
-        cols = _read_be32(fh, "cols")
-        if min(count, rows, cols) < 0:
-            raise IdxParseError("negative header field in image file")
-        raw = fh.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise IdxParseError(
-                f"truncated pixel data: expected {count * rows * cols} bytes, got {len(raw)}"
-            )
-        return np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
+        if magic != 0x800 + ndim:
+            raise IdxParseError(f"bad magic in {path}: expected {0x800 + ndim:#010x} "
+                                f"({ndim}-dimensional IDX), got {magic:#010x}")
+        shape = [_read_be32(fh, f"dimension {axis}") for axis in range(ndim)]
+        if min(shape) < 0:
+            raise IdxParseError(f"negative dimension in the header of {path}")
+        size = math.prod(shape)
+        raw = fh.read(size)
+    if len(raw) != size:
+        raise IdxParseError(f"truncated {payload} data: expected {size} bytes, got {len(raw)}")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+
+
+def load_idx_images(path) -> np.ndarray:
+    """Read an IDX image file into a read-only uint8 array of shape (count, rows, cols)."""
+    return _read_idx(path, 3, "pixel")
 
 
 def load_idx_labels(path) -> np.ndarray:
     """Read an IDX label file into a uint8 array of shape (count,)."""
-    with _open_maybe_gzip(path) as fh:
-        magic = _read_be32(fh, "magic")
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxParseError(
-                f"bad magic in label file: expected {IDX_LABEL_MAGIC:#010x}, got {magic:#010x}"
-            )
-        count = _read_be32(fh, "count")
-        if count < 0:
-            raise IdxParseError("negative count in label file")
-        raw = fh.read(count)
-        if len(raw) != count:
-            raise IdxParseError(
-                f"truncated label data: expected {count} bytes, got {len(raw)}"
-            )
-        return np.frombuffer(raw, dtype=np.uint8).copy()
+    return _read_idx(path, 1, "label").copy()
 
 
 def load_idx_dataset(images_path, labels_path) -> LabeledDataset:

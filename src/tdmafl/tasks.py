@@ -13,9 +13,12 @@ smoothness constant, the gradient-dispersion bound, and the sampling-noise
 level are all exact closed forms, and the theorem's step size needs no
 estimate.
 
-``MlpTask`` owns reusable work buffers: metrics evaluate all data every round,
-and a fresh 256 KB temporary would be faulted in again on every round. So one
-task instance must not be used from two threads at once (a process-pool sweep
+The classifiers are one class: ``SoftmaxRegressionTask`` is a softmax layer
+over per-device shards, with one forward and one backward pass written as a
+loop over layers, and ``MlpTask`` only adds a tanh hidden layer in front.
+Both own reusable work buffers: metrics evaluate all data every round, and a
+fresh 256 KB temporary would be faulted in again on every round. So one task
+instance must not be used from two threads at once (a process-pool sweep
 builds one task per point).
 """
 
@@ -220,30 +223,25 @@ def make_quadratic(
     return QuadraticTask(hessian=hessian, sample_offsets=samples)
 
 
-def _softmax_logits(logits: np.ndarray, probs: Optional[np.ndarray] = None):
-    """(probs, log-probs); log-probs overwrite ``logits``, probs go to ``probs`` if given."""
-    logits -= logits.max(axis=1, keepdims=True)
-    probs = np.exp(logits, out=probs)
-    total = probs.sum(axis=1, keepdims=True)
-    probs /= total
-    logits -= np.log(total)
-    return probs, logits
-
-
 def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean cross-entropy of the labels under the given log-probabilities."""
     return float(-log_probs[np.arange(len(labels)), labels].mean())
 
 
-def _logit_grad(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Gradient of the mean cross-entropy in the logits; overwrites ``probs``."""
-    probs[np.arange(len(labels)), labels] -= 1.0
-    probs /= len(labels)
-    return probs
+class SoftmaxRegressionTask(Task):
+    """Softmax classifier over explicit per-device (features, labels) shards.
 
+    As constructed it is multinomial logistic regression; ``MlpTask`` puts
+    tanh hidden layers in front of the same softmax output layer. The
+    parameters hold each layer's (out, in) weights, then its biases, input
+    layer first: (C, d) weights then C biases here.
 
-class ShardedTask(Task):
-    """Base for tasks over explicit per-device (features, labels) shards."""
+    Every pass writes into leading rows of work buffers sized to all data, as
+    a fresh (samples, width) temporary is faulted in again on every round.
+    Results never alias them; one instance must not be used from two threads.
+    """
+
+    _hidden_widths: tuple[int, ...] = ()  # set by MlpTask before this constructor runs
 
     def __init__(self, features, labels, num_classes: int):
         if not features or len(features) != len(labels):
@@ -266,6 +264,25 @@ class ShardedTask(Task):
         self.shard_sizes = tuple(x.shape[0] for x in self.features)
         self._all_x = np.concatenate(self.features, axis=0)
         self._all_y = np.concatenate(self.labels, axis=0)
+        widths = (self.feature_dim, *self._hidden_widths, num_classes)
+        self._slices, at = [], 0  # per layer: (start, bias start, stop, weight shape) in w
+        for fan_in, fan_out in zip(widths, widths[1:]):
+            bias_at = at + fan_out * fan_in
+            self._slices.append((at, bias_at, bias_at + fan_out, (fan_out, fan_in)))
+            at = bias_at + fan_out
+        self.dim = at
+        self._allocate(self._all_x.shape[0])
+
+    def _allocate(self, rows: int) -> None:
+        """Work buffers of ``rows`` rows: each layer's output, the probs, then
+        each hidden layer's back-propagated signal."""
+        hidden, c = self._hidden_widths, self.num_classes
+        self._work = [np.empty((rows, width)) for width in (*hidden, c, c, *hidden)]
+
+    def _rows(self, n: int) -> list[np.ndarray]:
+        if n > len(self._work[0]):  # a batch with repeats can outgrow all data
+            self._allocate(n)
+        return [buf[:n] for buf in self._work]
 
     def _select(self, device, batch):
         self.check_batch(device, batch)
@@ -277,74 +294,71 @@ class ShardedTask(Task):
         b = np.asarray(batch)
         return x[b], y[b]
 
+    def _forward(self, x, w):
+        """(weights, each layer's input, work buffers, log-probs).
 
-class SoftmaxRegressionTask(ShardedTask):
-    """Multinomial logistic regression; params are (C, d) weights then C biases."""
+        Tanh on the hidden layers, log-softmax on the last; the log-probs
+        overwrite the logits and the probs go to the buffer after them.
+        """
+        weights = [w[start:bias].reshape(shape) for start, bias, _, shape in self._slices]
+        work = self._rows(x.shape[0])
+        inputs, last = [x], len(weights) - 1
+        for layer, (_, bias, stop, _) in enumerate(self._slices):
+            out = np.matmul(inputs[-1], weights[layer].T, out=work[layer])
+            out += w[bias:stop]
+            if layer < last:
+                inputs.append(np.tanh(out, out=out))
+        logits, probs = out, work[last + 1]
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=probs)
+        total = probs.sum(axis=1, keepdims=True)
+        probs /= total
+        logits -= np.log(total)
+        return weights, inputs, work, logits
 
-    def __init__(self, features, labels, num_classes: int):
-        super().__init__(features, labels, num_classes)
-        self.dim = num_classes * self.feature_dim + num_classes
-
-    def _unpack(self, w: np.ndarray):
-        c, d = self.num_classes, self.feature_dim
-        return w[: c * d].reshape(c, d), w[c * d:]
-
-    def _logits(self, x, w):
-        weights, bias = self._unpack(w)
-        return x @ weights.T + bias
-
-    def _backward(self, x, y, probs):
-        d_logits = _logit_grad(probs, y)
-        return np.concatenate([(d_logits.T @ x).ravel(), d_logits.sum(axis=0)])
+    def _backward(self, y, weights, inputs, work):
+        """Gradient in the parameter layout; overwrites the probs and the hidden activations."""
+        last = len(weights) - 1
+        delta = work[last + 1]  # the probs, becoming the mean loss gradient in the logits
+        delta[np.arange(len(y)), y] -= 1.0
+        delta /= len(y)
+        parts = []
+        for layer in range(last, -1, -1):
+            act = inputs[layer]
+            parts += [delta.sum(axis=0), (delta.T @ act).ravel()]
+            if layer:  # act is a hidden layer's output, not the data
+                back = np.matmul(delta, weights[layer], out=work[last + 1 + layer])
+                np.multiply(act, act, out=act)  # act becomes the tanh slope 1 - act**2
+                np.subtract(1.0, act, out=act)
+                back *= act
+                delta = back
+        return np.concatenate(parts[::-1])
 
     def loss(self, w, device=None, batch=None):
         x, y = self._select(device, batch)
-        _, log_probs = _softmax_logits(self._logits(x, w))
-        return _mean_nll(log_probs, y)
+        return _mean_nll(self._forward(x, w)[3], y)
 
     def grad(self, w, device=None, batch=None):
         x, y = self._select(device, batch)
-        probs, _ = _softmax_logits(self._logits(x, w))
-        return self._backward(x, y, probs)
+        weights, inputs, work, _ = self._forward(x, w)
+        return self._backward(y, weights, inputs, work)
 
     def loss_and_grad(self, w, device=None, batch=None):
         x, y = self._select(device, batch)
-        probs, log_probs = _softmax_logits(self._logits(x, w))
-        return _mean_nll(log_probs, y), self._backward(x, y, probs)
+        weights, inputs, work, log_probs = self._forward(x, w)
+        return _mean_nll(log_probs, y), self._backward(y, weights, inputs, work)
 
 
-class MlpTask(ShardedTask):
-    """Two-layer perceptron (tanh hidden layer) with cross-entropy loss.
+class MlpTask(SoftmaxRegressionTask):
+    """Two-layer perceptron: a tanh hidden layer of ``hidden`` units, then softmax.
 
-    Every pass writes into leading rows of work buffers sized to all data, as
-    a fresh (samples, hidden) temporary is faulted in again on every round.
-    Results never alias them; one instance must not be used from two threads.
+    The parameters are w1 (hidden, d), b1, w2 (C, hidden), b2.
     """
 
     def __init__(self, features, labels, num_classes: int, hidden: int = 32):
-        super().__init__(features, labels, num_classes)
         self.hidden = hidden
-        d, h, c = self.feature_dim, hidden, num_classes
-        self._slices, at = [], 0  # (start, stop, shape) of w1, b1, w2, b2 in w
-        for shape in [(h, d), (h,), (c, h), (c,)]:
-            size = math.prod(shape)
-            self._slices.append((at, at + size, shape))
-            at += size
-        self.dim = at
-        self._allocate(self._all_x.shape[0])
-
-    def _allocate(self, rows: int) -> None:
-        """Work buffers (hidden, logits, probs, back, slope) of ``rows`` rows."""
-        h, c = self.hidden, self.num_classes
-        self._work = [np.empty((rows, width)) for width in (h, c, c, h, h)]
-
-    def _rows(self, n: int) -> list[np.ndarray]:
-        if n > len(self._work[0]):  # a batch with repeats can outgrow all data
-            self._allocate(n)
-        return [buf[:n] for buf in self._work]
-
-    def _unpack(self, w: np.ndarray):
-        return [w[start:stop].reshape(shape) for start, stop, shape in self._slices]
+        self._hidden_widths = (hidden,)
+        super().__init__(features, labels, num_classes)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         d, h = self.feature_dim, self.hidden
@@ -353,41 +367,3 @@ class MlpTask(ShardedTask):
         return np.concatenate(
             [w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(self.num_classes)]
         )
-
-    def _forward(self, x, w):
-        """(w2, hidden activations, probs, log-probs); backward needs w2."""
-        w1, b1, w2, b2 = self._unpack(w)
-        hidden, logits, probs, *_ = self._rows(x.shape[0])
-        np.matmul(x, w1.T, out=hidden)
-        hidden += b1
-        np.tanh(hidden, out=hidden)
-        np.matmul(hidden, w2.T, out=logits)
-        logits += b2
-        return (w2, hidden, *_softmax_logits(logits, probs))
-
-    def _backward(self, x, y, w2, hidden, probs):
-        d_logits = _logit_grad(probs, y)
-        *_, back, slope = self._rows(x.shape[0])
-        np.matmul(d_logits, w2, out=back)
-        np.multiply(hidden, hidden, out=slope)
-        np.subtract(1.0, slope, out=slope)
-        back *= slope
-        return np.concatenate([
-            (back.T @ x).ravel(), back.sum(axis=0),
-            (d_logits.T @ hidden).ravel(), d_logits.sum(axis=0),
-        ])
-
-    def loss(self, w, device=None, batch=None):
-        x, y = self._select(device, batch)
-        *_, log_probs = self._forward(x, w)
-        return _mean_nll(log_probs, y)
-
-    def grad(self, w, device=None, batch=None):
-        x, y = self._select(device, batch)
-        w2, hidden, probs, _ = self._forward(x, w)
-        return self._backward(x, y, w2, hidden, probs)
-
-    def loss_and_grad(self, w, device=None, batch=None):
-        x, y = self._select(device, batch)
-        w2, hidden, probs, log_probs = self._forward(x, w)
-        return _mean_nll(log_probs, y), self._backward(x, y, w2, hidden, probs)

@@ -29,7 +29,17 @@ def bench():
     return module
 
 
-def test_probes_install_trace_and_restore(bench, tmp_path):
+TASKS = {
+    "quadratic": {"kind": "quadratic", "dim": 3, "samples_per_device": 4},
+    "logistic": {"kind": "logistic", "num_classes": 3, "feature_dim": 3,
+                 "samples_per_class": 8, "per_device": 4},
+    "mlp": {"kind": "mlp", "hidden": 5, "num_classes": 3, "feature_dim": 3,
+            "samples_per_class": 8, "per_device": 4},
+}
+
+
+@pytest.mark.parametrize("kind", list(TASKS))
+def test_probes_install_trace_and_restore(bench, tmp_path, kind):
     prog = bench.import_program()
     originals = {name: SgdLearner.__dict__[name]
                  for name in ("local_update", "rng_for", "apply_round", "round_metrics")}
@@ -37,7 +47,7 @@ def test_probes_install_trace_and_restore(bench, tmp_path):
         "name": "hooks",
         "system": {"num_devices": 4, "group_size": 2, "compute_slots": 2,
                    "batch_size": 2, "step_size": 0.05, "horizon": 30},
-        "task": {"kind": "quadratic", "dim": 3, "samples_per_device": 4},
+        "task": TASKS[kind],
     }
     stats = bench.CallStats(prog.timing)
     tracer = bench.Tracer()

@@ -192,12 +192,15 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
 
     def test_data_error(self, tmp_path):
-        doc = quad_spec()
-        doc["task"] = {"kind": "logistic", "dataset": "mnist"}
-        rc = main(["run", "--config", str(write_spec(tmp_path, doc)),
-                   "--out", str(tmp_path / "out"),
-                   "--dataset-dir", str(tmp_path / "nowhere")])
-        assert rc == EXIT_DATA
+        missing_dataset = quad_spec()
+        missing_dataset["task"] = {"kind": "logistic", "dataset": "mnist"}
+        batch_over_shard = quad_spec(batch_size=30)  # the shards hold 24 samples
+        for doc in (missing_dataset, batch_over_shard):
+            out = tmp_path / "out"
+            rc = main(["run", "--config", str(write_spec(tmp_path, doc)),
+                       "--out", str(out), "--dataset-dir", str(tmp_path / "nowhere")])
+            assert rc == EXIT_DATA
+            assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_numeric_error_leaves_partial_artifacts(self, tmp_path):
@@ -239,11 +242,12 @@ class TestExitCodes:
         {"system": {"num_devices": 4, "group_size": 2, "samples_per_slot": math.nan}},
         {"system": {"num_devices": 4, "group_size": 2, "samples_per_slot": math.inf}},
         {"system": {"num_devices": 4, "group_size": 2, "samples_per_slot": "abc"}},
+        {"system": {"num_devices": 4, "group_size": 2, "intentional_delay": None}},
     ], ids=["no-num-devices", "no-num-devices-compute-slots", "fractional-num-devices",
             "metrics-every-string", "seeds-not-list", "metrics-every-negative",
             "system-not-object", "step-size-string", "mode-list", "grid-number",
             "step-size-nan", "samples-per-slot-nan", "samples-per-slot-inf",
-            "samples-per-slot-string"])
+            "samples-per-slot-string", "intentional-delay-null"])
     def test_malformed_spec_field(self, tmp_path, capsys, doc):
         doc = {"name": "bad", **doc}
         if isinstance(doc["system"], dict):
@@ -472,3 +476,15 @@ class TestSpecParsing:
             "intentional_delay": "optimal",
         })
         assert cfg.intentional_delay == 74
+
+    @pytest.mark.parametrize("delay", [None, 0.0, False, []],
+                             ids=["null", "float-zero", "false", "empty-list"])
+    def test_falsy_non_integer_delay_rejected(self, delay):
+        from tdmafl import ConfigError
+        with pytest.raises(ConfigError, match="intentional_delay must be an integer >= 0"):
+            build_system_config({"num_devices": 4, "group_size": 1, "intentional_delay": delay})
+
+    @pytest.mark.parametrize("extra", [{}, {"intentional_delay": 0}], ids=["absent", "zero"])
+    def test_absent_or_zero_delay_is_no_deferral(self, extra):
+        cfg = build_system_config({"num_devices": 4, "group_size": 1, **extra})
+        assert cfg.intentional_delay == 0

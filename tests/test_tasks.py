@@ -266,14 +266,22 @@ class TestShardSizes:
                     task.grad(w, device, np.array(bad, dtype=np.int64))
 
 
-class TestMlpWorkBuffers:
-    """Every MlpTask pass runs in reused buffers; no result may depend on that."""
+def make_classifier(cls, feats, labels, num_classes, hidden):
+    """``cls`` on the shards; ``hidden`` is MlpTask's width and unused otherwise."""
+    if cls is MlpTask:
+        return MlpTask(feats, labels, num_classes, hidden=hidden)
+    return cls(feats, labels, num_classes)
 
-    def test_full_data_pass_allocates_less_than_one_activation(self):
+
+@pytest.mark.parametrize("cls", [SoftmaxRegressionTask, MlpTask], ids=["logistic", "mlp"])
+class TestMlpWorkBuffers:
+    """Every classifier pass runs in reused buffers; no result may depend on that."""
+
+    def test_full_data_pass_allocates_less_than_one_activation(self, cls):
         data = make_clustered_dataset(10, 16, 100, np.random.default_rng(70))
         feats, labels = partition_iid(data, 20, 50, np.random.default_rng(71))
-        task = MlpTask(feats, labels, num_classes=10, hidden=32)
-        w = task.init_params(np.random.default_rng(72))
+        task = make_classifier(cls, feats, labels, 10, hidden=32)
+        w = np.random.default_rng(72).normal(scale=0.3, size=task.dim)
         task.loss_and_grad(w)  # warm-up
         tracemalloc.start()
         try:
@@ -281,12 +289,17 @@ class TestMlpWorkBuffers:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1000 * 32 * 8  # one (samples, hidden) float64 array
+        if cls is MlpTask:
+            assert peak < 1000 * 32 * 8  # one (samples, hidden) float64 array
+        else:
+            assert peak < 2 * 1000 * 10 * 8  # two (samples, classes) float64 arrays
 
-    def test_interleaved_calls_match_a_fresh_task(self, mlp_task):
+    def test_interleaved_calls_match_a_fresh_task(self, request, cls):
+        task = request.getfixturevalue("mlp_task" if cls is MlpTask else "softmax_task")
+
         def fresh():
-            return MlpTask(mlp_task.features, mlp_task.labels, mlp_task.num_classes,
-                           hidden=mlp_task.hidden)
+            return make_classifier(cls, task.features, task.labels, task.num_classes,
+                                   getattr(task, "hidden", None))
 
         calls = [(None, None), (1, None), (2, np.array([0, 4, 4, 9, 11, 3, 2, 8])),
                  (0, np.array([5])), (3, np.tile(np.arange(25), 5)),  # longer than all data
@@ -294,17 +307,17 @@ class TestMlpWorkBuffers:
         rng = np.random.default_rng(73)
         kept = []
         for _ in range(3):
-            w = rng.normal(size=mlp_task.dim)
+            w = rng.normal(size=task.dim)
             for device, batch in calls:
-                assert mlp_task.loss(w, device, batch) == fresh().loss(w, device, batch)
-                grad = mlp_task.grad(w, device, batch)
+                assert task.loss(w, device, batch) == fresh().loss(w, device, batch)
+                grad = task.grad(w, device, batch)
                 assert np.array_equal(grad, fresh().grad(w, device, batch))
-                loss, fused = mlp_task.loss_and_grad(w, device, batch)
+                loss, fused = task.loss_and_grad(w, device, batch)
                 ref_loss, ref_grad = fresh().loss_and_grad(w, device, batch)
                 assert loss == ref_loss and np.array_equal(fused, ref_grad)
                 kept += [(grad, grad.copy()), (fused, fused.copy())]
         assert all(np.array_equal(g, copy) for g, copy in kept)
-        assert persample_grad_sq_mean(mlp_task, w, 3) == persample_grad_sq_mean(fresh(), w, 3)
+        assert persample_grad_sq_mean(task, w, 3) == persample_grad_sq_mean(fresh(), w, 3)
 
 
 class TestLossAndGrad:
