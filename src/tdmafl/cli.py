@@ -325,11 +325,16 @@ def _load_cifar(dataset_dir: Optional[str]):
 
 
 def write_metrics_csv(path, metrics) -> None:
+    """Write the metrics table, formatted as one string.
+
+    The bytes are those of ``csv.writer``: ints and float reprs never need
+    quoting, and every line ends in CRLF.
+    """
+    rows = zip(metrics.rounds, metrics.slots, metrics.loss, metrics.grad_norm_sq,
+               metrics.staleness)
+    text = "".join([f"{k},{s},{l!r},{g!r},{st!r}\r\n" for k, s, l, g, st in rows])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        writer.writerows(zip(metrics.rounds, metrics.slots, map(repr, metrics.loss),
-                             map(repr, metrics.grad_norm_sq), map(repr, metrics.staleness)))
+        fh.write(",".join(CSV_HEADER) + "\r\n" + text)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +347,9 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
 
     The summary's ``timing`` block gives tau_asyn and rounds_closed_form only
     where they hold (alpha <= alpha*); above it both are null, and
-    ``closed_form_note`` says why. ``rounds_exact``, the schedule law's round
-    count, holds for every alpha.
+    ``closed_form_note`` says why. ``rounds_exact`` and ``round_length``, the
+    schedule law's round count and steady slots per round, hold for every
+    alpha.
     """
     cfg = build_system_config(spec.system)
     task, init = build_task(spec.task, dataset_dir, num_devices=cfg.num_devices)
@@ -355,6 +361,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
         "num_groups": cfg.num_groups,
         "rounds_closed_form": cfg.rounds_closed_form(),
         "rounds_exact": cfg.rounds_exact(),
+        "round_length": str(cfg.round_length),
     }
     alpha_star = optimal_intentional_delay(cfg).alpha
     if cfg.intentional_delay > alpha_star:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -80,16 +80,45 @@ class RunMetrics:
 
 @dataclass
 class SimResult:
+    """What a run produced: the round table, the metrics and the model.
+
+    Each per-round column is stored once. ``staleness_records`` and
+    ``launch_clocks`` are read-only views, derived on every access from
+    ``config``, ``completed_rounds``, ``transmitter_sets`` and
+    ``downlink_end_slots``, so a run that never reads them never builds them.
+    ``events`` stays an eager list, and it must stay ``[]`` when
+    ``record_events`` is false: the benchmark's result check takes
+    ``len(result.events)``, where a derived trace would build 3S + 1 tuples
+    per round.
+    """
+
     config: SystemConfig
     events: list[TimelineEvent]
-    staleness_records: list[StalenessRecord]
     metrics: RunMetrics
     completed_rounds: int
-    launch_clocks: list[int]
     downlink_end_slots: list[int]
     transmitter_sets: list[tuple[int, ...]]
     final_model: Optional[np.ndarray] = None
     model_history: Optional[list[np.ndarray]] = None
+
+    @property
+    def staleness_records(self) -> list[StalenessRecord]:
+        """One record per upload: round k gives (k, dev, min(k, m - 1)) for each dev it uploads.
+
+        The staleness is the schedule law's int, not a ``metrics.staleness`` float.
+        """
+        m = self.config.num_groups - self.config.intentional_delay
+        staleness = chain(range(min(self.completed_rounds, m)), repeat(m - 1))
+        new_record = tuple.__new__  # skips the NamedTuple's Python-level __new__
+        return [new_record(StalenessRecord, (k, dev, stale))
+                for k, chosen, stale in zip(count(), self.transmitter_sets, staleness)
+                for dev in chosen]
+
+    @property
+    def launch_clocks(self) -> list[int]:
+        """The slot at which each round launches: 0, then one past the previous downlink end."""
+        ends = self.downlink_end_slots
+        return [0, *(end + 1 for end in ends[:-1])] if ends else []
 
 
 def select_transmitters(ready: tuple[int, ...], group_size: int) -> tuple[int, ...]:
@@ -147,18 +176,13 @@ def run_timeline(
         rounds = max(0, min(rounds, max_rounds))
     downlink_ends = cfg.downlink_ends(rounds)
 
-    # One id tuple per group, so the run's records share G tuples of ints.
+    # One id tuple per group, so the transmitter sets share G tuples of ints.
     members = [tuple(range(j * s + 1, (j + 1) * s + 1)) for j in range(g)]
-    launch_clocks = [0, *(end + 1 for end in downlink_ends[:-1])] if rounds else []
     transmitter_sets = [select_transmitters(members[k % g], s) for k in range(rounds)]
-    staleness = [*range(min(rounds, m)), *repeat(m - 1, rounds - m)]
-    new_record = tuple.__new__  # skips the NamedTuple's Python-level __new__
-    stal_records = [new_record(StalenessRecord, (k, dev, stale))
-                    for k, chosen, stale in zip(count(), transmitter_sets, staleness)
-                    for dev in chosen]
     nan = float("nan")
     metrics = RunMetrics(rounds=list(range(rounds)), slots=list(downlink_ends),
-                         staleness=list(map(float, staleness)),
+                         staleness=[*map(float, range(min(rounds, m))),
+                                    *repeat(float(m - 1), rounds - m)],
                          loss=[nan] * rounds, grad_norm_sq=[nan] * rounds)
 
     model: Optional[np.ndarray] = None
@@ -200,10 +224,8 @@ def run_timeline(
     return SimResult(
         config=cfg,
         events=events,
-        staleness_records=stal_records,
         metrics=metrics,
         completed_rounds=rounds,
-        launch_clocks=launch_clocks,
         downlink_end_slots=downlink_ends,
         transmitter_sets=transmitter_sets,
         final_model=model,

@@ -33,6 +33,8 @@ def require_integer(name: str, value, minimum: int) -> None:
 
 def require_real(name: str, value) -> None:
     """Raise ConfigError unless ``value`` is a finite real number (not a bool)."""
+    if type(value) is float and -math.inf < value < math.inf:
+        return  # fast path: the Real ABC check is a fifth of a cold SystemConfig build
     if (not isinstance(value, numbers.Real) or isinstance(value, bool)
             or not -math.inf < value < math.inf):  # NaN fails the comparison too
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
@@ -121,6 +123,16 @@ class SystemConfig:
         if tau_comp >= (g - 1) * self.tau_comm:
             return Fraction(tau_comp + self.tau_comm, g)
         return Fraction(self.tau_comm)
+
+    @property
+    def round_length(self) -> Fraction:
+        """Exact steady slots per round, for every alpha: P / m (see downlink_ends).
+
+        That is max(tau_comm, (tau_comp + tau_comm) / (G - alpha)); it equals
+        tau_asyn for alpha <= alpha*, and a larger deferral lengthens it.
+        """
+        m, _, period = self._rotation()
+        return Fraction(period, m)
 
     def rounds_closed_form(self) -> int:
         """floor(T / tau_asyn), the paper's round count; valid for alpha <= alpha*.

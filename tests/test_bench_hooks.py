@@ -6,13 +6,14 @@ test loads the benchmark as it is, installs every probe around one tiny run,
 and restores them.
 """
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-from tdmafl import SgdLearner, SystemConfig, run_timeline
+from tdmafl import SgdLearner, SystemConfig, idfl_staleness, run_timeline
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -71,10 +72,15 @@ def test_probes_install_trace_and_restore(bench, tmp_path, kind):
 
 def test_call_stats_reads_a_timing_only_result(bench):
     prog = bench.import_program()
-    cfg = SystemConfig(6, 2, compute_slots=2, horizon=40)
-    result = run_timeline(cfg, metrics_every=0)
-    stats = bench.CallStats(prog.timing)
-    stats.add_result(result)
-    assert stats.rounds == result.completed_rounds
-    assert stats.staleness_n == len(result.staleness_records)
-    assert stats.records > 0 and stats.avg_grad_norm_sq == []
+    # The second system defers by alpha = 1 (m = 3), so its staleness plateaus at 2.
+    for cfg in (SystemConfig(6, 2, compute_slots=2, horizon=40),
+                SystemConfig(8, 2, compute_slots=3, horizon=60, intentional_delay=1)):
+        result = run_timeline(cfg, metrics_every=0)
+        stats = bench.CallStats(prog.timing)
+        stats.add_result(result)
+        rounds, s = result.completed_rounds, cfg.group_size
+        assert stats.rounds == rounds
+        assert stats.staleness_n == len(result.staleness_records) == s * rounds
+        assert stats.staleness_sum == s * sum(idfl_staleness(k, cfg) for k in range(rounds)) > 0
+        assert stats.tx.digest() == hashlib.sha256(repr(result.transmitter_sets).encode()).digest()
+        assert stats.records > 0 and stats.avg_grad_norm_sq == []

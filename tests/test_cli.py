@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from tdmafl.cli import (
     run_sweep,
     write_metrics_csv,
 )
-from tdmafl.simulator import RunMetrics
+from tdmafl.simulator import RunMetrics, run_timeline
+from tdmafl.timing import SystemConfig
 
 
 def quad_spec(**system_overrides):
@@ -98,21 +100,26 @@ class TestRunCommand:
 
     def test_metrics_csv_matches_a_row_by_row_writer(self, tmp_path):
         big = 2**53 + 1
-        metrics = RunMetrics(
+        edge_values = RunMetrics(
             rounds=[0, 1, 2, big], slots=[5, 9, big, 2**64],
             staleness=[0.0, -0.0, float(big), 1 / 3],
             loss=[float("nan"), float("inf"), -0.0, 1e-300],
             grad_norm_sq=[float("-inf"), 2.5, float("nan"), 1e300],
         )
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, metrics)
-        with open(tmp_path / "reference.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            for i in range(len(metrics)):
-                writer.writerow([metrics.rounds[i], metrics.slots[i], repr(metrics.loss[i]),
-                                 repr(metrics.grad_norm_sq[i]), repr(metrics.staleness[i])])
-        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        timing_only = run_timeline(SystemConfig(1000, 10, compute_slots=500, horizon=40_000),
+                                   record_events=False).metrics
+        assert len(timing_only) == 3591 and all(map(math.isnan, timing_only.loss))
+        for metrics in (edge_values, timing_only, RunMetrics()):
+            path = tmp_path / "metrics.csv"
+            write_metrics_csv(path, metrics)
+            with open(tmp_path / "reference.csv", "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(CSV_HEADER)
+                for i in range(len(metrics)):
+                    writer.writerow([metrics.rounds[i], metrics.slots[i], repr(metrics.loss[i]),
+                                     repr(metrics.grad_norm_sq[i]), repr(metrics.staleness[i])])
+            assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+        assert path.read_bytes() == b"round,slot,loss,grad_norm_sq,staleness\r\n"  # header only
 
     def test_config_echo_round_trips(self, tmp_path):
         doc = quad_spec()
@@ -182,6 +189,23 @@ class TestRunCommand:
             doc["system"]["intentional_delay"] = alpha
             summary = run_experiment(ExperimentSpec.from_dict(doc), tmp_path / str(alpha))
             assert summary["timing"]["rounds_exact"] == summary["completed_rounds"] == rounds
+
+    def test_round_length_holds_for_every_alpha(self, tmp_path):
+        # Four singleton groups, tau_comm = 2. With 2-slot compute alpha* = 2 and
+        # alpha = 3 doubles the rounds; with 9-slot compute alpha* = 0.
+        for compute, alpha, length in ((2, 0, "2"), (2, 2, "2"), (2, 3, "4"),
+                                       (9, 0, "11/4"), (9, 1, "11/3")):
+            system = {"num_devices": 4, "group_size": 1, "compute_slots": compute,
+                      "horizon": 400, "intentional_delay": alpha}
+            doc = {"name": "defer", "system": system}
+            out = tmp_path / f"{compute}-{alpha}"
+            timing = run_experiment(ExperimentSpec.from_dict(doc), out)["timing"]
+            assert timing["round_length"] == length
+            m = 4 - alpha
+            ends = build_system_config(system).downlink_ends(3 * m)
+            assert {str(Fraction(ends[k + m] - ends[k], m)) for k in range(2 * m)} == {length}
+            assert timing["tau_asyn"] in (None, length)
+            assert (timing["tau_asyn"] is None) == (alpha > (2 if compute == 2 else 0))
 
 
 class TestExitCodes:

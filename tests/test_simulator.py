@@ -1,5 +1,6 @@
 """Event-level scheduler behavior: golden timelines, invariants, oracles."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from tdmafl import (
     ConfigError,
     SgdLearner,
+    StalenessRecord,
     SystemConfig,
     TimelineEvent,
     idfl_staleness,
@@ -304,6 +306,74 @@ class TestScheduleProperties:
         if alpha + 1 <= g - 1:  # alpha* is the largest free deferral
             later = replace(cfg, intentional_delay=alpha + 1)
             assert later.downlink_ends(2 * g + 2) != cfg.downlink_ends(2 * g + 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(schedules())
+    def test_round_length_is_the_steady_clock_advance(self, case):
+        """m rounds advance the clock by m * round_length from any round on; tau_asyn up to alpha*."""
+        cfg, _ = case
+        m = cfg.num_groups - cfg.intentional_delay
+        ends = cfg.downlink_ends(3 * m)
+        assert {Fraction(ends[k + m] - ends[k], m) for k in range(2 * m)} == {cfg.round_length}
+        if cfg.intentional_delay <= optimal_intentional_delay(cfg).alpha:
+            assert cfg.round_length == cfg.tau_asyn
+        else:
+            assert cfg.round_length > cfg.tau_asyn
+
+
+@st.composite
+def short_runs(draw):
+    """A random system and deferral whose horizon completes at least one round."""
+    cfg, _ = draw(schedules())
+    low = cfg.compute_slots + cfg.tau_comm
+    return replace(cfg, horizon=draw(st.integers(low, low + 400)))
+
+
+SCHED_ASYNC = SystemConfig(1000, 10, compute_slots=500, horizon=40_000)
+
+
+class TestDerivedColumns:
+    """staleness_records and launch_clocks are views of the stored round table."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(short_runs(), st.sampled_from([0, 1, None]), st.booleans())
+    def test_views_equal_their_expansions(self, cfg, max_rounds, train):
+        learner = None
+        if train:
+            task = make_quadratic(cfg.num_devices, 2, 1.0, np.random.default_rng(5),
+                                  samples_per_device=3)
+            learner = SgdLearner(task, cfg, seed=3)
+        result = run_timeline(cfg, learner, max_rounds=max_rounds, record_events=False)
+        rounds = cfg.rounds_exact() if max_rounds is None else max_rounds
+        s, g = cfg.group_size, cfg.num_groups
+        assert result.completed_rounds == rounds
+        assert (result.final_model is not None) == train
+
+        records = result.staleness_records
+        assert records == [(k, dev, idfl_staleness(k, cfg)) for k in range(rounds)
+                           for dev in range((k % g) * s + 1, (k % g + 1) * s + 1)]
+        assert all(type(rec) is StalenessRecord and list(map(type, rec)) == [int] * 3
+                   for rec in records)
+        ends = result.downlink_end_slots
+        clocks = result.launch_clocks
+        assert clocks == [0, *(e + 1 for e in ends[:-1])][:rounds]
+        assert result.staleness_records == records and result.launch_clocks == clocks
+        with pytest.raises(AttributeError):
+            result.staleness_records = records
+        with pytest.raises(AttributeError):
+            result.launch_clocks = clocks
+
+    def test_timing_only_run_allocates_no_per_upload_records(self):
+        # 3,591 rounds of S = 10; built eagerly, their 35,910 records peaked at 3.7 MB.
+        result = run_timeline(SCHED_ASYNC, record_events=False)
+        assert result.completed_rounds == 3591
+        tracemalloc.start()
+        try:
+            run_timeline(SCHED_ASYNC, record_events=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
 
 
 class TestSynchronousDegenerate:
