@@ -13,7 +13,6 @@ from .errors import (
     SamplingError,
 )
 from .timing import (
-    DelayChoice,
     SystemConfig,
     idfl_staleness,
     optimal_intentional_delay,

@@ -3,7 +3,10 @@
 Experiments are described by one JSON document (the schema is in the
 ``ExperimentSpec`` docstring); individual fields can be overridden from the
 command line with ``--set key.path=value``. Each run writes per-seed CSV
-metrics and a strict-JSON summary echoing the configuration.
+metrics and a strict-JSON summary echoing the configuration, with the
+``timing_report`` of its system. ``validate-timing`` prints that report for a
+JSON list of scenarios, each a spec ``system`` block that gives a non-empty
+``group_sizes`` list in place of ``group_size``, and an optional ``label``.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 failure.
 """
@@ -77,9 +80,8 @@ class ExperimentSpec:
         seeds: non-empty list of integers >= 0, one run each; default [0].
         metrics_every: evaluate loss and gradient norm every this many rounds;
             0 turns evaluation off; default 1.
-        mode: one of "run", "sweep", "validate-timing", "validate-prop1",
-            "rate-trend". It is checked but not acted on: the subcommand
-            decides what runs.
+        mode: one of "run", "sweep", "validate-timing" or "rate-trend". It is
+            checked but not acted on: the subcommand decides what runs.
         out_dir: output directory, used when --out is not given.
         grid: sweep only; an object that maps system fields to a value or a
             list of values, and every combination runs as one point with its
@@ -93,7 +95,8 @@ class ExperimentSpec:
     ``compute_slots``: it sets compute_slots = ceil(H*B/q), the slots one
     local update of H steps of B samples takes; without either, q = 1.
     ``intentional_delay`` may be the string "optimal" for the largest deferral
-    that keeps the round length unchanged.
+    that keeps the round length unchanged. A ``validate-timing`` scenario is
+    this block with a ``group_sizes`` list in place of ``group_size``.
 
     Task kinds and their fields (all optional):
         none: timing only, no model is trained.
@@ -132,11 +135,10 @@ class ExperimentSpec:
         for block in ("system", "task", "grid"):
             if not isinstance(doc.get(block, {}), dict):
                 raise ConfigError(f"{block} must be a JSON object, got {doc[block]!r}")
-        if doc.get("mode", "run") not in ("run", "sweep", "validate-timing", "validate-prop1",
-                                          "rate-trend"):
+        if doc.get("mode", "run") not in ("run", "sweep", "validate-timing", "rate-trend"):
             raise ConfigError(f"unknown mode {doc['mode']!r}")
         try:
-            spec = cls(
+            return cls(
                 name=doc["name"],
                 system=dict(doc["system"]),
                 task=dict(doc.get("task", {"kind": "none"})),
@@ -148,7 +150,6 @@ class ExperimentSpec:
             )
         except KeyError as exc:
             raise ConfigError(f"spec missing required field: {exc}") from exc
-        return spec
 
 
 RationalLike = Union[int, float, str, Fraction]
@@ -201,7 +202,7 @@ def build_system_config(system: dict) -> SystemConfig:
             raise ConfigError(f"samples_per_slot must be positive, got {q}")
         compute_slots = math.ceil(local_steps * batch_size / q)
     if delay == "optimal":
-        delay = optimal_intentional_delay(SystemConfig(compute_slots=compute_slots, **sysd)).alpha
+        delay = optimal_intentional_delay(SystemConfig(compute_slots=compute_slots, **sysd))
     return SystemConfig(compute_slots=compute_slots, intentional_delay=delay, **sysd)
 
 
@@ -228,7 +229,7 @@ def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int)
             rng=rng,
             samples_per_device=_pop_integer(params, "samples_per_device", 32),
             sample_noise=_pop_real(params, "sample_noise", 0.0),
-            eig_range=tuple(eig_range),
+            eig_range=tuple(map(float, eig_range)),
         )
         _reject_unknown(kind, params)
         init = None
@@ -342,32 +343,39 @@ def write_metrics_csv(path, metrics) -> None:
 # ---------------------------------------------------------------------------
 
 
-def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
-    """Execute one experiment spec; returns the summary dict it wrote.
+def timing_report(cfg: SystemConfig) -> dict:
+    """The timing block of a run summary and of a ``validate-timing`` row.
 
-    The summary's ``timing`` block gives tau_asyn and rounds_closed_form only
-    where they hold (alpha <= alpha*); above it both are null, and
-    ``closed_form_note`` says why. ``rounds_exact`` and ``round_length``, the
-    schedule law's round count and steady slots per round, hold for every
-    alpha.
+    rounds_exact and round_length (the schedule law) hold for every alpha;
+    alpha_star is Proposition 1's free deferral, with steady staleness d_star.
+    tau_asyn and rounds_closed_form hold only up to alpha*: above it both are
+    null, and ``closed_form_note`` says why.
     """
-    cfg = build_system_config(spec.system)
-    task, init = build_task(spec.task, dataset_dir, num_devices=cfg.num_devices)
-
-    timing = {
+    alpha_star = optimal_intentional_delay(cfg)
+    report = {
+        "num_groups": cfg.num_groups,
         "tau_comp": cfg.compute_slots,
         "tau_comm": cfg.tau_comm,
         "tau_asyn": str(cfg.tau_asyn),
-        "num_groups": cfg.num_groups,
         "rounds_closed_form": cfg.rounds_closed_form(),
         "rounds_exact": cfg.rounds_exact(),
         "round_length": str(cfg.round_length),
+        "intentional_delay": cfg.intentional_delay,
+        "alpha_star": alpha_star,
+        "d_star": cfg.num_groups - 1 - alpha_star,
     }
-    alpha_star = optimal_intentional_delay(cfg).alpha
     if cfg.intentional_delay > alpha_star:
-        timing.update(tau_asyn=None, rounds_closed_form=None, closed_form_note=(
+        report.update(tau_asyn=None, rounds_closed_form=None, closed_form_note=(
             f"intentional_delay {cfg.intentional_delay} exceeds alpha* = {alpha_star}, "
             "which lengthens rounds beyond the closed forms"))
+    return report
+
+
+def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
+    """Execute one experiment spec; returns the summary dict it wrote."""
+    cfg = build_system_config(spec.system)
+    task, init = build_task(spec.task, dataset_dir, num_devices=cfg.num_devices)
+    timing = timing_report(cfg)
     learners = [None if task is None else SgdLearner(task, cfg, seed=seed, initial=init)
                 for seed in spec.seeds]  # a bad batch size fails here, before any output
     out = Path(out_dir)
@@ -418,6 +426,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
 def _grid_points(grid: dict) -> list[dict]:
     keys = sorted(grid)
     values = [grid[k] if isinstance(grid[k], list) else [grid[k]] for k in keys]
+    if [] in values:
+        raise ConfigError(f"grid axes {[k for k in keys if grid[k] == []]} are empty lists")
     return [dict(zip(keys, combo)) for combo in itertools.product(*values)]
 
 
@@ -453,9 +463,9 @@ def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1)
     if not spec.grid:
         raise ConfigError("sweep mode needs a non-empty grid")
     require_integer("workers", workers, 1)
+    points = _grid_points(spec.grid)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    points = _grid_points(spec.grid)
     jobs = [(spec.raw, p, str(out), dataset_dir) for p in points]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -485,7 +495,11 @@ def _print_table(rows: list[dict], columns: list[str]) -> None:
 
 
 def _print_delay_deltas(rows: list[dict]) -> None:
-    """Final-loss gap between deferred-downlink and plain runs per group size."""
+    """Final-loss gap between deferred-downlink and plain runs per group size.
+
+    Its sign depends on the regime, as stale updates can contract like momentum:
+    with eta * lambda in [0.025, 0.1] on a quadratic, deferral wins at S = 1, loses at S = 4, 5.
+    """
     plain, delayed = {}, {}
     for row in rows:
         if row.get("status") != "ok" or row.get("mean_final_loss") is None:
@@ -513,65 +527,32 @@ TIMING_SCENARIOS = [
     {"label": "N20_T100000_comp4", "num_devices": 20, "horizon": 100000,
      "compute_slots": 4, "slots_per_transfer": 1,
      "group_sizes": [1, 2, 5, 10, 20]},
+    # Proposition 1's other worked examples: (alpha*, d*) = (94, 5) and (98, 1).
+    {"label": "N100_T50000_comp10", "num_devices": 100, "horizon": 50000,
+     "compute_slots": 10, "slots_per_transfer": 1, "group_sizes": [1]},
+    {"label": "N100_T50000_comp2", "num_devices": 100, "horizon": 50000,
+     "compute_slots": 2, "slots_per_transfer": 1, "group_sizes": [1]},
 ]
 
 
-TIMING_SCENARIO_KEYS = frozenset({"num_devices", "horizon", "compute_slots", "group_sizes"})
-
-
 def validate_timing(scenarios=None) -> list[dict]:
+    """One row per scenario and group size: label, S and timing_report (see the module)."""
     scenarios = TIMING_SCENARIOS if scenarios is None else scenarios
     if not isinstance(scenarios, list) or not scenarios or not all(
-        isinstance(sc, dict) and TIMING_SCENARIO_KEYS <= sc.keys()
-        and isinstance(sc["group_sizes"], list) for sc in scenarios
-    ):
-        raise ConfigError(
-            "timing scenarios must be a non-empty JSON list of objects with "
-            f"{sorted(TIMING_SCENARIO_KEYS)} (group_sizes a list)"
-        )
+            isinstance(sc, dict) for sc in scenarios):
+        raise ConfigError("timing scenarios must be a non-empty JSON list of objects")
     rows = []
     for sc in scenarios:
-        for s in sc["group_sizes"]:
-            cfg = SystemConfig(
-                sc["num_devices"], s, sc["compute_slots"],
-                sc.get("slots_per_transfer", 1), horizon=sc["horizon"],
-            )
-            rows.append({
-                "scenario": sc.get("label", "custom"),
-                "group_size": s,
-                "num_groups": cfg.num_groups,
-                "tau_comp": cfg.compute_slots,
-                "tau_comm": cfg.tau_comm,
-                "tau_asyn": str(cfg.tau_asyn),
-                "rounds_closed_form": cfg.rounds_closed_form(),
-                "rounds_exact": cfg.rounds_exact(),
-            })
-    return rows
-
-
-PROP1_TRIPLES = [(50, 1, 100), (10, 1, 100), (2, 1, 100)]
-
-
-def validate_prop1(triples=None) -> list[dict]:
-    triples = PROP1_TRIPLES if triples is None else triples
-    if not isinstance(triples, list) or not triples or not all(
-        isinstance(t, (list, tuple)) and len(t) == 3 for t in triples
-    ):
-        raise ConfigError(
-            "prop1 config must be a non-empty JSON list of "
-            "[compute_slots, group_size, num_devices] triples"
-        )
-    rows = []
-    for compute_slots, s, n in triples:
-        cfg = SystemConfig(n, s, compute_slots)
-        choice = optimal_intentional_delay(cfg)
-        rows.append({
-            "compute_over_transfer": compute_slots,
-            "group_size": s,
-            "num_devices": n,
-            "alpha": choice.alpha,
-            "d_star": choice.effective_delay,
-        })
+        system = dict(sc)
+        label, sizes = system.pop("label", "custom"), system.pop("group_sizes", None)
+        if "group_size" in system:
+            raise ConfigError("a timing scenario gives group_sizes, not group_size")
+        if not isinstance(sizes, list) or not sizes or not isinstance(label, str):
+            raise ConfigError("a timing scenario needs a non-empty group_sizes list and a "
+                              f"string label, got {sizes!r} and {label!r}")
+        for s in sizes:
+            cfg = build_system_config({**system, "group_size": s})
+            rows.append({"scenario": label, "group_size": s, **timing_report(cfg)})
     return rows
 
 
@@ -620,12 +601,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a spec field, e.g. system.group_size=5")
     p_sweep.add_argument("--workers", type=int, default=1, help="parallel sweep points")
-    p_vt = sub.add_parser("validate-timing", help="round counts: paper closed form vs exact schedule law")
-    p_vt.add_argument("--config", type=Path, help="JSON list of timing scenarios")
+    p_vt = sub.add_parser("validate-timing", help="the run summary's timing block per group "
+                          "size: closed forms, exact schedule law and alpha*")
+    p_vt.add_argument("--config", type=Path, help="JSON list of scenarios, each a spec system "
+                      "block with a group_sizes list in place of group_size and an optional label")
     p_vt.add_argument("--out", type=Path, help="output directory")
-    p_vp = sub.add_parser("validate-prop1", help="optimal downlink deferral worked examples")
-    p_vp.add_argument("--config", type=Path,
-                      help="JSON list of [compute_slots, group_size, num_devices] triples")
     p_rt = sub.add_parser("rate-trend", help="avg squared gradient norm vs group count")
     p_rt.add_argument("--out", type=Path, help="output directory")
     p_rt.add_argument("--groups", default="1,2,5,10")
@@ -645,11 +625,10 @@ def _load_spec(args, default_mode: str) -> ExperimentSpec:
     if args.config is None:
         raise ConfigError(f"{default_mode} needs --config")
     doc = _apply_overrides(_read_json_config(args.config), args.set)
-    spec = ExperimentSpec.from_dict(doc)
-    if args.seed is not None:
+    if args.seed is not None:  # in the document, so that sweep points and the echo see it
         require_integer("--seed", args.seed, 0)
-        spec.seeds = [args.seed]
-    return spec
+        doc["seeds"] = [args.seed]
+    return ExperimentSpec.from_dict(doc)
 
 
 def _parse_groups(text: str) -> list[int]:
@@ -680,29 +659,12 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "validate-timing":
-        scenarios = None
-        if args.config is not None:
-            scenarios = _read_json_config(args.config)
-        rows = validate_timing(scenarios)
-        cols = ["scenario", "group_size", "num_groups", "tau_comp", "tau_comm",
-                "tau_asyn", "rounds_closed_form", "rounds_exact"]
-        _print_table(rows, cols)
+        rows = validate_timing(None if args.config is None else _read_json_config(args.config))
+        _print_table(rows, list(dict.fromkeys(k for row in rows for k in row)))
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)
             (Path(args.out) / "timing.json").write_text(
                 json.dumps(rows, indent=2, sort_keys=True) + "\n")
-        return EXIT_OK
-
-    if args.command == "validate-prop1":
-        triples = None
-        if args.config is not None:
-            triples = _read_json_config(args.config)
-        rows = validate_prop1(triples)
-        for row in rows:
-            print(
-                f"tau_comp/r={row['compute_over_transfer']} S={row['group_size']} "
-                f"N={row['num_devices']}: (alpha, d*) = ({row['alpha']}, {row['d_star']})"
-            )
         return EXIT_OK
 
     if args.command == "rate-trend":

@@ -18,7 +18,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -116,13 +115,10 @@ class SystemConfig:
 
         When local compute is at least as long as the channel time of the other
         G - 1 groups, a cycle of G rounds costs tau_comp + r(S+1) slots; otherwise
-        the channel never idles and each round costs exactly tau_comm.
+        the channel never idles and each round costs tau_comm: P / G at alpha = 0.
         """
-        g = self.num_groups
-        tau_comp = self.compute_slots
-        if tau_comp >= (g - 1) * self.tau_comm:
-            return Fraction(tau_comp + self.tau_comm, g)
-        return Fraction(self.tau_comm)
+        g, tau_comm = self.num_groups, self.tau_comm
+        return Fraction(max(g * tau_comm, self.compute_slots + tau_comm), g)
 
     @property
     def round_length(self) -> Fraction:
@@ -138,7 +134,7 @@ class SystemConfig:
         """floor(T / tau_asyn), the paper's round count; valid for alpha <= alpha*.
 
         tau_asyn ignores the deferral, and a larger one lengthens rounds, so run
-        summaries write null above optimal_intentional_delay(self).alpha. Within
+        summaries write null above optimal_intentional_delay(self). Within
         the domain it still exceeds the exact count, rounds_exact(), by about
         tau_comp / tau_asyn rounds: floor(T / tau_asyn) ignores the first
         tau_comp slots, which pass before the first upload can start.
@@ -196,18 +192,10 @@ def idfl_staleness(round_index: int, cfg: SystemConfig) -> int:
     """
     if round_index < 0:
         raise ConfigError(f"round_index must be >= 0, got {round_index}")
-    g = cfg.num_groups
-    alpha = cfg.intentional_delay
-    d_star = g - 1 - alpha
-    return round_index if round_index < g - alpha else d_star
+    return min(round_index, cfg.num_groups - 1 - cfg.intentional_delay)
 
 
-class DelayChoice(NamedTuple):
-    alpha: int
-    effective_delay: int
-
-
-def optimal_intentional_delay(cfg: SystemConfig) -> DelayChoice:
+def optimal_intentional_delay(cfg: SystemConfig) -> int:
     """Largest downlink deferral that leaves the round length unchanged.
 
     By the schedule law (see SystemConfig.downlink_ends), deferral alpha moves
@@ -215,6 +203,4 @@ def optimal_intentional_delay(cfg: SystemConfig) -> DelayChoice:
     alpha* = max(0, G - 1 - ceil(tau_comp / tau_comm)): 0 when compute already
     fills the rotation gap, and the steady staleness is d* = G - 1 - alpha*.
     """
-    g = cfg.num_groups
-    alpha = max(0, g - 1 - math.ceil(Fraction(cfg.compute_slots, cfg.tau_comm)))
-    return DelayChoice(alpha=alpha, effective_delay=g - 1 - alpha)
+    return max(0, cfg.num_groups - 1 - math.ceil(Fraction(cfg.compute_slots, cfg.tau_comm)))

@@ -1,12 +1,18 @@
 """Command-line surface: artifacts, schemas, exit codes."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmafl.cli import (
     CSV_HEADER,
@@ -19,6 +25,7 @@ from tdmafl.cli import (
     main,
     run_experiment,
     run_sweep,
+    timing_report,
     write_metrics_csv,
 )
 from tdmafl.simulator import RunMetrics, run_timeline
@@ -146,6 +153,16 @@ class TestRunCommand:
         assert summary["config"]["system"]["group_size"] == 4
         assert len(summary["per_seed"]) == 1
 
+    def test_seed_flag_replaces_the_spec_seeds(self, tmp_path):
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(write_spec(tmp_path, quad_spec(horizon=40))),
+                   "--out", str(out), "--seed", "7"])
+        assert rc == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["seeds"] == [7]  # the echo is the spec that ran
+        assert [e["seed"] for e in summary["per_seed"]] == [7]
+        assert sorted(p.name for p in out.iterdir()) == ["seed7", "summary.json"]
+
     def test_timing_only_run(self, tmp_path):
         doc = quad_spec()
         doc["task"] = {"kind": "none"}
@@ -239,10 +256,15 @@ class TestExitCodes:
     def test_missing_config(self):
         assert main(["run"]) == EXIT_CONFIG
 
-    @pytest.mark.parametrize("command", ["run", "validate-timing", "validate-prop1"])
-    @pytest.mark.parametrize("content", [None, "{not json", "\xff\xfe", "[{}]", '{"a": 1}', "[]"],
-                             ids=["missing", "malformed", "not-utf8", "list-of-empty",
-                                  "object", "empty-list"])
+    @pytest.mark.parametrize("command", ["run", "validate-timing"])
+    @pytest.mark.parametrize("content", [
+        None, "{not json", "\xff\xfe", "[{}]", '{"a": 1}', "[]",
+        '[{"num_devices": 4, "horizon": 60, "group_sizes": []}]',
+        '[{"num_devices": 4, "intentional_delay": 1, "samples_per_slot": 3, "bogus": 1,'
+        ' "group_sizes": [1]}]',
+        '[{"num_devices": 4, "group_size": 2, "group_sizes": [1]}]',
+    ], ids=["missing", "malformed", "not-utf8", "list-of-empty", "object", "empty-list",
+            "empty-group-sizes", "unknown-scenario-key", "scenario-group-size"])
     def test_unreadable_config_file(self, tmp_path, capsys, command, content):
         path = tmp_path / "config.json"
         if content is not None:
@@ -359,6 +381,17 @@ class TestExitCodes:
         assert err.startswith("configuration error: no training round completes")
         assert err.count("\n") == 1
 
+    def test_sweep_empty_grid_axis_writes_nothing(self, tmp_path, capsys):
+        doc = quad_spec(horizon=40)
+        doc["grid"] = {"group_size": [1, 2], "intentional_delay": []}
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "intentional_delay" in err
+        assert not out.exists()
+
     def test_override_on_a_non_object_config(self, tmp_path, capsys):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -403,7 +436,7 @@ class TestSweep:
         # optimal deferral brings it down to d*.
         cfg = build_system_config({**doc["system"], "group_size": 1})
         from tdmafl import optimal_intentional_delay
-        d_star = optimal_intentional_delay(cfg).effective_delay
+        d_star = cfg.num_groups - 1 - optimal_intentional_delay(cfg)
         assert pick[(1, 0)]["steady_staleness"] == cfg.num_groups - 1
         assert pick[(1, "optimal")]["steady_staleness"] == d_star
         # Full-group runs are identical with and without deferral.
@@ -421,6 +454,18 @@ class TestSweep:
         assert made == {"a", "a/sweep", point, f"{point}/seed0"}
         assert (tmp_path / point / "summary.json").exists()
 
+    def test_seed_flag_reaches_every_point(self, tmp_path):
+        doc = quad_spec(horizon=40)  # seeds [0, 1]
+        doc["grid"] = {"group_size": [1, 2]}
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(out), "--seed", "7"]) == EXIT_OK
+        seed_dirs = {p.relative_to(out).as_posix() for p in out.glob("*/seed*")}
+        assert seed_dirs == {"group_size-1/seed7", "group_size-2/seed7"}
+        for point in ("group_size-1", "group_size-2"):
+            summary = json.loads((out / point / "summary.json").read_text())
+            assert summary["config"]["seeds"] == [7]
+
     def test_sweep_needs_grid(self, tmp_path):
         doc = quad_spec()
         doc["mode"] = "sweep"
@@ -431,12 +476,40 @@ class TestSweep:
 
 
 class TestValidators:
-    def test_prop1_output(self, capsys):
-        assert main(["validate-prop1"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "(alpha, d*) = (74, 25)" in out
-        assert "(alpha, d*) = (94, 5)" in out
-        assert "(alpha, d*) = (98, 1)" in out
+    def test_prop1_output(self, tmp_path):
+        # Proposition 1's worked examples: N = 100 singleton groups, compute 50, 10 and 2.
+        assert main(["validate-timing", "--out", str(tmp_path)]) == EXIT_OK
+        rows = json.loads((tmp_path / "timing.json").read_text())
+        prop1 = [(r["tau_comp"], r["alpha_star"], r["d_star"]) for r in rows
+                 if r["num_groups"] == 100]
+        assert prop1 == [(50, 74, 25), (10, 94, 5), (2, 98, 1)]
+
+    def test_scenario_is_a_system_block(self, tmp_path):
+        # Four singleton groups with 2-slot compute: alpha* = 2, tau_asyn = 2.
+        base = {"num_devices": 4, "horizon": 400, "group_sizes": [1]}
+        scenarios = [{**base, "label": "late", "compute_slots": 2, "intentional_delay": 3},
+                     {**base, "label": "opt", "compute_slots": 2, "intentional_delay": "optimal"},
+                     {**base, "label": "rate", "samples_per_slot": "1/2"}]
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps(scenarios))
+        assert main(["validate-timing", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        rows = json.loads((tmp_path / "out" / "timing.json").read_text())
+        rows = {r["scenario"]: r for r in rows}
+        late, opt = rows["late"], rows["opt"]
+        assert late["tau_asyn"] is None and late["rounds_closed_form"] is None
+        assert "alpha* = 2" in late["closed_form_note"]
+        assert (late["intentional_delay"], late["rounds_exact"]) == (3, 101)
+        assert opt["intentional_delay"] == opt["alpha_star"] == 2 and opt["d_star"] == 1
+        assert (opt["tau_asyn"], opt["rounds_closed_form"], opt["rounds_exact"]) == ("2", 200, 200)
+        assert "closed_form_note" not in opt
+        assert rows["rate"]["tau_comp"] == 2  # ceil(H * B / q) with q = 1/2
+        for sc in scenarios:  # each row is what a run with that system writes
+            system = {k: v for k, v in sc.items() if k not in ("label", "group_sizes")}
+            spec = ExperimentSpec.from_dict({"name": "x", "system": {**system, "group_size": 1}})
+            timing = run_experiment(spec, tmp_path / sc["label"])["timing"]
+            assert {"scenario": sc["label"], "group_size": 1, **timing} == rows[sc["label"]]
+            assert timing == timing_report(build_system_config(spec.system))
 
     def test_timing_table_small_config(self, tmp_path, capsys):
         scenarios = [{"label": "tiny", "num_devices": 6, "horizon": 600,
@@ -512,3 +585,82 @@ class TestSpecParsing:
     def test_absent_or_zero_delay_is_no_deferral(self, extra):
         cfg = build_system_config({"num_devices": 4, "group_size": 1, **extra})
         assert cfg.intentional_delay == 0
+
+
+# Every user error exits with its code: fields of valid documents are mutated
+# from a palette of wrong values. Size fields never get 2**70, as a huge size is
+# a large run that the user asked for, not an error.
+PALETTE = [None, True, "x", [], {}, math.nan, math.inf, -math.inf, -1, 2**70]
+SIZE_FIELDS = frozenset({"num_devices", "horizon", "dim", "per_device", "samples_per_device",
+                         "hidden", "samples_per_class", "feature_dim", "num_classes",
+                         "local_steps"})
+MLP_SPEC = {
+    "name": "mlp", "seeds": [0], "metrics_every": 2,
+    "system": {"num_devices": 4, "group_size": 1, "samples_per_slot": "1/2", "local_steps": 2,
+               "batch_size": 2, "step_size": 0.1, "horizon": 40, "intentional_delay": "optimal"},
+    "task": {"kind": "mlp", "dataset": "clusters", "partition": "iid", "per_device": 5,
+             "num_classes": 2, "feature_dim": 3, "samples_per_class": 20, "spread": 3.0,
+             "noise": 1.0, "hidden": 3, "data_seed": 1},
+}
+VALID_DOCUMENTS = {  # id: (command, document)
+    "run-quadratic": ("run", quad_spec(horizon=60)),
+    "run-mlp": ("run", MLP_SPEC),
+    "sweep": ("sweep", {**quad_spec(horizon=60), "seeds": [0], "grid": {
+        "group_size": [1, 2], "intentional_delay": [0, "optimal"]}}),
+    "validate-timing": ("validate-timing", [
+        {"label": "a", "num_devices": 4, "horizon": 60, "compute_slots": 2,
+         "slots_per_transfer": 1, "intentional_delay": 1, "group_sizes": [1, 2]},
+        {"num_devices": 6, "horizon": 60, "samples_per_slot": "1/2", "local_steps": 2,
+         "group_sizes": [3]},
+    ]),
+}
+
+
+def _field_paths(doc, prefix=()):
+    """The key path of every field of a JSON document, list entries included."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw, doc):
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_field_paths(doc))))
+        palette = PALETTE[:-1] if SIZE_FIELDS & set(path) else PALETTE
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = copy.deepcopy(draw(st.sampled_from(palette)))
+    return doc
+
+
+def _main_on(command, doc):
+    """main(command) on ``doc`` in a fresh directory: (exit code, stderr)."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([command, "--config", path, "--out", f"{tmp}/out"])
+    return rc, err.getvalue()
+
+
+class TestExitCodeProperty:
+    @pytest.mark.parametrize("name", sorted(VALID_DOCUMENTS))
+    def test_valid_document_exits_ok(self, name):
+        assert _main_on(*VALID_DOCUMENTS[name]) == (EXIT_OK, "")
+
+    # The CLI lets a numeric warning pass and then fails with exit 4; here too.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name", sorted(VALID_DOCUMENTS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_document_exits_with_its_code(self, name, data):
+        command, doc = VALID_DOCUMENTS[name]
+        rc, err = _main_on(command, data.draw(mutated_documents(doc)))
+        assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC)
+        assert "Traceback" not in err

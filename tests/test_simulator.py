@@ -296,7 +296,7 @@ class TestScheduleProperties:
     def test_optimal_delay_moves_no_round(self, case):
         """Proposition 1 as an equality: alpha* keeps every downlink and transmitter."""
         cfg, rounds = case
-        alpha = optimal_intentional_delay(cfg).alpha
+        alpha = optimal_intentional_delay(cfg)
         plain = run_timeline(cfg, max_rounds=rounds, record_events=False)
         deferred = run_timeline(replace(cfg, intentional_delay=alpha), max_rounds=rounds,
                                 record_events=False)
@@ -315,10 +315,11 @@ class TestScheduleProperties:
         m = cfg.num_groups - cfg.intentional_delay
         ends = cfg.downlink_ends(3 * m)
         assert {Fraction(ends[k + m] - ends[k], m) for k in range(2 * m)} == {cfg.round_length}
-        if cfg.intentional_delay <= optimal_intentional_delay(cfg).alpha:
+        if cfg.intentional_delay <= optimal_intentional_delay(cfg):
             assert cfg.round_length == cfg.tau_asyn
         else:
             assert cfg.round_length > cfg.tau_asyn
+        assert cfg.tau_asyn == replace(cfg, intentional_delay=0).round_length
 
 
 @st.composite
@@ -406,7 +407,7 @@ class TestDeferredDownlink:
     def test_staleness_matches_deferred_law(self):
         for n, s, comp in [(4, 1, 2), (6, 2, 4), (20, 5, 7), (100, 1, 50)]:
             base = SystemConfig(n, s, comp, horizon=10**7)
-            alpha = optimal_intentional_delay(base).alpha
+            alpha = optimal_intentional_delay(base)
             cfg = SystemConfig(n, s, comp, horizon=10**7,
                                intentional_delay=alpha)
             g = cfg.num_groups
@@ -417,7 +418,7 @@ class TestDeferredDownlink:
 
     def test_optimal_delay_keeps_duration_and_one_more_slows(self):
         cfg0 = SystemConfig(4, 1, compute_slots=2, horizon=10**6)
-        alpha = optimal_intentional_delay(cfg0).alpha
+        alpha = optimal_intentional_delay(cfg0)
         assert alpha == 2
 
         def steady(a):
@@ -479,7 +480,7 @@ class TestLearnerDriving:
     @pytest.mark.parametrize("max_rounds", [None, 7])
     def test_every_computed_update_is_uploaded(self, alpha, rounds, max_rounds):
         cfg = SystemConfig(6, 2, compute_slots=2, horizon=60, intentional_delay=alpha)
-        assert optimal_intentional_delay(replace(cfg, intentional_delay=0)).alpha == 1
+        assert optimal_intentional_delay(replace(cfg, intentional_delay=0)) == 1
         learner = counting_learner(cfg)
         result = run_timeline(cfg, learner, max_rounds=max_rounds, record_events=False)
         assert result.completed_rounds == (rounds if max_rounds is None else 7)
