@@ -1,8 +1,9 @@
 """Asynchronous federated learning over a slotted TDMA channel.
 
 Slot-exact scheduling simulation and its closed-form timing and staleness
-laws, stale-gradient SGD, heterogeneous data provisioning, the rate trend of
-the convergence bound, and a CLI experiment runner.
+laws, stale-gradient SGD, heterogeneous data provisioning, and a CLI
+experiment runner, which also runs the rate trend of the convergence bound
+(``tdmafl.cli.rate_trend``).
 """
 
 from .errors import (

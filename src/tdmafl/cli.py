@@ -1,4 +1,4 @@
-"""Experiment runner: single runs, sweeps, and validation commands.
+"""Experiment runner: single runs, sweeps, the rate trend and the timing report.
 
 Experiments are described by one JSON document (the schema is in the
 ``ExperimentSpec`` docstring); individual fields can be overridden from the
@@ -7,8 +7,9 @@ metrics and a strict-JSON summary echoing the configuration, with the
 ``timing_report`` of its system. ``validate-timing`` prints that report for a
 JSON list of scenarios, each a spec ``system`` block that gives a non-empty
 ``group_sizes`` list in place of ``group_size``, and an optional ``label``.
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure.
+``rate-trend`` prints and writes the document of ``rate_trend``: the trend of
+the convergence bound in the group count G and the round budget K. Exit
+codes: 0 success, 2 configuration error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +31,6 @@ from urllib.parse import quote
 
 import numpy as np
 
-from . import analysis
 from .data import (
     load_cifar10_batches,
     load_idx_dataset,
@@ -40,7 +41,7 @@ from .data import (
 from .errors import ConfigError, DataError, NumericsError
 from .learner import SgdLearner
 from .simulator import run_timeline
-from .tasks import MlpTask, SoftmaxRegressionTask, make_quadratic
+from .tasks import MlpTask, QuadraticTask, SoftmaxRegressionTask, make_quadratic
 from .timing import SystemConfig, optimal_intentional_delay, require_integer, require_real
 
 DATA_DIR_ENV = "TDMAFL_DATA_DIR"
@@ -73,19 +74,23 @@ class ExperimentSpec:
     """One experiment document, as read by ``run`` and ``sweep``.
 
     Top-level fields:
-        name: required string; the default output directory is runs/<name>
-            (runs/<name>_sweep for a sweep).
+        name: required non-empty string; the default output directory is
+            runs/<name> (runs/<name>_sweep for a sweep).
         system: required object, the run constants (below).
         task: object with a ``kind`` (below); default {"kind": "none"}.
-        seeds: non-empty list of integers >= 0, one run each; default [0].
+        seeds: non-empty list of integers in [0, 2**64), one run each; default [0].
         metrics_every: evaluate loss and gradient norm every this many rounds;
             0 turns evaluation off; default 1.
         mode: one of "run", "sweep", "validate-timing" or "rate-trend". It is
             checked but not acted on: the subcommand decides what runs.
-        out_dir: output directory, used when --out is not given.
+        out_dir: output directory (a string or null), used when --out is not
+            given.
         grid: sweep only; an object that maps system fields to a value or a
             list of values, and every combination runs as one point with its
             own output directory.
+
+    The document is strict JSON: a NaN or an infinity anywhere in it is a
+    ConfigError.
 
     The ``system`` block takes the SystemConfig fields: num_devices and
     group_size (required; group_size must divide num_devices, so the TDMA
@@ -121,15 +126,26 @@ class ExperimentSpec:
     def from_dict(cls, doc: dict) -> "ExperimentSpec":
         if not isinstance(doc, dict):
             raise ConfigError("experiment spec must be a JSON object")
+        try:  # one pass, so no NaN or infinity anywhere can reach an artifact
+            json.dumps(doc, allow_nan=False)
+        except ValueError as exc:
+            raise ConfigError(f"experiment spec is not strict JSON: {exc}") from exc
         known = {"name", "mode", "system", "task", "seeds", "metrics_every", "out_dir", "grid"}
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown spec fields: {sorted(unknown)}")
+        if not isinstance(doc.get("name"), str) or not doc["name"]:
+            raise ConfigError(f"name must be a non-empty string, got {doc.get('name')!r}")
+        out_dir = doc.get("out_dir")
+        if out_dir is not None and not isinstance(out_dir, str):
+            raise ConfigError(f"out_dir must be a string or null, got {out_dir!r}")
         seeds = doc.get("seeds", [0])
         if not isinstance(seeds, list) or not seeds:
             raise ConfigError(f"seeds must be a non-empty list, got {seeds!r}")
-        for seed in seeds:
+        for seed in seeds:  # kept to 64 bits, as a seed names its output directory
             require_integer("each seed", seed, 0)
+            if seed >= 2**64:
+                raise ConfigError(f"each seed must be < 2**64, got {seed}")
         metrics_every = doc.get("metrics_every", 1)
         require_integer("metrics_every", metrics_every, 0)
         for block in ("system", "task", "grid"):
@@ -137,19 +153,18 @@ class ExperimentSpec:
                 raise ConfigError(f"{block} must be a JSON object, got {doc[block]!r}")
         if doc.get("mode", "run") not in ("run", "sweep", "validate-timing", "rate-trend"):
             raise ConfigError(f"unknown mode {doc['mode']!r}")
-        try:
-            return cls(
-                name=doc["name"],
-                system=dict(doc["system"]),
-                task=dict(doc.get("task", {"kind": "none"})),
-                seeds=list(seeds),
-                metrics_every=metrics_every,
-                out_dir=doc.get("out_dir"),
-                grid=doc.get("grid"),
-                raw=doc,
-            )
-        except KeyError as exc:
-            raise ConfigError(f"spec missing required field: {exc}") from exc
+        if "system" not in doc:
+            raise ConfigError("spec missing required field: 'system'")
+        return cls(
+            name=doc["name"],
+            system=dict(doc["system"]),
+            task=dict(doc.get("task", {"kind": "none"})),
+            seeds=list(seeds),
+            metrics_every=metrics_every,
+            out_dir=out_dir,
+            grid=doc.get("grid"),
+            raw=doc,
+        )
 
 
 RationalLike = Union[int, float, str, Fraction]
@@ -371,6 +386,11 @@ def timing_report(cfg: SystemConfig) -> dict:
     return report
 
 
+def _finite(value: Optional[float]) -> Optional[float]:
+    """A strict JSON value: a non-finite float becomes None."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
     """Execute one experiment spec; returns the summary dict it wrote."""
     cfg = build_system_config(spec.system)
@@ -399,12 +419,12 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
         seed_dir = out / f"seed{seed}"
         seed_dir.mkdir(exist_ok=True)
         write_metrics_csv(seed_dir / "metrics.csv", result.metrics)
-        avg_gsq = result.metrics.avg_grad_norm_sq()  # NaN when nothing was evaluated
         entry = {
             "seed": seed,
             "completed_rounds": result.completed_rounds,
             "steady_staleness": result.metrics.staleness[-1] if len(result.metrics) else None,
-            "avg_grad_norm_sq": avg_gsq if np.isfinite(avg_gsq) else None,
+            # null when nothing was evaluated
+            "avg_grad_norm_sq": _finite(result.metrics.avg_grad_norm_sq()),
         }
         if task is not None and result.final_model is not None:
             entry["final_loss"] = task.loss(result.final_model)
@@ -514,6 +534,103 @@ def _print_delay_deltas(rows: list[dict]) -> None:
         print("\nfinal-loss delta (optimal delay minus plain):")
         for key in common:
             print(f"  group_size={key}: {delayed[key] - plain[key]:+.6g}")
+
+
+# ---------------------------------------------------------------------------
+# rate trend
+# ---------------------------------------------------------------------------
+
+# rate_trend reruns this group count with this many times the round budget.
+KSCALE_GROUP = 2
+KSCALE_FACTOR = 4
+
+
+def theorem_step_size(smoothness: float, num_devices: int, group_size: int,
+                      batch_size: int, rounds: int) -> float:
+    """Step size beta / sqrt(K+1), capped at the 2/L stability limit.
+
+    beta takes the noise scale M = 1, which is exact for the quadratic.
+    """
+    beta = (group_size * batch_size / (2 * smoothness * num_devices)) * (
+        math.sqrt(1 + 8 * num_devices / batch_size) - 1)
+    eta = beta / math.sqrt(rounds + 1)
+    cap = 2.0 / smoothness
+    if eta > cap:
+        warnings.warn(f"schedule step size {eta:.3g} exceeds stability cap {cap:.3g}; capping",
+                      stacklevel=2)
+        return cap
+    return eta
+
+
+def rate_trend(
+    task: QuadraticTask,
+    group_counts: Sequence[int],
+    rounds: int,
+    seeds: Sequence[int],
+    *,
+    batch_size: int = 4,
+    initial: Optional[np.ndarray] = None,
+) -> dict:
+    """The ``rate_trend.json`` document: average squared gradient norm versus G.
+
+    Each group count G that divides N runs the full pipeline once per seed,
+    with the theorem's step size for the task's exact smoothness; the others
+    are listed as skipped, and if none is left, ConfigError. G = KSCALE_GROUP
+    reruns with KSCALE_FACTOR times the rounds to expose the budget scaling.
+    A task other than a QuadraticTask is a ConfigError. A non-finite float is
+    written as null.
+    """
+    if not isinstance(task, QuadraticTask):
+        raise ConfigError("rate_trend needs a QuadraticTask, whose constants are exact")
+    n, smoothness = task.num_devices, task.smoothness()
+    runs = {}  # (G, rounds) -> (eta, the per-seed average squared gradient norms)
+
+    def run_point(g: int, k: int) -> tuple[float, list[float]]:
+        if (g, k) not in runs:
+            cfg = SystemConfig(
+                num_devices=n, group_size=n // g, compute_slots=1,
+                horizon=max(1, k * (n + 2) * 2),
+                step_size=theorem_step_size(smoothness, n, n // g, batch_size, k),
+                batch_size=batch_size,
+            )
+            runs[g, k] = cfg.step_size, [
+                run_timeline(cfg, SgdLearner(task, cfg, seed=seed, initial=initial),
+                             max_rounds=k, record_events=False).metrics.avg_grad_norm_sq()
+                for seed in seeds
+            ]
+        return runs[g, k]
+
+    skipped = [g for g in group_counts if g < 1 or n % g != 0]
+    groups = sorted(g for g in group_counts if g not in skipped)
+    if not groups:
+        raise ConfigError(f"no group count in {list(group_counts)} divides {n} devices")
+    points = [run_point(g, rounds) for g in groups]
+    means = [float(np.mean(vals)) for _, vals in points]
+    ses = [float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else math.nan
+           for _, vals in points]
+    separations = []  # the gap between consecutive group counts in pooled SEs
+    for i in range(1, len(groups)):
+        pooled = math.sqrt(ses[i - 1] ** 2 + ses[i] ** 2)
+        separations.append((means[i] - means[i - 1]) / pooled if pooled > 0 else math.inf)
+    ratio = None
+    if n % KSCALE_GROUP == 0:
+        short = run_point(KSCALE_GROUP, rounds)[1]
+        long = run_point(KSCALE_GROUP, rounds * KSCALE_FACTOR)[1]
+        ratio = float(np.mean(short) / np.mean(long))
+    return {
+        "rounds": rounds,
+        "skipped_groups": skipped,
+        "monotone_in_groups": all(b >= a for a, b in zip(means, means[1:])),
+        "adjacent_separations": [_finite(x) for x in separations],
+        "kscale_group": KSCALE_GROUP,
+        "kscale_ratio": _finite(ratio),
+        "points": [
+            {"num_groups": g, "group_size": n // g, "eta": eta,
+             "mean_avg_grad_norm_sq": _finite(mean), "std_error": _finite(se),
+             "per_seed": [_finite(x) for x in vals]}
+            for g, (eta, vals), mean, se in zip(groups, points, means, ses)
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -679,21 +796,23 @@ def _dispatch(args) -> int:
             samples_per_device=40, sample_noise=0.5, eig_range=(0.5, 2.0),
         )
         init = task.w_star + 4.0 * np.ones(task.dim) / np.sqrt(task.dim)
-        report = analysis.rate_trend(
+        doc = rate_trend(
             task, groups, args.rounds, range(args.num_seeds),
             batch_size=args.batch_size, initial=init,
         )
-        for p in report.points:
-            print(f"G={p.num_groups:3d} S={p.group_size:3d} eta={p.eta:.5f} "
-                  f"avg|grad|^2={p.mean:.6f} (se {p.std_error:.2g})")
-        print(f"monotone in G: {report.monotone_in_groups()}")
-        if report.kscale_ratio is not None:
-            print(f"K vs {analysis.KSCALE_FACTOR}K average ratio at G={analysis.KSCALE_GROUP}: "
-                  f"{report.kscale_ratio:.3f}")
+        for p in doc["points"]:  # a null prints as nan
+            mean, se = (math.nan if x is None else x
+                        for x in (p["mean_avg_grad_norm_sq"], p["std_error"]))
+            print(f"G={p['num_groups']:3d} S={p['group_size']:3d} eta={p['eta']:.5f} "
+                  f"avg|grad|^2={mean:.6f} (se {se:.2g})")
+        print(f"monotone in G: {doc['monotone_in_groups']}")
+        if doc["kscale_ratio"] is not None:
+            print(f"K vs {KSCALE_FACTOR}K average ratio at G={KSCALE_GROUP}: "
+                  f"{doc['kscale_ratio']:.3f}")
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)
             (Path(args.out) / "rate_trend.json").write_text(
-                json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+                json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 
     raise ConfigError(f"unknown command {args.command!r}")

@@ -153,19 +153,8 @@ class QuadraticTask(Task):
         offset, const = self._moments(device, batch)
         return self._loss_at(w, offset, const), self.hessian @ w - offset
 
-    # Exact scenario constants, available because the structure is synthetic.
-
     def smoothness(self) -> float:
         return float(np.linalg.eigvalsh(self.hessian)[-1])
-
-    def heterogeneity_sq(self) -> float:
-        diffs = self._device_offsets - self._global_offset
-        return float((diffs * diffs).sum(axis=1).max())
-
-    def noise_sq(self) -> float:
-        """Largest per-device mean squared deviation of sample gradients."""
-        diffs = self.sample_offsets - self._device_offsets[:, None, :]
-        return float((diffs * diffs).sum(axis=2).mean(axis=1).max())
 
 
 def make_quadratic(

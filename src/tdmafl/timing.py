@@ -31,12 +31,16 @@ def require_integer(name: str, value, minimum: int) -> None:
 
 
 def require_real(name: str, value) -> None:
-    """Raise ConfigError unless ``value`` is a finite real number (not a bool)."""
+    """Raise ConfigError unless ``value`` is a real number (not a bool) whose float is finite."""
     if type(value) is float and -math.inf < value < math.inf:
         return  # fast path: the Real ABC check is a fifth of a cold SystemConfig build
-    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
-            or not -math.inf < value < math.inf):  # NaN fails the comparison too
-        raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return
+        except OverflowError:  # an integer beyond the float range, such as 10**400
+            pass
+    raise ConfigError(f"{name} must be a finite real number, got {value!r}")
 
 
 # The compute cost first, as a spec that gives a rate checks H and B first.

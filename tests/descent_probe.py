@@ -2,7 +2,9 @@
 
 Test-side oracles for the convergence analysis:
 
-* estimating the regularity constants of a task (smoothness, per-sample
+* the regularity constants of a task, exact for the shared-curvature
+  quadratic;
+* estimating those constants (smoothness, per-sample
   gradient second-moment envelope, gradient dispersion across devices) from
   gradient evaluations alone, as upper envelopes over everything witnessed;
 * a Monte-Carlo check of the per-round descent inequality: the right side is
@@ -12,14 +14,56 @@ Test-side oracles for the convergence analysis:
 
 from __future__ import annotations
 
+import math
 import warnings
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from tdmafl import ConfigError, SgdLearner, SystemConfig, idfl_staleness, run_timeline
-from tdmafl.analysis import AssumptionConstants
 from tdmafl.tasks import QuadraticTask, Task
+
+
+@dataclass
+class AssumptionConstants:
+    """Regularity constants of a task.
+
+    smoothness bounds the gradient Lipschitz constant; (noise_sq, noise_scale)
+    bound the per-sample gradient second moment as
+    noise_sq + noise_scale * |device gradient|^2; heterogeneity_sq bounds the
+    squared deviation of any device gradient from the global one.
+    """
+
+    smoothness: float
+    noise_sq: float
+    noise_scale: float
+    heterogeneity_sq: float
+
+    def __post_init__(self) -> None:
+        vals = (self.smoothness, self.noise_sq, self.noise_scale, self.heterogeneity_sq)
+        if not all(math.isfinite(v) and v >= 0 for v in vals):
+            raise ConfigError(f"constants must be finite and non-negative, got {vals}")
+        if self.noise_scale < 1.0:
+            raise ConfigError(f"noise_scale must be >= 1, got {self.noise_scale}")
+
+
+def exact_constants(task: QuadraticTask) -> AssumptionConstants:
+    """Closed-form constants for the shared-curvature quadratic.
+
+    Device gradients differ from the global one by their mean offsets, and
+    sample gradients from their device's by their offsets' deviations.
+    """
+    device_offsets = task.sample_offsets.mean(axis=1)
+    spread = device_offsets - device_offsets.mean(axis=0)
+    noise = task.sample_offsets - device_offsets[:, None, :]
+    return AssumptionConstants(
+        smoothness=task.smoothness(),
+        noise_sq=float((noise * noise).sum(axis=2).mean(axis=1).max()),
+        noise_scale=1.0,
+        heterogeneity_sq=float((spread * spread).sum(axis=1).max()),
+    )
+
 
 # Multiplicative guard so the reported envelope never dips below a witnessed
 # ratio through rounding alone.

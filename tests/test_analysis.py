@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from tdmafl import ConfigError, SystemConfig, make_quadratic
-from tdmafl.analysis import (
-    AssumptionConstants,
-    exact_constants,
-    rate_trend,
-    theorem_step_size,
-)
+from tdmafl.cli import rate_trend, theorem_step_size
 from tdmafl.tasks import QuadraticTask
 from descent_probe import (
+    AssumptionConstants,
     check_descent_lemma,
     descent_lhs_mc,
     descent_rhs,
     estimate_constants,
+    exact_constants,
 )
 
 
@@ -182,27 +179,24 @@ class TestDescentInequality:
 
 class TestRateTrend:
     def test_step_size_formula_and_cap(self):
-        consts = AssumptionConstants(smoothness=2.0, noise_sq=0.25,
-                                     noise_scale=1.0, heterogeneity_sq=4.0)
-        eta = theorem_step_size(consts, num_devices=20, group_size=10,
+        smoothness = 2.0  # the noise scale M is 1
+        eta = theorem_step_size(smoothness, num_devices=20, group_size=10,
                                 batch_size=4, rounds=2000)
-        expect = (10 * 4 / (2 * 2.0 * 20)) * (np.sqrt(1 + 8 * 20 / 4) - 1)
+        expect = (10 * 4 / (2 * smoothness * 20)) * (np.sqrt(1 + 8 * 20 / 4) - 1)
         assert eta == pytest.approx(expect / np.sqrt(2001))
         with pytest.warns(UserWarning, match="stability cap"):
-            capped = theorem_step_size(consts, 20, 10, 4, rounds=0)
-            assert capped == pytest.approx(2.0 / consts.smoothness)
+            capped = theorem_step_size(smoothness, 20, 10, 4, rounds=0)
+            assert capped == pytest.approx(2.0 / smoothness)
 
     def test_smoke_report_structure(self, hetero_quad):
         # 4-device task: G in {1, 2, 4}; G=3 must be skipped with a notice.
-        report = rate_trend(hetero_quad, [1, 2, 3, 4], rounds=60,
-                            seeds=range(3), batch_size=4,
-                            initial=hetero_quad.w_star + 2.0)
-        assert report.skipped == [3]
-        assert [p.num_groups for p in report.points] == [1, 2, 4]
-        assert all(len(p.per_seed) == 3 for p in report.points)
-        assert report.kscale_ratio is not None and report.kscale_ratio > 0
-        doc = report.to_dict()
+        doc = rate_trend(hetero_quad, [1, 2, 3, 4], rounds=60,
+                         seeds=range(3), batch_size=4,
+                         initial=hetero_quad.w_star + 2.0)
         assert doc["skipped_groups"] == [3]
+        assert [p["num_groups"] for p in doc["points"]] == [1, 2, 4]
+        assert all(len(p["per_seed"]) == 3 for p in doc["points"])
+        assert doc["kscale_ratio"] is not None and doc["kscale_ratio"] > 0
         assert len(doc["adjacent_separations"]) == 2
 
     def test_homogeneous_task_still_converges_under_staleness(self):

@@ -8,6 +8,7 @@ import json
 import math
 import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,11 +290,20 @@ class TestExitCodes:
         {"system": {"num_devices": 4, "group_size": 2, "samples_per_slot": math.inf}},
         {"system": {"num_devices": 4, "group_size": 2, "samples_per_slot": "abc"}},
         {"system": {"num_devices": 4, "group_size": 2, "intentional_delay": None}},
+        {"system": {"num_devices": 4, "group_size": 2, "step_size": 10**400}},
+        {"system": {"num_devices": 4, "group_size": 2}, "name": math.nan},
+        {"system": {"num_devices": 4, "group_size": 2}, "name": ["a"]},
+        {"system": {"num_devices": 4, "group_size": 2}, "name": ""},
+        {"system": {"num_devices": 4, "group_size": 2}, "out_dir": 5},
+        {"system": {"num_devices": 4, "group_size": 2}, "grid": {"step_size": [0.01, math.nan]}},
+        {"system": {"num_devices": 4, "group_size": 2}, "seeds": [2**64]},
     ], ids=["no-num-devices", "no-num-devices-compute-slots", "fractional-num-devices",
             "metrics-every-string", "seeds-not-list", "metrics-every-negative",
             "system-not-object", "step-size-string", "mode-list", "grid-number",
             "step-size-nan", "samples-per-slot-nan", "samples-per-slot-inf",
-            "samples-per-slot-string", "intentional-delay-null"])
+            "samples-per-slot-string", "intentional-delay-null", "step-size-huge",
+            "name-nan", "name-list", "name-empty", "out-dir-number", "unused-grid-nan",
+            "seed-beyond-64-bits"])
     def test_malformed_spec_field(self, tmp_path, capsys, doc):
         doc = {"name": "bad", **doc}
         if isinstance(doc["system"], dict):
@@ -303,6 +313,7 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("task", [
         "quadratic",
@@ -312,8 +323,10 @@ class TestExitCodes:
         {"kind": ["quadratic"]},
         {"kind": "quadratic", "heterogeneity": math.nan},
         {"kind": "quadratic", "sample_noise": math.nan},
+        {"kind": "quadratic", "heterogeneity": 10**400},
+        {"kind": "quadratic", "eig_range": [1, 10**400]},
     ], ids=["not-object", "dim-string", "eig-range-number", "fractional-hidden", "kind-list",
-            "heterogeneity-nan", "sample-noise-nan"])
+            "heterogeneity-nan", "sample-noise-nan", "heterogeneity-huge", "eig-range-huge"])
     def test_malformed_task_field(self, tmp_path, capsys, task):
         doc = {"name": "bad", "system": {"num_devices": 4, "group_size": 2, "horizon": 40},
                "task": task}
@@ -466,6 +479,20 @@ class TestSweep:
             summary = json.loads((out / point / "summary.json").read_text())
             assert summary["config"]["seeds"] == [7]
 
+    def test_parallel_points_write_the_same_bytes(self, tmp_path):
+        doc = quad_spec(horizon=60)  # seeds [0, 1]
+        doc["grid"] = {"group_size": [1, 2, 4], "intentional_delay": [0, "optimal"]}
+        spec = ExperimentSpec.from_dict(doc)
+        trees = {}
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            run_sweep(spec, out, workers=workers)
+            trees[workers] = {p.relative_to(out).as_posix(): p.read_bytes()
+                              for p in out.rglob("*") if p.is_file()}
+        assert trees[1] == trees[2]
+        names = sorted(name.rpartition("/")[2] for name in trees[1])
+        assert names == ["metrics.csv"] * 12 + ["summary.json"] * 6 + ["sweep.csv", "sweep.json"]
+
     def test_sweep_needs_grid(self, tmp_path):
         doc = quad_spec()
         doc["mode"] = "sweep"
@@ -588,9 +615,11 @@ class TestSpecParsing:
 
 
 # Every user error exits with its code: fields of valid documents are mutated
-# from a palette of wrong values. Size fields never get 2**70, as a huge size is
-# a large run that the user asked for, not an error.
-PALETTE = [None, True, "x", [], {}, math.nan, math.inf, -math.inf, -1, 2**70]
+# from a palette of wrong values. Size fields never get a HUGE value, as a huge
+# size is a large run that the user asked for, not an error. 10**400 is beyond
+# the float range.
+PALETTE = [None, True, "x", [], {}, math.nan, math.inf, -math.inf, -1]
+HUGE = [2**70, 10**400]
 SIZE_FIELDS = frozenset({"num_devices", "horizon", "dim", "per_device", "samples_per_device",
                          "hidden", "samples_per_class", "feature_dim", "num_classes",
                          "local_steps"})
@@ -629,7 +658,7 @@ def mutated_documents(draw, doc):
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_field_paths(doc))))
-        palette = PALETTE[:-1] if SIZE_FIELDS & set(path) else PALETTE
+        palette = PALETTE if SIZE_FIELDS & set(path) else PALETTE + HUGE
         target = doc
         for key in path[:-1]:
             target = target[key]
@@ -638,7 +667,10 @@ def mutated_documents(draw, doc):
 
 
 def _main_on(command, doc):
-    """main(command) on ``doc`` in a fresh directory: (exit code, stderr)."""
+    """main(command) on ``doc`` in a fresh directory: (exit code, stderr).
+
+    Every summary.json and sweep.json that the command leaves must be strict JSON.
+    """
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/config.json"
@@ -646,6 +678,8 @@ def _main_on(command, doc):
             json.dump(doc, fh)
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             rc = main([command, "--config", path, "--out", f"{tmp}/out"])
+        for artifact in [*Path(tmp).rglob("summary.json"), *Path(tmp).rglob("sweep.json")]:
+            json.loads(artifact.read_text(), parse_constant=_reject_constant)
     return rc, err.getvalue()
 
 

@@ -276,6 +276,39 @@ class TestPipelineEquivalences:
             expect = history[k] - eta * np.mean(ups, axis=0)
             assert np.linalg.norm(history[k + 1] - expect) <= 1e-15
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_final_model_is_the_delayed_recurrence(self, data):
+        # With sample_noise = 0 every batch of B samples has the device's own
+        # offset, so a run is deterministic: round k takes the H-step updates
+        # of group k mod G, all computed on the model s_k = min(k, G - 1 - alpha)
+        # rounds old. Exact equality also pins the order of the sums.
+        g, s, h, b = (data.draw(st.integers(1, n)) for n in (6, 3, 3, 3))
+        alpha = data.draw(st.integers(0, g - 1))
+        eta = data.draw(st.floats(0.01, 0.3))
+        cfg = SystemConfig(g * s, s, compute_slots=data.draw(st.integers(1, 29)),
+                           local_steps=h, batch_size=b, step_size=eta,
+                           horizon=10**5, intentional_delay=alpha)
+        task = make_quadratic(g * s, 3, 1.0, np.random.default_rng(g * s),
+                              samples_per_device=4, eig_range=(0.5, 2.0))
+        initial = task.w_star + 1.0
+        max_rounds = data.draw(st.integers(1, 60))
+        result = run_timeline(cfg, SgdLearner(task, cfg, seed=7, initial=initial),
+                              max_rounds=max_rounds, record_events=False, metrics_every=0)
+
+        batch = np.arange(b)
+        models = [initial]
+        for k in range(min(cfg.rounds_exact(), max_rounds)):
+            w_old = models[k - min(k, g - 1 - alpha)]
+            total = np.zeros(task.dim)
+            for dev in range(k % g * s, (k % g + 1) * s):
+                w = w_old.copy()
+                for _ in range(h):
+                    w -= eta * task.grad(w, dev, batch)
+                total += (w_old - w) / eta
+            models.append(models[k] - eta * (total / s))
+        assert np.array_equal(result.final_model, models[-1])
+
     def test_seeded_updates_are_reproducible(self):
         task = make_quadratic(2, 3, 0.5, np.random.default_rng(11),
                               samples_per_device=9, sample_noise=0.2)

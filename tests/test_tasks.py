@@ -16,7 +16,7 @@ from tdmafl import (
     partition_iid,
 )
 from tdmafl.tasks import QuadraticTask, Task
-from descent_probe import persample_grad_sq_mean
+from descent_probe import exact_constants, persample_grad_sq_mean
 from util import central_difference, relative_error
 
 
@@ -93,22 +93,23 @@ class TestQuadratic:
         measured = max(
             float(np.sum((g - quad.grad(w, n)) ** 2)) for n in range(quad.num_devices)
         )
-        assert measured == pytest.approx(quad.heterogeneity_sq(), rel=1e-12)
-        assert np.sqrt(quad.heterogeneity_sq()) == pytest.approx(1.5, rel=1e-12)
+        hetero_sq = exact_constants(quad).heterogeneity_sq
+        assert measured == pytest.approx(hetero_sq, rel=1e-12)
+        assert np.sqrt(hetero_sq) == pytest.approx(1.5, rel=1e-12)
 
     def test_homogeneous_when_target_zero(self):
         task = make_quadratic(5, 3, 0.0, np.random.default_rng(9))
-        assert task.heterogeneity_sq() == 0.0
+        assert exact_constants(task).heterogeneity_sq == 0.0
         # Sample noise is centered per device, so dispersion stays at the
         # float-cancellation floor.
         noisy = make_quadratic(5, 3, 0.0, np.random.default_rng(9), sample_noise=0.2)
-        assert noisy.heterogeneity_sq() < 1e-28
+        assert exact_constants(noisy).heterogeneity_sq < 1e-28
 
     def test_smoothness_is_top_eigenvalue(self, quad):
         assert quad.smoothness() == pytest.approx(2.0, rel=1e-12)
 
     def test_noise_level_is_exact(self, quad):
-        assert np.sqrt(quad.noise_sq()) == pytest.approx(0.7, rel=1e-9)
+        assert np.sqrt(exact_constants(quad).noise_sq) == pytest.approx(0.7, rel=1e-9)
 
     def test_batch_moments(self, quad):
         w = np.random.default_rng(10).normal(size=quad.dim)
