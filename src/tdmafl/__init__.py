@@ -22,7 +22,6 @@ from .simulator import (
     RunMetrics,
     SimResult,
     StalenessRecord,
-    TimelineEvent,
     run_timeline,
 )
 from .learner import SgdLearner

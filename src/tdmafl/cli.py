@@ -39,7 +39,7 @@ from .data import (
     partition_single_label,
 )
 from .errors import ConfigError, DataError, NumericsError
-from .learner import SgdLearner
+from .learner import SgdLearner, check_batch_size
 from .simulator import run_timeline
 from .tasks import MlpTask, QuadraticTask, SoftmaxRegressionTask, make_quadratic
 from .timing import SystemConfig, optimal_intentional_delay, require_integer, require_real
@@ -78,7 +78,7 @@ class ExperimentSpec:
             runs/<name> (runs/<name>_sweep for a sweep).
         system: required object, the run constants (below).
         task: object with a ``kind`` (below); default {"kind": "none"}.
-        seeds: non-empty list of integers in [0, 2**64), one run each; default [0].
+        seeds: non-empty list of distinct integers in [0, 2**64), one run each; default [0].
         metrics_every: evaluate loss and gradient norm every this many rounds;
             0 turns evaluation off; default 1.
         mode: one of "run", "sweep", "validate-timing" or "rate-trend". It is
@@ -146,6 +146,8 @@ class ExperimentSpec:
             require_integer("each seed", seed, 0)
             if seed >= 2**64:
                 raise ConfigError(f"each seed must be < 2**64, got {seed}")
+        if len(set(seeds)) < len(seeds):  # and one directory holds one run
+            raise ConfigError(f"seeds must not repeat, got {seeds!r}")
         metrics_every = doc.get("metrics_every", 1)
         require_integer("metrics_every", metrics_every, 0)
         for block in ("system", "task", "grid"):
@@ -386,6 +388,16 @@ def timing_report(cfg: SystemConfig) -> dict:
     return report
 
 
+def _make_out_dir(path) -> Path:
+    """Create a command's output directory; one that cannot be made is a ConfigError."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
+    return out
+
+
 def _finite(value: Optional[float]) -> Optional[float]:
     """A strict JSON value: a non-finite float becomes None."""
     return value if value is not None and math.isfinite(value) else None
@@ -398,8 +410,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
     timing = timing_report(cfg)
     learners = [None if task is None else SgdLearner(task, cfg, seed=seed, initial=init)
                 for seed in spec.seeds]  # a bad batch size fails here, before any output
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(out_dir)
     summary: dict = {
         "name": spec.name,
         "config": spec.raw if spec.raw is not None else {},
@@ -409,16 +420,12 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
     error: Optional[NumericsError] = None
     for seed, learner in zip(spec.seeds, learners):
         try:
-            result = run_timeline(
-                cfg, learner, record_events=False, metrics_every=spec.metrics_every
-            )
+            result = run_timeline(cfg, learner, metrics_every=spec.metrics_every)
         except NumericsError as exc:
             summary["per_seed"].append({"seed": seed, "error": str(exc)})
             error = exc
             break
-        seed_dir = out / f"seed{seed}"
-        seed_dir.mkdir(exist_ok=True)
-        write_metrics_csv(seed_dir / "metrics.csv", result.metrics)
+        write_metrics_csv(_make_out_dir(out / f"seed{seed}") / "metrics.csv", result.metrics)
         entry = {
             "seed": seed,
             "completed_rounds": result.completed_rounds,
@@ -484,8 +491,7 @@ def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1)
         raise ConfigError("sweep mode needs a non-empty grid")
     require_integer("workers", workers, 1)
     points = _grid_points(spec.grid)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(out_dir)
     jobs = [(spec.raw, p, str(out), dataset_dir) for p in points]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -562,6 +568,15 @@ def theorem_step_size(smoothness: float, num_devices: int, group_size: int,
     return eta
 
 
+def _dividing_groups(group_counts: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """The group counts that divide n devices, sorted, and the others; ConfigError if none."""
+    skipped = [g for g in group_counts if g < 1 or n % g != 0]
+    groups = sorted(g for g in group_counts if g not in skipped)
+    if not groups:
+        raise ConfigError(f"no group count in {list(group_counts)} divides {n} devices")
+    return groups, skipped
+
+
 def rate_trend(
     task: QuadraticTask,
     group_counts: Sequence[int],
@@ -583,6 +598,7 @@ def rate_trend(
     if not isinstance(task, QuadraticTask):
         raise ConfigError("rate_trend needs a QuadraticTask, whose constants are exact")
     n, smoothness = task.num_devices, task.smoothness()
+    groups, skipped = _dividing_groups(group_counts, n)
     runs = {}  # (G, rounds) -> (eta, the per-seed average squared gradient norms)
 
     def run_point(g: int, k: int) -> tuple[float, list[float]]:
@@ -595,15 +611,11 @@ def rate_trend(
             )
             runs[g, k] = cfg.step_size, [
                 run_timeline(cfg, SgdLearner(task, cfg, seed=seed, initial=initial),
-                             max_rounds=k, record_events=False).metrics.avg_grad_norm_sq()
+                             max_rounds=k).metrics.avg_grad_norm_sq()
                 for seed in seeds
             ]
         return runs[g, k]
 
-    skipped = [g for g in group_counts if g < 1 or n % g != 0]
-    groups = sorted(g for g in group_counts if g not in skipped)
-    if not groups:
-        raise ConfigError(f"no group count in {list(group_counts)} divides {n} devices")
     points = [run_point(g, rounds) for g in groups]
     means = [float(np.mean(vals)) for _, vals in points]
     ses = [float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else math.nan
@@ -777,11 +789,10 @@ def _dispatch(args) -> int:
 
     if args.command == "validate-timing":
         rows = validate_timing(None if args.config is None else _read_json_config(args.config))
+        out = args.out and _make_out_dir(args.out)
         _print_table(rows, list(dict.fromkeys(k for row in rows for k in row)))
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            (Path(args.out) / "timing.json").write_text(
-                json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        if out:
+            (out / "timing.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 
     if args.command == "rate-trend":
@@ -796,6 +807,9 @@ def _dispatch(args) -> int:
             samples_per_device=40, sample_noise=0.5, eig_range=(0.5, 2.0),
         )
         init = task.w_star + 4.0 * np.ones(task.dim) / np.sqrt(task.dim)
+        _dividing_groups(groups, args.num_devices)  # rate_trend's own checks, before any output
+        check_batch_size(task, args.batch_size)
+        out = args.out and _make_out_dir(args.out)
         doc = rate_trend(
             task, groups, args.rounds, range(args.num_seeds),
             batch_size=args.batch_size, initial=init,
@@ -809,10 +823,8 @@ def _dispatch(args) -> int:
         if doc["kscale_ratio"] is not None:
             print(f"K vs {KSCALE_FACTOR}K average ratio at G={KSCALE_GROUP}: "
                   f"{doc['kscale_ratio']:.3f}")
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-            (Path(args.out) / "rate_trend.json").write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        if out:
+            (out / "rate_trend.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         return EXIT_OK
 
     raise ConfigError(f"unknown command {args.command!r}")

@@ -29,6 +29,14 @@ from .tasks import Task
 from .timing import SystemConfig, require_integer
 
 
+def check_batch_size(task: Task, batch_size: int) -> None:
+    """Raise SamplingError unless every device's shard holds ``batch_size`` samples."""
+    size = min(task.shard_sizes)
+    if batch_size > size:
+        raise SamplingError(f"batch_size {batch_size} exceeds shard size "
+                            f"{size} of device {task.shard_sizes.index(size)}")
+
+
 @dataclass
 class SgdLearner:
     """The update rule the slot scheduler drives.
@@ -48,11 +56,7 @@ class SgdLearner:
 
     def __post_init__(self) -> None:
         require_integer("seed", self.seed, 0)
-        sizes = self.task.shard_sizes
-        size = min(sizes)
-        if self.config.batch_size > size:
-            raise SamplingError(f"batch_size {self.config.batch_size} exceeds shard size "
-                                f"{size} of device {sizes.index(size)}")
+        check_batch_size(self.task, self.config.batch_size)
         seed = int(self.seed)
         self._seed_words = [(seed >> shift) & 0xFFFFFFFF
                             for shift in range(0, max(seed.bit_length(), 1), 32)]

@@ -19,8 +19,8 @@ The timing is a max-plus law in closed form: the clock after round k is
 E_k = tau_comp + (k + 1)*tau_comm + floor(k/m)*Delta with
 Delta = max(0, tau_comp - (m - 1)*tau_comm), and the round count follows
 from it (``SystemConfig.downlink_ends`` and ``SystemConfig.rounds_exact``).
-So ``run_timeline`` builds the round table in bulk and loops over the rounds
-only to drive a learner.
+So ``run_timeline`` builds only the round table, in bulk, and loops over the
+rounds only to drive a learner; every slot above follows from the table.
 """
 
 from __future__ import annotations
@@ -35,17 +35,6 @@ import numpy as np
 from .errors import ConfigError
 from .learner import SgdLearner
 from .timing import SystemConfig
-
-SERVER_ID = 0  # device_id used for the downlink broadcast
-
-
-class TimelineEvent(NamedTuple):
-    """One slot-stamped action. Transfers occupy [slot, slot + r - 1]."""
-
-    slot: int
-    kind: str
-    device_id: int
-    round_index: int
 
 
 class StalenessRecord(NamedTuple):
@@ -86,20 +75,19 @@ class SimResult:
     ``launch_clocks`` are read-only views, derived on every access from
     ``config``, ``completed_rounds``, ``transmitter_sets`` and
     ``downlink_end_slots``, so a run that never reads them never builds them.
-    ``events`` stays an eager list, and it must stay ``[]`` when
-    ``record_events`` is false: the benchmark's result check takes
-    ``len(result.events)``, where a derived trace would build 3S + 1 tuples
-    per round.
+    ``events`` and ``model_history`` are the constants ``()`` and None, not
+    fields: no run keeps a slot trace or its intermediate models. They remain
+    only because the benchmark's result check reads them, and go once it stops.
     """
 
     config: SystemConfig
-    events: list[TimelineEvent]
     metrics: RunMetrics
     completed_rounds: int
     downlink_end_slots: list[int]
     transmitter_sets: list[tuple[int, ...]]
     final_model: Optional[np.ndarray] = None
-    model_history: Optional[list[np.ndarray]] = None
+    events = ()
+    model_history = None
 
     @property
     def staleness_records(self) -> list[StalenessRecord]:
@@ -137,11 +125,9 @@ def run_timeline(
     learner: Optional[SgdLearner] = None,
     *,
     max_rounds: Optional[int] = None,
-    record_events: bool = True,
     metrics_every: int = 1,
-    keep_model_history: bool = False,
 ) -> SimResult:
-    """The full slotted schedule of a run, optionally training a model.
+    """The round table of a run, optionally training a model.
 
     The round table is read off the schedule law (see the module docstring).
     The run completes K = ``cfg.rounds_exact()`` rounds, or ``max_rounds`` if
@@ -152,7 +138,7 @@ def run_timeline(
     downlink at ``cfg.downlink_ends(K)[k]``, launches one slot after the
     previous downlink end (round 0 at slot 0), uploads group k mod G and has
     staleness min(k, m - 1), with m = G - alpha. Without a learner nothing
-    else is computed.
+    else is computed; with one, the result keeps only the final model.
 
     A learner is driven by one loop over the rounds and a FIFO of the update
     lists of the m groups in flight, oldest first. Round k pops the head,
@@ -163,11 +149,9 @@ def run_timeline(
     on (device, round).
     """
     s = cfg.group_size
-    r = cfg.slots_per_transfer
     alpha = cfg.intentional_delay
     g = cfg.num_groups
     m = g - alpha
-    tau_comp, tau_comm = cfg.compute_slots, cfg.tau_comm
     if learner is not None and learner.config != cfg:
         raise ConfigError("the learner was built on another SystemConfig than the schedule's")
 
@@ -186,11 +170,8 @@ def run_timeline(
                          loss=[nan] * rounds, grad_norm_sq=[nan] * rounds)
 
     model: Optional[np.ndarray] = None
-    history: Optional[list[np.ndarray]] = None
     if learner is not None:
         model = learner.initial_model()
-        if keep_model_history:
-            history = [model.copy()]
         # Each update is a pure function of (model snapshot, device, round);
         # evaluating it at schedule time equals evaluating it during the slots.
         pending = deque([learner.local_update(dev, model, 0) for dev in members[j]]
@@ -199,35 +180,15 @@ def run_timeline(
             if metrics_every and k % metrics_every == 0:
                 metrics.loss[k], metrics.grad_norm_sq[k] = learner.round_metrics(model)
             model = learner.apply_round(model, pending.popleft())
-            if history is not None:
-                history.append(model.copy())
             if k + m < rounds:
                 pending.append([learner.local_update(dev, model, k + 1)
                                 for dev in members[(k - alpha) % g]])
 
-    events: list[TimelineEvent] = []
-    if record_events:
-        def start_group(group: int, round_index: int, slot: int) -> None:
-            for dev in members[group]:
-                events.append(TimelineEvent(slot, "compute_start", dev, round_index))
-                events.append(TimelineEvent(slot + tau_comp - 1, "compute_done", dev, round_index))
-
-        for group in range(m):
-            start_group(group, 0, 0)
-        for k, chosen, end in zip(count(), transmitter_sets, downlink_ends):
-            first_upload = end + 1 - tau_comm
-            events += [TimelineEvent(first_upload + i * r, "uplink", dev, k)
-                       for i, dev in enumerate(chosen)]
-            events.append(TimelineEvent(end + 1 - r, "downlink", SERVER_ID, k))
-            start_group((k - alpha) % g, k + 1, end + 1)
-
     return SimResult(
         config=cfg,
-        events=events,
         metrics=metrics,
         completed_rounds=rounds,
         downlink_end_slots=downlink_ends,
         transmitter_sets=transmitter_sets,
         final_model=model,
-        model_history=history,
     )

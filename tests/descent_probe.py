@@ -21,8 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from tdmafl import ConfigError, SgdLearner, SystemConfig, idfl_staleness, run_timeline
+from tdmafl import ConfigError, SystemConfig, idfl_staleness, run_timeline
 from tdmafl.tasks import QuadraticTask, Task
+from util import RecordingLearner
 
 
 @dataclass
@@ -285,12 +286,9 @@ def check_descent_lemma(
         raise ConfigError(
             f"the descent-lemma probe models one local step, got local_steps={cfg.local_steps}"
         )
-    learner = SgdLearner(task, cfg, seed=int(rng.integers(2**31)), initial=initial)
-    result = run_timeline(
-        cfg, learner, max_rounds=trajectory_rounds, record_events=False,
-        metrics_every=0, keep_model_history=True,
-    )
-    history = result.model_history
+    learner = RecordingLearner(task, cfg, seed=int(rng.integers(2**31)), initial=initial)
+    result = run_timeline(cfg, learner, max_rounds=trajectory_rounds, metrics_every=0)
+    history = learner.models
     g, s = cfg.num_groups, cfg.group_size
     first = min(g, result.completed_rounds - 1)
     candidates = np.arange(first, result.completed_rounds)

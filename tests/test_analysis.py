@@ -1,9 +1,18 @@
-"""Constants estimation, the descent-inequality probe, and the rate trend."""
+"""Constants estimation, the descent-inequality probe, the rate trend, and the deferral regime."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tdmafl import ConfigError, SystemConfig, make_quadratic
+from tdmafl import (
+    ConfigError,
+    SgdLearner,
+    SystemConfig,
+    make_quadratic,
+    optimal_intentional_delay,
+    run_timeline,
+)
 from tdmafl.cli import rate_trend, theorem_step_size
 from tdmafl.tasks import QuadraticTask
 from descent_probe import (
@@ -210,7 +219,7 @@ class TestRateTrend:
         cfg = SystemConfig(4, 1, compute_slots=1, horizon=10**6,
                            step_size=0.05, batch_size=4)
         learner = SgdLearner(task, cfg, seed=0, initial=task.w_star + 3.0)
-        result = run_timeline(cfg, learner, max_rounds=800, record_events=False)
+        result = run_timeline(cfg, learner, max_rounds=800)
         start = float(np.sum(task.grad(task.w_star + 3.0) ** 2))
         final = float(np.sum(task.grad(result.final_model) ** 2))
         assert final < 1e-3 * start
@@ -220,3 +229,49 @@ class TestRateTrend:
             num_devices = 4
         with pytest.raises(ConfigError):
             rate_trend(Dummy(), [1], 10, [0])
+
+
+def delayed_spectral_radius(c: float, d: int) -> float:
+    """The largest root modulus of z^(d+1) - z^d + c: the rate of e_{k+1} = e_k - c e_{k-d}."""
+    coeffs = np.zeros(d + 2)
+    coeffs[:2] = 1.0, -1.0
+    coeffs[-1] += c
+    return float(max(abs(np.roots(coeffs))))
+
+
+class TestDeferralRegime:
+    """The paper's claim that the deferred downlink speeds convergence, and where it holds.
+
+    On a noise-free homogeneous quadratic every upload of round k is the full
+    gradient at the model min(k, d) rounds old, so along an eigenvector with
+    eigenvalue lambda the error follows e_{k+1} = e_k - eta*lambda*e_{k-d}.
+    Deferring by alpha* cuts d from G - 1 to G - 1 - alpha* without moving a
+    round (Proposition 1). That lowers the final loss exactly when it lowers
+    the worst mode's spectral radius: small steps contract faster with more
+    staleness, as momentum does, so at eta = 0.05 deferral loses for S >= 2.
+    """
+
+    @pytest.mark.parametrize("eta,group_size,wins", [
+        (0.05, 1, True), (0.05, 2, False), (0.05, 4, False), (0.05, 5, False),
+        (0.2, 1, True), (0.2, 2, True), (0.2, 4, True), (0.2, 5, True),
+    ])
+    def test_deferral_wins_where_it_lowers_the_spectral_radius(self, eta, group_size, wins):
+        task = make_quadratic(20, 5, 0.0, np.random.default_rng(0), samples_per_device=4,
+                              eig_range=(0.5, 2.0))
+        initial = task.w_star + 4.0 * np.ones(task.dim) / np.sqrt(task.dim)
+        plain = SystemConfig(20, group_size, compute_slots=4, batch_size=4, step_size=eta,
+                             horizon=500)
+        alpha = optimal_intentional_delay(plain)
+        deferred = replace(plain, intentional_delay=alpha)
+        g, best = plain.num_groups, task.loss(task.w_star)
+        rounds, excess = [], []
+        for cfg in (plain, deferred):
+            result = run_timeline(cfg, SgdLearner(task, cfg, initial=initial), metrics_every=0)
+            rounds.append(result.completed_rounds)
+            excess.append(task.loss(result.final_model) - best)
+        assert rounds[0] == rounds[1]
+        eigenvalues = np.linalg.eigvalsh(task.hessian)
+        radius = [max(delayed_spectral_radius(eta * lam, d) for lam in eigenvalues)
+                  for d in (g - 1, g - 1 - alpha)]
+        assert (radius[1] < radius[0]) == wins
+        assert (excess[1] < excess[0]) == wins

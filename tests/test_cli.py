@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdmafl import cli
 from tdmafl.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -114,8 +115,8 @@ class TestRunCommand:
             loss=[float("nan"), float("inf"), -0.0, 1e-300],
             grad_norm_sq=[float("-inf"), 2.5, float("nan"), 1e300],
         )
-        timing_only = run_timeline(SystemConfig(1000, 10, compute_slots=500, horizon=40_000),
-                                   record_events=False).metrics
+        timing_only = run_timeline(SystemConfig(1000, 10, compute_slots=500,
+                                                horizon=40_000)).metrics
         assert len(timing_only) == 3591 and all(map(math.isnan, timing_only.loss))
         for metrics in (edge_values, timing_only, RunMetrics()):
             path = tmp_path / "metrics.csv"
@@ -297,13 +298,14 @@ class TestExitCodes:
         {"system": {"num_devices": 4, "group_size": 2}, "out_dir": 5},
         {"system": {"num_devices": 4, "group_size": 2}, "grid": {"step_size": [0.01, math.nan]}},
         {"system": {"num_devices": 4, "group_size": 2}, "seeds": [2**64]},
+        {"system": {"num_devices": 4, "group_size": 2}, "seeds": [0, 0]},
     ], ids=["no-num-devices", "no-num-devices-compute-slots", "fractional-num-devices",
             "metrics-every-string", "seeds-not-list", "metrics-every-negative",
             "system-not-object", "step-size-string", "mode-list", "grid-number",
             "step-size-nan", "samples-per-slot-nan", "samples-per-slot-inf",
             "samples-per-slot-string", "intentional-delay-null", "step-size-huge",
             "name-nan", "name-list", "name-empty", "out-dir-number", "unused-grid-nan",
-            "seed-beyond-64-bits"])
+            "seed-beyond-64-bits", "seeds-repeated"])
     def test_malformed_spec_field(self, tmp_path, capsys, doc):
         doc = {"name": "bad", **doc}
         if isinstance(doc["system"], dict):
@@ -347,13 +349,43 @@ class TestExitCodes:
         (["--heterogeneity", "nan"], "heterogeneity"),
     ], ids=["groups-string", "groups-zero", "groups-none-valid", "num-seeds-zero",
             "rounds-zero", "num-devices-zero", "batch-size-zero", "heterogeneity-nan"])
-    def test_rate_trend_bad_flag(self, capsys, flags, named):
+    def test_rate_trend_bad_flag(self, tmp_path, capsys, flags, named):
+        out = tmp_path / "rt"
         rc = main(["rate-trend", "--groups", "1,2", "--rounds", "5", "--num-seeds", "1",
-                   "--num-devices", "4", *flags])
+                   "--num-devices", "4", "--out", str(out), *flags])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert named in err
+        assert not out.exists()
+
+    def test_rate_trend_batch_over_shard_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "rt"  # each shard holds 40 samples
+        rc = main(["rate-trend", "--groups", "1,2", "--rounds", "5", "--num-seeds", "1",
+                   "--num-devices", "4", "--batch-size", "41", "--out", str(out)])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: batch_size 41 exceeds") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "validate-timing", "rate-trend"])
+    def test_output_directory_that_cannot_be_made(self, tmp_path, capsys, monkeypatch, command):
+        # The path lies under a regular file, and no command may run before it fails.
+        calls = []
+        monkeypatch.setattr(cli, "run_timeline", lambda *a, **k: calls.append(a))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        doc = quad_spec(horizon=40)
+        doc["grid"] = {"group_size": [1, 2]}
+        config = ["--config", str(write_spec(tmp_path, doc))]
+        flags = {"run": config, "sweep": config, "validate-timing": [],
+                 "rate-trend": ["--groups", "1,2", "--rounds", "5", "--num-seeds", "1",
+                                "--num-devices", "4"]}[command]
+        assert main([command, *flags, "--out", str(blocker / "x")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot create output directory")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert calls == [] and blocker.read_text() == ""
 
     def test_sweep_zero_workers(self, tmp_path, capsys):
         doc = quad_spec(horizon=40)

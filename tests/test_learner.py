@@ -13,13 +13,14 @@ from tdmafl import (
     SgdLearner,
     SoftmaxRegressionTask,
     SystemConfig,
+    idfl_staleness,
     make_clustered_dataset,
     make_quadratic,
     partition_iid,
     run_timeline,
 )
 from tdmafl.tasks import QuadraticTask, Task
-from util import central_difference, relative_error
+from util import RecordingLearner, central_difference, relative_error
 
 
 def identity_quadratic(num_devices=1, samples=4, dim=2):
@@ -163,7 +164,7 @@ class TestGlobalUpdate:
         cfg = SystemConfig(4, 4, compute_slots=1, horizon=10**6,
                            step_size=0.1, batch_size=32)
         learner = SgdLearner(task, cfg, seed=0, initial=task.w_star + 0.1)
-        result = run_timeline(cfg, learner, max_rounds=200, record_events=False)
+        result = run_timeline(cfg, learner, max_rounds=200)
         assert np.linalg.norm(task.grad(result.final_model)) < 1e-6
 
 
@@ -231,9 +232,8 @@ class TestPipelineEquivalences:
         eta, batch = 0.05, 5
         cfg = SystemConfig(n, n, compute_slots=1, horizon=10**6,
                            step_size=eta, batch_size=batch)
-        learner = SgdLearner(task, cfg, seed=123, initial=np.ones(3))
-        result = run_timeline(cfg, learner, max_rounds=50,
-                              record_events=False, keep_model_history=True)
+        learner = RecordingLearner(task, cfg, seed=123, initial=np.ones(3))
+        run_timeline(cfg, learner, max_rounds=50)
 
         w = np.ones(3)
         oracle = [w.copy()]
@@ -245,7 +245,8 @@ class TestPipelineEquivalences:
                 grads.append(task.grad(w, dev - 1, idx))
             w = w - eta * np.mean(grads, axis=0)
             oracle.append(w.copy())
-        for ours, ref in zip(result.model_history, oracle):
+        assert len(learner.models) == len(oracle)
+        for ours, ref in zip(learner.models, oracle):
             assert np.linalg.norm(ours - ref) <= 1e-12
 
     def test_stale_information_flow(self):
@@ -256,23 +257,18 @@ class TestPipelineEquivalences:
         eta, batch = 0.05, 3
         cfg = SystemConfig(6, 2, compute_slots=1, horizon=10**6,
                            step_size=eta, batch_size=batch)
-        learner = SgdLearner(task, cfg, seed=42)
-        result = run_timeline(cfg, learner, max_rounds=30,
-                              record_events=False, keep_model_history=True)
+        learner = RecordingLearner(task, cfg, seed=42)
+        result = run_timeline(cfg, learner, max_rounds=30)
         g = cfg.num_groups
-        history = result.model_history
+        history = learner.models
         # Recompute each round's aggregate from the stale snapshots and check
         # it reproduces the recorded trajectory.
-        by_round = {}
-        for rec in result.staleness_records:
-            by_round.setdefault(rec.round_index, []).append(rec)
-        for k in range(30):
-            ups = []
-            for rec in by_round[k]:
-                origin = k - rec.staleness
-                if rec.staleness > 0 or k >= g:
-                    assert rec.staleness == min(k, g - 1)
-                ups.append(learner.local_update(rec.device_id, history[origin], origin))
+        assert len(history) == 31 and len(result.transmitter_sets) == 30
+        for k, chosen in enumerate(result.transmitter_sets):
+            staleness = idfl_staleness(k, cfg)
+            assert staleness == min(k, g - 1)
+            origin = k - staleness
+            ups = [learner.local_update(dev, history[origin], origin) for dev in chosen]
             expect = history[k] - eta * np.mean(ups, axis=0)
             assert np.linalg.norm(history[k + 1] - expect) <= 1e-15
 
@@ -294,7 +290,7 @@ class TestPipelineEquivalences:
         initial = task.w_star + 1.0
         max_rounds = data.draw(st.integers(1, 60))
         result = run_timeline(cfg, SgdLearner(task, cfg, seed=7, initial=initial),
-                              max_rounds=max_rounds, record_events=False, metrics_every=0)
+                              max_rounds=max_rounds, metrics_every=0)
 
         batch = np.arange(b)
         models = [initial]

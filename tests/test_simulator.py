@@ -1,4 +1,8 @@
-"""Event-level scheduler behavior: golden timelines, invariants, oracles."""
+"""Scheduler behavior on the round table: golden timelines, invariants, oracles.
+
+Slot-level checks read ``util.slot_trace``, the actions that the table's
+downlink ends and transmitter sets imply.
+"""
 
 import tracemalloc
 from collections import Counter
@@ -16,21 +20,25 @@ from tdmafl import (
     SgdLearner,
     StalenessRecord,
     SystemConfig,
-    TimelineEvent,
     idfl_staleness,
     make_quadratic,
     optimal_intentional_delay,
     run_timeline,
 )
-from util import divisors
+from util import divisors, slot_trace
 
 
 def uplinks(result):
-    return [(e.slot, e.device_id, e.round_index) for e in result.events if e.kind == "uplink"]
+    return [(slot, dev, k) for slot, kind, dev, k in slot_trace(result) if kind == "uplink"]
 
 
 def downlinks(result):
-    return [(e.slot, e.round_index) for e in result.events if e.kind == "downlink"]
+    return [(slot, k) for slot, kind, _, k in slot_trace(result) if kind == "downlink"]
+
+
+def compute_starts(result):
+    return [(slot, dev, k) for slot, kind, dev, k in slot_trace(result)
+            if kind == "compute_start"]
 
 
 def staleness_of(result, round_index):
@@ -48,6 +56,7 @@ class TestGoldenTimeline:
         return run_timeline(cfg, max_rounds=3)
 
     def test_uplink_slots_and_devices(self, result):
+        assert result.transmitter_sets == [(1, 2), (3, 4), (5, 6)]
         assert uplinks(result) == [
             (2, 1, 0), (3, 2, 0),
             (5, 3, 1), (6, 4, 1),
@@ -55,11 +64,12 @@ class TestGoldenTimeline:
         ]
 
     def test_downlink_slots(self, result):
+        assert result.downlink_end_slots == [4, 7, 10]
         assert downlinks(result) == [(4, 0), (7, 1), (10, 2)]
 
     def test_transmitters_resume_after_broadcast(self, result):
-        starts = [(e.slot, e.device_id) for e in result.events
-                  if e.kind == "compute_start" and e.round_index == 1]
+        assert result.launch_clocks == [0, 5, 8]
+        starts = [(slot, dev) for slot, dev, k in compute_starts(result) if k == 1]
         assert starts == [(5, 1), (5, 2)]
 
     def test_staleness_ramp(self, result):
@@ -82,7 +92,7 @@ class TestGoldenTimeline:
             (11, "compute_start", 5, 3), (12, "compute_done", 5, 3),
             (11, "compute_start", 6, 3), (12, "compute_done", 6, 3),
         ]
-        assert result.events == [TimelineEvent(*e) for e in expected]
+        assert slot_trace(result) == expected
 
 
 class TestComputeBoundSchedule:
@@ -94,6 +104,7 @@ class TestComputeBoundSchedule:
         return run_timeline(cfg, max_rounds=12)
 
     def test_waits_for_recomputation(self, result):
+        assert result.downlink_end_slots[:4] == [52, 55, 105, 108]
         assert uplinks(result)[:8] == [
             (50, 1, 0), (51, 2, 0),
             (53, 3, 1), (54, 4, 1),
@@ -112,7 +123,7 @@ class TestTableRoundCounts:
     @pytest.mark.parametrize("s,expect", [(1, 24976), (50, 980), (100, 332)])
     def test_long_horizon_counts(self, s, expect):
         cfg = SystemConfig(100, s, compute_slots=50, horizon=50000)
-        result = run_timeline(cfg, record_events=False, metrics_every=0)
+        result = run_timeline(cfg, metrics_every=0)
         assert result.completed_rounds == expect
 
 
@@ -120,11 +131,11 @@ def assert_exclusive(result, comp, r):
     """No two transfers share a slot, and no device computes while it transfers."""
     transfers = []
     compute: dict[int, list[tuple[int, int]]] = {}
-    for e in result.events:
-        if e.kind in ("uplink", "downlink"):
-            transfers.append((e.slot, e.slot + r - 1, e.device_id))
-        elif e.kind == "compute_start":
-            compute.setdefault(e.device_id, []).append((e.slot, e.slot + comp - 1))
+    for slot, kind, dev, _ in slot_trace(result):
+        if kind in ("uplink", "downlink"):
+            transfers.append((slot, slot + r - 1, dev))
+        elif kind == "compute_start":
+            compute.setdefault(dev, []).append((slot, slot + comp - 1))
     transfers.sort()
     for (a0, a1, _), (b0, b1, _) in zip(transfers, transfers[1:]):
         assert a1 < b0, "two transfers overlap on the shared channel"
@@ -153,7 +164,7 @@ class TestScheduleInvariants:
     def test_staleness_identity_and_closed_form(self, n, s, comp, r):
         cfg = SystemConfig(n, s, comp, r, horizon=10**7)
         g = cfg.num_groups
-        result = run_timeline(cfg, max_rounds=3 * g + 5, record_events=False)
+        result = run_timeline(cfg, max_rounds=3 * g + 5)
         for rec in result.staleness_records:
             assert rec.staleness == idfl_staleness(rec.round_index, cfg)
 
@@ -161,7 +172,7 @@ class TestScheduleInvariants:
     def test_steady_average_matches_formula(self, n, s, comp, r):
         cfg = SystemConfig(n, s, comp, r, horizon=10**7)
         g = cfg.num_groups
-        result = run_timeline(cfg, max_rounds=11 * g + 1, record_events=False)
+        result = run_timeline(cfg, max_rounds=11 * g + 1)
         ends = result.downlink_end_slots
         assert Fraction(ends[-1] - ends[-1 - 10 * g], 10 * g) == cfg.tau_asyn
 
@@ -169,7 +180,9 @@ class TestScheduleInvariants:
         cfg = SystemConfig(6, 2, compute_slots=4, horizon=4000)
         a = run_timeline(cfg)
         b = run_timeline(cfg)
-        assert a.events == b.events
+        assert a.downlink_end_slots == b.downlink_end_slots
+        assert a.transmitter_sets == b.transmitter_sets
+        assert a.launch_clocks == b.launch_clocks
         assert a.staleness_records == b.staleness_records
 
 
@@ -231,17 +244,17 @@ class TestScheduleProperties:
             with pytest.raises(ConfigError, match="no training round completes"):
                 cfg.rounds_exact()
             with pytest.raises(ConfigError, match="no training round completes"):
-                run_timeline(cfg, record_events=False, metrics_every=0)
+                run_timeline(cfg, metrics_every=0)
         else:
             assert cfg.rounds_exact() == len(oracle)
-            result = run_timeline(cfg, record_events=False, metrics_every=0)
+            result = run_timeline(cfg, metrics_every=0)
             assert result.completed_rounds == len(oracle)
             assert result.downlink_end_slots == oracle
 
     @settings(max_examples=300, deadline=None)
     @given(schedules())
     def test_transmitters_are_the_oldest_ready_updates(self, case):
-        """Replay the events: each round uploads the S oldest finished updates.
+        """Replay the slot trace: each round uploads the S oldest finished updates.
 
         The ready set of round k holds every finished update not yet uploaded
         whose compute-done slot precedes round k's first upload slot. Oldest
@@ -252,12 +265,13 @@ class TestScheduleProperties:
         result = run_timeline(cfg, max_rounds=rounds)
         assert_exclusive(result, cfg.compute_slots, r)
 
-        finished = sorted((e.slot, e.device_id, e.round_index)
-                          for e in result.events if e.kind == "compute_done")
+        trace = slot_trace(result)
+        finished = sorted((slot, dev, k) for slot, kind, dev, k in trace
+                          if kind == "compute_done")
         uploads: dict[int, list[tuple[int, int]]] = {}
-        for e in result.events:
-            if e.kind == "uplink":
-                uploads.setdefault(e.round_index, []).append((e.slot, e.device_id))
+        for slot, kind, dev, k in trace:
+            if kind == "uplink":
+                uploads.setdefault(k, []).append((slot, dev))
         assert len(result.transmitter_sets) == len(uploads) == rounds
 
         ready: dict[int, tuple[int, int]] = {}  # device -> (model round, done slot)
@@ -285,7 +299,7 @@ class TestScheduleProperties:
         """Round k uploads group k mod G, whose S updates share one staleness."""
         cfg, rounds = case
         s, g = cfg.group_size, cfg.num_groups
-        result = run_timeline(cfg, max_rounds=rounds, record_events=False)
+        result = run_timeline(cfg, max_rounds=rounds)
         for k, chosen in enumerate(result.transmitter_sets):
             assert chosen == tuple(range((k % g) * s + 1, (k % g + 1) * s + 1))
             records = result.staleness_records[k * s:(k + 1) * s]
@@ -297,9 +311,8 @@ class TestScheduleProperties:
         """Proposition 1 as an equality: alpha* keeps every downlink and transmitter."""
         cfg, rounds = case
         alpha = optimal_intentional_delay(cfg)
-        plain = run_timeline(cfg, max_rounds=rounds, record_events=False)
-        deferred = run_timeline(replace(cfg, intentional_delay=alpha), max_rounds=rounds,
-                                record_events=False)
+        plain = run_timeline(cfg, max_rounds=rounds)
+        deferred = run_timeline(replace(cfg, intentional_delay=alpha), max_rounds=rounds)
         assert deferred.downlink_end_slots == plain.downlink_end_slots
         assert deferred.transmitter_sets == plain.transmitter_sets
         g = cfg.num_groups
@@ -344,7 +357,7 @@ class TestDerivedColumns:
             task = make_quadratic(cfg.num_devices, 2, 1.0, np.random.default_rng(5),
                                   samples_per_device=3)
             learner = SgdLearner(task, cfg, seed=3)
-        result = run_timeline(cfg, learner, max_rounds=max_rounds, record_events=False)
+        result = run_timeline(cfg, learner, max_rounds=max_rounds)
         rounds = cfg.rounds_exact() if max_rounds is None else max_rounds
         s, g = cfg.group_size, cfg.num_groups
         assert result.completed_rounds == rounds
@@ -365,12 +378,13 @@ class TestDerivedColumns:
             result.launch_clocks = clocks
 
     def test_timing_only_run_allocates_no_per_upload_records(self):
-        # 3,591 rounds of S = 10; built eagerly, their 35,910 records peaked at 3.7 MB.
-        result = run_timeline(SCHED_ASYNC, record_events=False)
+        # 3,591 rounds of S = 10; built eagerly, their 35,910 records peaked at
+        # 3.7 MB, and a slot trace of 113,321 actions at 13.3 MB.
+        result = run_timeline(SCHED_ASYNC)
         assert result.completed_rounds == 3591
         tracemalloc.start()
         try:
-            run_timeline(SCHED_ASYNC, record_events=False)
+            run_timeline(SCHED_ASYNC)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -380,7 +394,7 @@ class TestDerivedColumns:
 class TestSynchronousDegenerate:
     def test_full_group_staleness_all_zero(self):
         cfg = SystemConfig(8, 8, compute_slots=5, horizon=5000)
-        result = run_timeline(cfg, record_events=False)
+        result = run_timeline(cfg)
         assert result.completed_rounds > 10
         assert all(rec.staleness == 0 for rec in result.staleness_records)
 
@@ -396,10 +410,10 @@ class TestDeferredDownlink:
         assert uplinks(result) == [
             (2, 1, 0), (4, 2, 1), (6, 3, 2), (8, 4, 3), (10, 1, 4),
         ]
+        assert result.downlink_end_slots == [3, 5, 7, 9, 11]
+        assert result.transmitter_sets == [(1,), (2,), (3,), (4,), (1,)]
         assert downlinks(result) == [(3, 0), (5, 1), (7, 2), (9, 3), (11, 4)]
-        starts = [(e.slot, e.device_id, e.round_index) for e in result.events
-                  if e.kind == "compute_start"]
-        assert starts == [
+        assert compute_starts(result) == [
             (0, 1, 0), (0, 2, 0),
             (4, 3, 1), (6, 4, 2), (8, 1, 3), (10, 2, 4), (12, 3, 5),
         ]
@@ -411,7 +425,7 @@ class TestDeferredDownlink:
             cfg = SystemConfig(n, s, comp, horizon=10**7,
                                intentional_delay=alpha)
             g = cfg.num_groups
-            result = run_timeline(cfg, max_rounds=3 * g + 5, record_events=False)
+            result = run_timeline(cfg, max_rounds=3 * g + 5)
             for rec in result.staleness_records:
                 assert rec.staleness == idfl_staleness(rec.round_index, cfg), (
                     n, s, comp, alpha, rec)
@@ -424,7 +438,7 @@ class TestDeferredDownlink:
         def steady(a):
             cfg = SystemConfig(4, 1, compute_slots=2, horizon=10**6,
                                intentional_delay=a)
-            ends = run_timeline(cfg, max_rounds=40, record_events=False).downlink_end_slots
+            ends = run_timeline(cfg, max_rounds=40).downlink_end_slots
             return Fraction(ends[-1] - ends[-9], 8)  # the last two rotations of G = 4
 
         assert steady(alpha) == steady(0) == Fraction(2)
@@ -482,7 +496,7 @@ class TestLearnerDriving:
         cfg = SystemConfig(6, 2, compute_slots=2, horizon=60, intentional_delay=alpha)
         assert optimal_intentional_delay(replace(cfg, intentional_delay=0)) == 1
         learner = counting_learner(cfg)
-        result = run_timeline(cfg, learner, max_rounds=max_rounds, record_events=False)
+        result = run_timeline(cfg, learner, max_rounds=max_rounds)
         assert result.completed_rounds == (rounds if max_rounds is None else 7)
         assert learner.calls == {"local_update": 2 * result.completed_rounds,
                                  "round_metrics": result.completed_rounds}
@@ -495,9 +509,9 @@ class TestLearnerDriving:
         task = make_quadratic(6, 3, 1.0, np.random.default_rng(4), samples_per_device=8)
         learner = CountingLearner(task, other, seed=2)
         with pytest.raises(ConfigError, match="another SystemConfig"):
-            run_timeline(cfg, learner, record_events=False)
+            run_timeline(cfg, learner)
         assert learner.calls == Counter()
-        assert run_timeline(other, learner, record_events=False).completed_rounds == 20
+        assert run_timeline(other, learner).completed_rounds == 20
 
 
 class TestMeasuredStaleness:
