@@ -233,7 +233,7 @@ def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int)
     rng = np.random.default_rng([data_seed, 0xDA7A])
 
     if kind == "quadratic":
-        init_offset = _pop_real(params, "init_offset", 0.0)
+        init_offset = _pop_real(params, "init_offset", 0.0) if "init_offset" in params else None
         eig_range = params.pop("eig_range", (1.0, 1.0))
         if not isinstance(eig_range, (list, tuple)) or len(eig_range) != 2:
             raise ConfigError(f"eig_range must be a list [lo, hi], got {eig_range!r}")
@@ -249,10 +249,9 @@ def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int)
             eig_range=tuple(map(float, eig_range)),
         )
         _reject_unknown(kind, params)
-        init = None
-        if init_offset:
-            init = task.w_star + init_offset * np.ones(task.dim) / np.sqrt(task.dim)
-        return task, init
+        if init_offset is None:
+            return task, None
+        return task, task.w_star + init_offset * np.ones(task.dim) / np.sqrt(task.dim)
 
     if kind in ("logistic", "mlp"):
         per_device = _pop_integer(params, "per_device", 50)
@@ -260,7 +259,7 @@ def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int)
         dataset_name = params.pop("dataset", "clusters")
         if dataset_name == "clusters":
             dataset = make_clustered_dataset(
-                num_classes=_pop_integer(params, "num_classes", 10),
+                num_classes=_pop_integer(params, "num_classes", 10, minimum=2),
                 dim=_pop_integer(params, "feature_dim", 16),
                 per_class=_pop_integer(params, "samples_per_class", 400),
                 rng=rng,
@@ -450,21 +449,31 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
     return summary
 
 
-def _grid_points(grid: dict) -> list[dict]:
+def _grid_points(grid: dict) -> list[tuple[str, dict]]:
+    """Every combination of the grid's values, as (directory name, system overrides).
+
+    Two points with one name, such as a repeated value or 2 and "2", would
+    share a directory, so a repeated name is a ConfigError.
+    """
     keys = sorted(grid)
     values = [grid[k] if isinstance(grid[k], list) else [grid[k]] for k in keys]
     if [] in values:
         raise ConfigError(f"grid axes {[k for k in keys if grid[k] == []]} are empty lists")
-    return [dict(zip(keys, combo)) for combo in itertools.product(*values)]
+    points = {}
+    for combo in itertools.product(*values):
+        # Quoting keeps a value such as "1/2" or "../x" inside one directory name.
+        name = "_".join(f"{k}-{quote(str(v), safe='')}" for k, v in zip(keys, combo))
+        if name in points:
+            raise ConfigError(f"grid repeats the point {name}")
+        points[name] = dict(zip(keys, combo))
+    return list(points.items())
 
 
 def _run_sweep_point(args: tuple) -> dict:
-    spec_doc, overrides, out_dir, dataset_dir = args
+    spec_doc, point_name, overrides, out_dir, dataset_dir = args
     doc = json.loads(json.dumps(spec_doc))  # deep copy
     doc.pop("grid", None)
     doc.setdefault("system", {}).update(overrides)
-    # Quoting keeps a value such as "1/2" or "../x" inside one directory name.
-    point_name = "_".join(f"{k}-{quote(str(v), safe='')}" for k, v in sorted(overrides.items()))
     doc["name"] = f"{doc.get('name', 'sweep')}_{point_name}"
     spec = ExperimentSpec.from_dict(doc)
     row = dict(overrides)
@@ -492,7 +501,7 @@ def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1)
     require_integer("workers", workers, 1)
     points = _grid_points(spec.grid)
     out = _make_out_dir(out_dir)
-    jobs = [(spec.raw, p, str(out), dataset_dir) for p in points]
+    jobs = [(spec.raw, name, p, str(out), dataset_dir) for name, p in points]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_point, jobs))
@@ -507,7 +516,7 @@ def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1)
     (out / "sweep.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
 
     _print_table(rows, columns)
-    _print_delay_deltas(rows)
+    _print_delay_deltas(rows, [k for k in sorted(spec.grid) if k != "intentional_delay"])
     if all(row["status"] != "ok" for row in rows):
         raise ConfigError(f"all {len(rows)} sweep points failed; the first: {rows[0]['error']}")
     return rows
@@ -520,26 +529,30 @@ def _print_table(rows: list[dict], columns: list[str]) -> None:
         print("  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns))
 
 
-def _print_delay_deltas(rows: list[dict]) -> None:
-    """Final-loss gap between deferred-downlink and plain runs per group size.
+def _print_delay_deltas(rows: list[dict], axes: list[str]) -> None:
+    """Final-loss gap between deferred-downlink and plain runs at each point of ``axes``.
 
-    Its sign depends on the regime, as stale updates can contract like momentum:
+    ``axes`` are the grid's other axes; rows pair when they agree on all of
+    them, and each line is labelled with their values, numbers sorted first.
+    The sign depends on the regime, as stale updates can contract like momentum:
     with eta * lambda in [0.025, 0.1] on a quadratic, deferral wins at S = 1, loses at S = 4, 5.
     """
     plain, delayed = {}, {}
     for row in rows:
         if row.get("status") != "ok" or row.get("mean_final_loss") is None:
             continue
-        key = row.get("group_size")
+        key = tuple(row[k] for k in axes)
         if row.get("intentional_delay") == 0:
             plain[key] = row["mean_final_loss"]
-        elif row.get("intentional_delay") in ("optimal",):
+        elif row.get("intentional_delay") == "optimal":
             delayed[key] = row["mean_final_loss"]
-    common = sorted(k for k in plain if k in delayed and k is not None)
-    if common:
+    common = sorted((k for k in plain if k in delayed), key=lambda key: [
+        (0, v, "") if isinstance(v, (int, float)) else (1, 0, str(v)) for v in key])
+    if axes and common:
         print("\nfinal-loss delta (optimal delay minus plain):")
         for key in common:
-            print(f"  group_size={key}: {delayed[key] - plain[key]:+.6g}")
+            label = " ".join(f"{k}={v}" for k, v in zip(axes, key))
+            print(f"  {label}: {delayed[key] - plain[key]:+.6g}")
 
 
 # ---------------------------------------------------------------------------

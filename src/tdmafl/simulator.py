@@ -8,7 +8,9 @@ group (k - alpha) mod G, where alpha is ``intentional_delay``. Groups 0..m-1,
 m = G - alpha, start computing at slot 0, so for k < alpha the negative index
 names a group that has not yet received a model. Round k thus uploads the
 group that started right after round k - m (at slot 0 for k < m), and its
-staleness is min(k, m - 1).
+staleness is s_k = min(k, m - 1). Training is the paper's delayed recurrence
+w_{k+1} = w_k - (eta / S) * sum over dev in group k mod G of U(w_{k - s_k}, dev),
+with U a device's H-step update (``SgdLearner.local_update``).
 
 A new round is launched while the consumed-slot clock is still within the
 horizon (clock <= T); the final launched round runs to completion. This is
@@ -61,7 +63,7 @@ class RunMetrics:
         return len(self.rounds)
 
     def avg_grad_norm_sq(self) -> float:
-        """Running average of the evaluated squared gradient norms."""
+        """Mean of the evaluated squared gradient norms; NaN rows are skipped."""
         vals = np.asarray(self.grad_norm_sq, dtype=float)
         vals = vals[np.isfinite(vals)]
         return float(vals.mean()) if vals.size else float("nan")
@@ -140,18 +142,17 @@ def run_timeline(
     staleness min(k, m - 1), with m = G - alpha. Without a learner nothing
     else is computed; with one, the result keeps only the final model.
 
-    A learner is driven by one loop over the rounds and a FIFO of the update
-    lists of the m groups in flight, oldest first. Round k pops the head,
-    evaluates the model, takes the server step, and then computes the S
-    updates of group (k - alpha) mod G on the new model, but only if a later
-    round uploads them (k + m < K). Runs are fully deterministic: the
-    scheduler itself draws no randomness, and a learner's randomness is keyed
-    on (device, round).
+    A learner is driven by that recurrence. A FIFO holds the m groups in
+    flight, oldest first, as the (model, round) each started from: at first
+    m copies of (w_0, 0). Round k evaluates the model, pops (w_j, j), computes
+    the S updates of group k mod G from w_j with randomness keyed on round j,
+    takes the server step and appends (w_{k+1}, k + 1); so an update is
+    computed only in the round that uploads it. Runs are fully deterministic:
+    the scheduler draws no randomness, a learner's is keyed on (device, round).
     """
     s = cfg.group_size
-    alpha = cfg.intentional_delay
     g = cfg.num_groups
-    m = g - alpha
+    m = g - cfg.intentional_delay
     if learner is not None and learner.config != cfg:
         raise ConfigError("the learner was built on another SystemConfig than the schedule's")
 
@@ -172,17 +173,14 @@ def run_timeline(
     model: Optional[np.ndarray] = None
     if learner is not None:
         model = learner.initial_model()
-        # Each update is a pure function of (model snapshot, device, round);
-        # evaluating it at schedule time equals evaluating it during the slots.
-        pending = deque([learner.local_update(dev, model, 0) for dev in members[j]]
-                        for j in range(min(m, rounds)))
+        in_flight = deque(repeat((model, 0), m))
         for k in range(rounds):
             if metrics_every and k % metrics_every == 0:
                 metrics.loss[k], metrics.grad_norm_sq[k] = learner.round_metrics(model)
-            model = learner.apply_round(model, pending.popleft())
-            if k + m < rounds:
-                pending.append([learner.local_update(dev, model, k + 1)
-                                for dev in members[(k - alpha) % g]])
+            start, j = in_flight.popleft()
+            model = learner.apply_round(model, [learner.local_update(dev, start, j)
+                                                for dev in members[k % g]])
+            in_flight.append((model, k + 1))
 
     return SimResult(
         config=cfg,

@@ -91,6 +91,19 @@ class TestRunCommand:
         assert all(b > a for a, b in zip(table["slot"], table["slot"][1:]))
         assert math.isfinite(table["loss"][0])
 
+    def test_init_offset_zero_starts_at_the_optimum(self, tmp_path):
+        # A given offset, 0 included, starts at w_star + offset / sqrt(d); an absent one at 0.
+        doc = quad_spec(horizon=40)
+        doc["task"]["init_offset"] = 0
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(out)]) == EXIT_OK
+        task, init = cli.build_task(doc["task"], None, num_devices=4)
+        assert np.array_equal(init, task.w_star)
+        assert read_metrics(out / "seed0" / "metrics.csv")["loss"][0] == task.loss(task.w_star)
+        del doc["task"]["init_offset"]
+        assert cli.build_task(doc["task"], None, num_devices=4)[1] is None
+
     def test_csv_parses_back_losslessly(self, tmp_path):
         out = tmp_path / "out"
         main(["run", "--config", str(write_spec(tmp_path, quad_spec())),
@@ -327,8 +340,11 @@ class TestExitCodes:
         {"kind": "quadratic", "sample_noise": math.nan},
         {"kind": "quadratic", "heterogeneity": 10**400},
         {"kind": "quadratic", "eig_range": [1, 10**400]},
+        {"kind": "logistic", "num_classes": 1},
+        {"kind": "logistic", "num_classes": 0},
     ], ids=["not-object", "dim-string", "eig-range-number", "fractional-hidden", "kind-list",
-            "heterogeneity-nan", "sample-noise-nan", "heterogeneity-huge", "eig-range-huge"])
+            "heterogeneity-nan", "sample-noise-nan", "heterogeneity-huge", "eig-range-huge",
+            "one-class", "no-class"])
     def test_malformed_task_field(self, tmp_path, capsys, task):
         doc = {"name": "bad", "system": {"num_devices": 4, "group_size": 2, "horizon": 40},
                "task": task}
@@ -386,6 +402,17 @@ class TestExitCodes:
         assert err.startswith("configuration error: cannot create output directory")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert calls == [] and blocker.read_text() == ""
+
+    @pytest.mark.parametrize("sizes", [[2, 2], [2, "2"]], ids=["repeated", "same-name"])
+    def test_sweep_repeated_point_writes_nothing(self, tmp_path, capsys, sizes):
+        doc = quad_spec(horizon=40)
+        doc["grid"] = {"group_size": sizes}
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "configuration error: grid repeats the point group_size-2\n"
+        assert not out.exists()
 
     def test_sweep_zero_workers(self, tmp_path, capsys):
         doc = quad_spec(horizon=40)
@@ -524,6 +551,27 @@ class TestSweep:
         assert trees[1] == trees[2]
         names = sorted(name.rpartition("/")[2] for name in trees[1])
         assert names == ["metrics.csv"] * 12 + ["summary.json"] * 6 + ["sweep.csv", "sweep.json"]
+
+    def test_delay_deltas_pair_on_every_other_axis(self, tmp_path, capsys):
+        doc = quad_spec(horizon=60)
+        doc["seeds"] = [0]
+        doc["grid"] = {"group_size": [1, 2], "intentional_delay": [0, "optimal"],
+                       "step_size": [0.01, 0.05]}
+        rows = run_sweep(ExperimentSpec.from_dict(doc), tmp_path / "sweep")
+        loss = {(r["group_size"], r["intentional_delay"], r["step_size"]): r["mean_final_loss"]
+                for r in rows}
+        tail = capsys.readouterr().out.partition("\nfinal-loss delta")[2].splitlines()
+        assert tail[1:] == [f"  group_size={s} step_size={eta}: "
+                            f"{loss[s, 'optimal', eta] - loss[s, 0, eta]:+.6g}"
+                            for s in (1, 2) for eta in (0.01, 0.05)]
+
+    def test_delay_deltas_of_a_two_axis_grid(self, capsys):
+        rows = [{"group_size": s, "intentional_delay": d, "status": "ok", "mean_final_loss": x}
+                for s, d, x in [(4, 0, 1.5), (4, "optimal", 1.25), (2, 0, 0.5),
+                                (2, "optimal", 0.75), (8, 0, 1.0)]]
+        cli._print_delay_deltas(rows, ["group_size"])
+        assert capsys.readouterr().out == ("\nfinal-loss delta (optimal delay minus plain):\n"
+                                           "  group_size=2: +0.25\n  group_size=4: -0.25\n")
 
     def test_sweep_needs_grid(self, tmp_path):
         doc = quad_spec()

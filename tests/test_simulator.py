@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from tdmafl import (
     ConfigError,
     SgdLearner,
+    SoftmaxRegressionTask,
     StalenessRecord,
     SystemConfig,
     idfl_staleness,
@@ -512,6 +513,26 @@ class TestLearnerDriving:
             run_timeline(cfg, learner)
         assert learner.calls == Counter()
         assert run_timeline(other, learner).completed_rounds == 20
+
+    @pytest.mark.parametrize("alpha", [0, 10])
+    def test_training_keeps_only_the_models_in_flight(self, alpha):
+        # N = 200 in groups of S = 10, softmax regression of dim 10 * 256 = 2,560.
+        # The recurrence needs the m = G - alpha models in flight and one
+        # round's S updates, not m * S updates (about 205 and 105 vectors).
+        rng = np.random.default_rng(3)
+        feats = [rng.standard_normal((2, 255)) for _ in range(200)]
+        task = SoftmaxRegressionTask(feats, [rng.integers(0, 10, 2) for _ in feats], 10)
+        cfg = SystemConfig(200, 10, compute_slots=10, horizon=1_000, intentional_delay=alpha)
+        learner = SgdLearner(task, cfg, seed=1)
+        m = cfg.num_groups - alpha
+        assert task.dim == 2560 and run_timeline(cfg, learner).completed_rounds > 3 * m
+        tracemalloc.start()
+        try:
+            run_timeline(cfg, learner)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (m + 2 * cfg.group_size + 8) * task.dim * 8
 
 
 class TestMeasuredStaleness:
