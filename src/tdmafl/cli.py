@@ -534,8 +534,11 @@ def _print_delay_deltas(rows: list[dict], axes: list[str]) -> None:
 
     ``axes`` are the grid's other axes; rows pair when they agree on all of
     them, and each line is labelled with their values, numbers sorted first.
-    The sign depends on the regime, as stale updates can contract like momentum:
-    with eta * lambda in [0.025, 0.1] on a quadratic, deferral wins at S = 1, loses at S = 4, 5.
+    With no other axis the one pair prints with an empty label. alpha* is the
+    free deferral, the largest that costs no rounds, not the loss-optimal one:
+    the sign and size of the gap depend on eta * lambda, S and H, as stale
+    updates can contract like momentum. With eta * lambda in [0.025, 0.1] on a
+    quadratic, deferral wins at S = 1, loses at S = 4, 5.
     """
     plain, delayed = {}, {}
     for row in rows:
@@ -548,7 +551,7 @@ def _print_delay_deltas(rows: list[dict], axes: list[str]) -> None:
             delayed[key] = row["mean_final_loss"]
     common = sorted((k for k in plain if k in delayed), key=lambda key: [
         (0, v, "") if isinstance(v, (int, float)) else (1, 0, str(v)) for v in key])
-    if axes and common:
+    if common:
         print("\nfinal-loss delta (optimal delay minus plain):")
         for key in common:
             label = " ".join(f"{k}={v}" for k, v in zip(axes, key))

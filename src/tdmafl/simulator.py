@@ -21,14 +21,17 @@ The timing is a max-plus law in closed form: the clock after round k is
 E_k = tau_comp + (k + 1)*tau_comm + floor(k/m)*Delta with
 Delta = max(0, tau_comp - (m - 1)*tau_comm), and the round count follows
 from it (``SystemConfig.downlink_ends`` and ``SystemConfig.rounds_exact``).
-So ``run_timeline`` builds only the round table, in bulk, and loops over the
-rounds only to drive a learner; every slot above follows from the table.
+So ``run_timeline`` reads the round table off the law, with no per-round
+Python, and loops over the rounds only to drive a learner; every slot above
+follows from the table. The transmitter column is built on its first read,
+one ``select_transmitters`` call per round, and cached.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, count, repeat
 from typing import NamedTuple, Optional
 
@@ -73,10 +76,13 @@ class RunMetrics:
 class SimResult:
     """What a run produced: the round table, the metrics and the model.
 
-    Each per-round column is stored once. ``staleness_records`` and
-    ``launch_clocks`` are read-only views, derived on every access from
+    Each per-round column is stored once; ``metrics.slots`` is
+    ``downlink_end_slots`` itself. ``transmitter_sets`` is built from
+    ``config`` on its first read, round k's set being
+    ``select_transmitters`` of group k mod G, and cached. ``staleness_records``
+    and ``launch_clocks`` are read-only views, derived on every access from
     ``config``, ``completed_rounds``, ``transmitter_sets`` and
-    ``downlink_end_slots``, so a run that never reads them never builds them.
+    ``downlink_end_slots``. So a run that never reads these never builds them.
     ``events`` and ``model_history`` are the constants ``()`` and None, not
     fields: no run keeps a slot trace or its intermediate models. They remain
     only because the benchmark's result check reads them, and go once it stops.
@@ -86,10 +92,16 @@ class SimResult:
     metrics: RunMetrics
     completed_rounds: int
     downlink_end_slots: list[int]
-    transmitter_sets: list[tuple[int, ...]]
     final_model: Optional[np.ndarray] = None
     events = ()
     model_history = None
+
+    @cached_property
+    def transmitter_sets(self) -> list[tuple[int, ...]]:
+        """Round k's transmitters, in upload order: group k mod G, for each completed round."""
+        members = _group_members(self.config)
+        s, g = self.config.group_size, len(members)
+        return [select_transmitters(members[k % g], s) for k in range(self.completed_rounds)]
 
     @property
     def staleness_records(self) -> list[StalenessRecord]:
@@ -117,9 +129,19 @@ def select_transmitters(ready: tuple[int, ...], group_size: int) -> tuple[int, .
     ``ready`` is the round's group, the one of those in flight that started
     first, so its S updates are the oldest ready ones; this returns it whole.
     It stays a function as the per-round selection hook that the benchmark
-    patches.
+    patches. It runs once per round on the first read of
+    ``SimResult.transmitter_sets``, not during ``run_timeline``.
     """
     return ready[:group_size]
+
+
+def _group_members(cfg: SystemConfig) -> list[tuple[int, ...]]:
+    """The device ids of each TDMA group, j*S + 1 .. (j + 1)*S for group j.
+
+    One tuple per group, so the transmitter sets share G tuples of ints.
+    """
+    s = cfg.group_size
+    return [tuple(range(j * s + 1, (j + 1) * s + 1)) for j in range(cfg.num_groups)]
 
 
 def run_timeline(
@@ -150,7 +172,6 @@ def run_timeline(
     computed only in the round that uploads it. Runs are fully deterministic:
     the scheduler draws no randomness, a learner's is keyed on (device, round).
     """
-    s = cfg.group_size
     g = cfg.num_groups
     m = g - cfg.intentional_delay
     if learner is not None and learner.config != cfg:
@@ -161,11 +182,8 @@ def run_timeline(
         rounds = max(0, min(rounds, max_rounds))
     downlink_ends = cfg.downlink_ends(rounds)
 
-    # One id tuple per group, so the transmitter sets share G tuples of ints.
-    members = [tuple(range(j * s + 1, (j + 1) * s + 1)) for j in range(g)]
-    transmitter_sets = [select_transmitters(members[k % g], s) for k in range(rounds)]
     nan = float("nan")
-    metrics = RunMetrics(rounds=list(range(rounds)), slots=list(downlink_ends),
+    metrics = RunMetrics(rounds=list(range(rounds)), slots=downlink_ends,
                          staleness=[*map(float, range(min(rounds, m))),
                                     *repeat(float(m - 1), rounds - m)],
                          loss=[nan] * rounds, grad_norm_sq=[nan] * rounds)
@@ -173,6 +191,7 @@ def run_timeline(
     model: Optional[np.ndarray] = None
     if learner is not None:
         model = learner.initial_model()
+        members = _group_members(cfg)
         in_flight = deque(repeat((model, 0), m))
         for k in range(rounds):
             if metrics_every and k % metrics_every == 0:
@@ -187,6 +206,5 @@ def run_timeline(
         metrics=metrics,
         completed_rounds=rounds,
         downlink_end_slots=downlink_ends,
-        transmitter_sets=transmitter_sets,
         final_model=model,
     )

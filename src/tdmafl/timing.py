@@ -18,6 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, count, islice, repeat
 
 from .errors import ConfigError
 
@@ -179,11 +180,18 @@ class SystemConfig:
         with Delta = max(0, tau_comp - (m - 1)*tau_comm): the channel idles
         Delta slots once every m rounds, so m rounds advance the clock by
         P = m*tau_comm + Delta = max(m*tau_comm, tau_comp + tau_comm).
+
+        So the ends come in blocks of m rounds, block q being the range from
+        E_{qm} - 1 = tau_comp + tau_comm - 1 + q*P in steps of tau_comm, and the
+        list is those ranges chained and cut at ``rounds``. The slots are
+        Python ints, exact past 2**63.
         """
-        m, delta, _ = self._rotation()
+        m, _, period = self._rotation()
         tau_comm = self.tau_comm
         first = self.compute_slots + tau_comm - 1
-        return [first + k * tau_comm + k // m * delta for k in range(rounds)]
+        blocks = map(range, count(first, period), count(first + m * tau_comm, period),
+                     repeat(tau_comm))
+        return list(islice(chain.from_iterable(blocks), rounds))
 
 
 def idfl_staleness(round_index: int, cfg: SystemConfig) -> int:
@@ -201,6 +209,11 @@ def idfl_staleness(round_index: int, cfg: SystemConfig) -> int:
 
 def optimal_intentional_delay(cfg: SystemConfig) -> int:
     """Largest downlink deferral that leaves the round length unchanged.
+
+    alpha* is the free deferral, the largest that costs no rounds; it is not
+    the loss-optimal one. Deferral cuts staleness, but stale steps can also
+    contract like momentum, so whether alpha* lowers the final loss, and by
+    how much, depends on eta * lambda, S and H.
 
     By the schedule law (see SystemConfig.downlink_ends), deferral alpha moves
     no round iff Delta = 0, i.e. tau_comp <= (G - 1 - alpha) * tau_comm. So

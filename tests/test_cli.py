@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import math
@@ -142,6 +143,17 @@ class TestRunCommand:
                                      repr(metrics.grad_norm_sq[i]), repr(metrics.staleness[i])])
             assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
         assert path.read_bytes() == b"round,slot,loss,grad_norm_sq,staleness\r\n"  # header only
+
+    def test_timing_only_metrics_csv_bytes_are_pinned(self, tmp_path):
+        # The digest was recorded when the round table was still built round by round.
+        doc = {"name": "sched", "metrics_every": 1,
+               "system": {"num_devices": 1000, "group_size": 10, "compute_slots": 500,
+                          "horizon": 40_000}}
+        run_experiment(ExperimentSpec.from_dict(doc), tmp_path / "out")
+        data = (tmp_path / "out" / "seed0" / "metrics.csv").read_bytes()
+        assert data.count(b"\r\n") == 3592
+        assert hashlib.sha256(data).hexdigest() == \
+            "2acad52e28b3c2e10d9e04382eb0077bf50966a6ac8af349479d743e9969d087"
 
     def test_config_echo_round_trips(self, tmp_path):
         doc = quad_spec()
@@ -572,6 +584,16 @@ class TestSweep:
         cli._print_delay_deltas(rows, ["group_size"])
         assert capsys.readouterr().out == ("\nfinal-loss delta (optimal delay minus plain):\n"
                                            "  group_size=2: +0.25\n  group_size=4: -0.25\n")
+
+    def test_delay_deltas_of_a_delay_only_grid(self, tmp_path, capsys):
+        doc = quad_spec(horizon=60)
+        doc["seeds"] = [0]
+        doc["grid"] = {"intentional_delay": [0, "optimal"]}
+        rows = run_sweep(ExperimentSpec.from_dict(doc), tmp_path / "sweep")
+        loss = {r["intentional_delay"]: r["mean_final_loss"] for r in rows}
+        tail = capsys.readouterr().out.partition("\nfinal-loss delta")[2]
+        assert tail == (f" (optimal delay minus plain):\n"
+                        f"  : {loss['optimal'] - loss[0]:+.6g}\n")
 
     def test_sweep_needs_grid(self, tmp_path):
         doc = quad_spec()

@@ -26,6 +26,7 @@ from tdmafl import (
     optimal_intentional_delay,
     run_timeline,
 )
+from tdmafl import simulator
 from util import divisors, slot_trace
 
 
@@ -252,6 +253,17 @@ class TestScheduleProperties:
             assert result.completed_rounds == len(oracle)
             assert result.downlink_end_slots == oracle
 
+    def test_law_is_exact_past_int64(self):
+        """Slots past 2**63 stay exact ints; Delta > 0, so every block ends in an idle gap."""
+        cfg = SystemConfig(4, 1, compute_slots=3 * 2**63 + 5, slots_per_transfer=2**62)
+        m, tau_comm, delta = 4, 2**63, 5
+        first = cfg.compute_slots + tau_comm - 1
+        for rounds in (0, 1, m - 1, m, m + 1, 3 * m + 2):
+            ends = cfg.downlink_ends(rounds)
+            assert ends == [first + k * tau_comm + k // m * delta for k in range(rounds)]
+            assert all(type(end) is int for end in ends)
+        assert cfg.downlink_ends(3 * m + 2)[-1] > 2**65
+
     @settings(max_examples=300, deadline=None)
     @given(schedules())
     def test_transmitters_are_the_oldest_ready_updates(self, case):
@@ -390,6 +402,25 @@ class TestDerivedColumns:
         finally:
             tracemalloc.stop()
         assert peak < 1.5e6
+
+
+    def test_transmitter_column_is_built_on_first_read(self, monkeypatch):
+        calls = Counter()
+        select = simulator.select_transmitters
+
+        def counting(ready, group_size):
+            calls["select"] += 1
+            return select(ready, group_size)
+
+        monkeypatch.setattr(simulator, "select_transmitters", counting)
+        result = run_timeline(SCHED_ASYNC)
+        rounds, s, g = result.completed_rounds, SCHED_ASYNC.group_size, SCHED_ASYNC.num_groups
+        assert calls["select"] == 0
+        assert result.metrics.slots is result.downlink_end_slots
+        sets = result.transmitter_sets
+        assert calls["select"] == rounds == 3591
+        assert result.transmitter_sets is sets and calls["select"] == rounds
+        assert sets == [tuple(range((k % g) * s + 1, (k % g + 1) * s + 1)) for k in range(rounds)]
 
 
 class TestSynchronousDegenerate:
