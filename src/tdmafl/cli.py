@@ -4,7 +4,9 @@ Experiments are described by one JSON document (the schema is in the
 ``ExperimentSpec`` docstring); individual fields can be overridden from the
 command line with ``--set key.path=value``. Each run writes per-seed CSV
 metrics and a strict-JSON summary echoing the configuration, with the
-``timing_report`` of its system. ``validate-timing`` prints that report for a
+``timing_report`` of its system. A sweep runs each point of its grid as one
+run; consecutive points with the same N share one build of the task, as the
+grid varies only the system. ``validate-timing`` prints that report for a
 JSON list of scenarios, each a spec ``system`` block that gives a non-empty
 ``group_sizes`` list in place of ``group_size``, and an optional ``label``.
 ``rate-trend`` prints and writes the document of ``rate_trend``: the trend of
@@ -405,9 +407,14 @@ def _finite(value: Optional[float]) -> Optional[float]:
 def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
     """Execute one experiment spec; returns the summary dict it wrote."""
     cfg = build_system_config(spec.system)
-    task, init = build_task(spec.task, dataset_dir, num_devices=cfg.num_devices)
+    task, initial = build_task(spec.task, dataset_dir, num_devices=cfg.num_devices)
+    return _run_built(spec, cfg, task, initial, out_dir)
+
+
+def _run_built(spec: ExperimentSpec, cfg: SystemConfig, task, initial, out_dir) -> dict:
+    """``run_experiment`` on a task already built for ``cfg``; no seed's run changes it."""
     timing = timing_report(cfg)
-    learners = [None if task is None else SgdLearner(task, cfg, seed=seed, initial=init)
+    learners = [None if task is None else SgdLearner(task, cfg, seed=seed, initial=initial)
                 for seed in spec.seeds]  # a bad batch size fails here, before any output
     out = _make_out_dir(out_dir)
     summary: dict = {
@@ -433,7 +440,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
             "avg_grad_norm_sq": _finite(result.metrics.avg_grad_norm_sq()),
         }
         if task is not None and result.final_model is not None:
-            entry["final_loss"] = task.loss(result.final_model)
+            entry["final_loss"] = float(task.loss(result.final_model))
         summary["per_seed"].append(entry)
 
     finals = [e["final_loss"] for e in summary["per_seed"] if "final_loss" in e]
@@ -469,8 +476,15 @@ def _grid_points(grid: dict) -> list[tuple[str, dict]]:
     return list(points.items())
 
 
-def _run_sweep_point(args: tuple) -> dict:
+def _run_sweep_point(args: tuple, builds: Optional[dict] = None) -> dict:
+    """Run one grid point and return its row.
+
+    ``builds`` maps N to the last (task, initial) build; consecutive points
+    given one dict share it. It holds one entry at most, and a build that
+    fails is not kept.
+    """
     spec_doc, point_name, overrides, out_dir, dataset_dir = args
+    builds = {} if builds is None else builds
     doc = json.loads(json.dumps(spec_doc))  # deep copy
     doc.pop("grid", None)
     doc.setdefault("system", {}).update(overrides)
@@ -478,7 +492,12 @@ def _run_sweep_point(args: tuple) -> dict:
     spec = ExperimentSpec.from_dict(doc)
     row = dict(overrides)
     try:
-        summary = run_experiment(spec, Path(out_dir) / point_name, dataset_dir)
+        cfg = build_system_config(spec.system)
+        n = cfg.num_devices
+        if n not in builds:
+            builds.clear()  # the old task goes before the new one is built
+            builds[n] = build_task(spec.task, dataset_dir, num_devices=n)
+        summary = _run_built(spec, cfg, *builds[n], Path(out_dir) / point_name)
         row.update(
             status="ok",
             completed_rounds=summary.get("completed_rounds"),
@@ -493,8 +512,12 @@ def _run_sweep_point(args: tuple) -> dict:
 def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1) -> list[dict]:
     """Run every grid point and write sweep.csv and sweep.json.
 
-    A failed point becomes an ``error`` row and the others still run; if no
-    point succeeds, the files are written and a ConfigError is raised.
+    The grid varies only the system, so points in a row that share N share
+    one build of the task and its initial model: it is made once, for the
+    first of them, and dropped when N changes. With ``workers`` > 1 each point
+    builds its own in its worker process. A failed point becomes an ``error``
+    row and the others still run; if no point succeeds, the files are written
+    and a ConfigError is raised.
     """
     if not spec.grid:
         raise ConfigError("sweep mode needs a non-empty grid")
@@ -506,7 +529,8 @@ def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_point, jobs))
     else:
-        rows = [_run_sweep_point(j) for j in jobs]
+        builds: dict = {}  # lives for this call only
+        rows = [_run_sweep_point(j, builds) for j in jobs]
 
     columns = sorted({k for row in rows for k in row})
     with open(out / "sweep.csv", "w", newline="") as fh:

@@ -104,25 +104,32 @@ def load_idx_dataset(images_path, labels_path) -> LabeledDataset:
             f"count mismatch between files: {images.shape[0]} images vs "
             f"{labels.shape[0]} labels"
         )
-    flat = images.reshape(images.shape[0], -1).astype(float) / 255.0
+    flat = images.reshape(images.shape[0], -1).astype(float)
+    flat /= 255.0  # in place: one float64 copy of the pixels, not two
     return LabeledDataset(features=flat, labels=labels.astype(np.int64))
 
 
+def _read_cifar_batch(path) -> np.ndarray:
+    """One CIFAR-10 binary batch as a read-only uint8 array of records."""
+    raw = Path(path).read_bytes()
+    if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
+        raise DataError(f"{path}: size {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
+
+
 def load_cifar10_batches(paths: Sequence) -> LabeledDataset:
-    """Load CIFAR-10 binary batches; pixels are flattened and scaled to [0, 1]."""
-    feats, labels = [], []
-    for path in paths:
-        raw = Path(path).read_bytes()
-        if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
-            raise DataError(
-                f"{path}: size {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}"
-            )
-        records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        labels.append(records[:, 0].astype(np.int64))
-        feats.append(records[:, 1:].astype(float) / 255.0)
-    if not feats:
+    """Load CIFAR-10 binary batches; pixels are flattened and scaled to [0, 1].
+
+    The batches are joined as bytes and the one float64 copy is scaled in
+    place, so the peak is that copy and an eighth more, the joined bytes.
+    """
+    records = [_read_cifar_batch(path) for path in paths]
+    if not records:
         raise DataError("no CIFAR batch files given")
-    return LabeledDataset(np.concatenate(feats), np.concatenate(labels))
+    records = np.concatenate(records)  # the file bytes are released here
+    feats = records[:, 1:].astype(float)
+    feats /= 255.0
+    return LabeledDataset(feats, records[:, 0].astype(np.int64))
 
 
 def make_clustered_dataset(
@@ -164,10 +171,10 @@ def partition_single_label(
             f"dataset has {len(dataset)} samples, need {num_devices * per_device}"
         )
     label_values = np.unique(dataset.labels)
-    pools = {}
+    pools = {}  # per label, the unused indices; a device takes the last ones, last first
     for lab in label_values:
         idx = np.flatnonzero(dataset.labels == lab)
-        pools[int(lab)] = list(rng.permutation(idx))
+        pools[int(lab)] = rng.permutation(idx)
 
     feats, labels = [], []
     for dev in range(num_devices):
@@ -182,7 +189,9 @@ def partition_single_label(
                 f"could not find a label with {per_device} remaining samples "
                 f"for device {dev} after {LABEL_RETRIES} draws"
             )
-        take = [pools[chosen].pop() for _ in range(per_device)]
+        pool = pools[chosen]
+        rest = len(pool) - per_device
+        take, pools[chosen] = pool[rest:][::-1], pool[:rest]
         feats.append(dataset.features[take])
         labels.append(dataset.labels[take])
     return feats, labels

@@ -114,4 +114,4 @@ class SgdLearner:
     def round_metrics(self, model: np.ndarray) -> tuple[float, float]:
         """Global loss and squared gradient norm, from one pass over all data."""
         loss, g = self.task.loss_and_grad(model)
-        return loss, float(g @ g)
+        return float(loss), float(g @ g)

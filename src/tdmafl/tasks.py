@@ -18,8 +18,8 @@ over per-device shards, with one forward and one backward pass written as a
 loop over layers, and ``MlpTask`` only adds a tanh hidden layer in front.
 Both own reusable work buffers: metrics evaluate all data every round, and a
 fresh 256 KB temporary would be faulted in again on every round. So one task
-instance must not be used from two threads at once (a process-pool sweep
-builds one task per point).
+instance must not be used from two threads at once (a sweep runs its points
+on one task in turn; a process-pool sweep builds one task per point).
 """
 
 from __future__ import annotations

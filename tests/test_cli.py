@@ -31,7 +31,9 @@ from tdmafl.cli import (
     timing_report,
     write_metrics_csv,
 )
+from tdmafl.learner import SgdLearner
 from tdmafl.simulator import RunMetrics, run_timeline
+from tdmafl.tasks import Task
 from tdmafl.timing import SystemConfig
 
 
@@ -53,6 +55,38 @@ def quad_spec(**system_overrides):
             "eig_range": [0.5, 2.0], "data_seed": 0, "init_offset": 2.0,
         },
     }
+
+
+class NumpyLossTask(Task):
+    """Two devices of three points in the plane; its loss is a numpy scalar, not a float."""
+
+    dim, num_devices, shard_sizes = 2, 2, (3, 3)
+
+    def __init__(self):
+        self.points = np.arange(12.0).reshape(2, 3, 2)
+
+    def _rows(self, device, batch):
+        self.check_batch(device, batch)
+        x = self.points.reshape(-1, 2) if device is None else self.points[device]
+        return x if batch is None else x[np.asarray(batch)]
+
+    def loss(self, w, device=None, batch=None):
+        return 0.5 * np.mean(np.sum((w - self._rows(device, batch)) ** 2, axis=1))
+
+    def grad(self, w, device=None, batch=None):
+        return w - self._rows(device, batch).mean(axis=0)
+
+
+def count_builds(monkeypatch) -> list:
+    """Record the N of every ``cli.build_task`` call; the real build still runs."""
+    calls, real = [], cli.build_task
+
+    def counting(task_spec, dataset_dir, *, num_devices):
+        calls.append(num_devices)
+        return real(task_spec, dataset_dir, num_devices=num_devices)
+
+    monkeypatch.setattr(cli, "build_task", counting)
+    return calls
 
 
 def _reject_constant(token):
@@ -154,6 +188,21 @@ class TestRunCommand:
         assert data.count(b"\r\n") == 3592
         assert hashlib.sha256(data).hexdigest() == \
             "2acad52e28b3c2e10d9e04382eb0077bf50966a6ac8af349479d743e9969d087"
+
+    def test_a_numpy_scalar_loss_reaches_the_csv_as_a_float(self, tmp_path, monkeypatch):
+        task = NumpyLossTask()
+        assert type(task.loss(np.zeros(2))) is np.float64
+        monkeypatch.setattr(cli, "build_task", lambda *a, **k: (task, None))
+        doc = quad_spec(num_devices=2, group_size=1, batch_size=2, horizon=60)
+        spec = ExperimentSpec.from_dict(doc)
+        summary = run_experiment(spec, tmp_path / "out")
+        cfg = build_system_config(doc["system"])
+        metrics = run_timeline(cfg, SgdLearner(task, cfg, seed=0)).metrics
+        assert len(metrics) > 1 and all(type(x) is float for x in metrics.loss)
+        for entry in summary["per_seed"]:
+            assert type(entry["final_loss"]) is float
+            table = read_metrics(tmp_path / "out" / f"seed{entry['seed']}" / "metrics.csv")
+            assert len(table["loss"]) == len(metrics) and all(map(math.isfinite, table["loss"]))
 
     def test_config_echo_round_trips(self, tmp_path):
         doc = quad_spec()
@@ -563,6 +612,36 @@ class TestSweep:
         assert trees[1] == trees[2]
         names = sorted(name.rpartition("/")[2] for name in trees[1])
         assert names == ["metrics.csv"] * 12 + ["summary.json"] * 6 + ["sweep.csv", "sweep.json"]
+
+    def test_points_of_one_n_share_one_build(self, tmp_path, monkeypatch):
+        calls = count_builds(monkeypatch)
+        doc = quad_spec(horizon=60)
+        doc["grid"] = {"group_size": [1, 2], "intentional_delay": [0, "optimal"]}
+        spec = ExperimentSpec.from_dict(doc)
+        rows = run_sweep(spec, tmp_path / "a")
+        assert [r["status"] for r in rows] == ["ok"] * 4
+        assert calls == [4]
+        run_sweep(spec, tmp_path / "b")  # a second sweep builds its own
+        assert calls == [4, 4]
+        assert (tmp_path / "a" / "sweep.json").read_bytes() == \
+            (tmp_path / "b" / "sweep.json").read_bytes()
+
+    def test_a_failed_build_is_one_row_and_is_not_kept(self, tmp_path, monkeypatch):
+        calls = count_builds(monkeypatch)
+        doc = {
+            "name": "mlp", "seeds": [0],
+            "system": {"num_devices": 2, "group_size": 2, "compute_slots": 2,
+                       "batch_size": 4, "step_size": 0.05, "horizon": 40},
+            "task": {"kind": "mlp", "hidden": 4, "num_classes": 3, "feature_dim": 4,
+                     "samples_per_class": 20, "per_device": 10},  # 60 samples: N = 8 lacks data
+            "grid": {"num_devices": [2, 8, 4], "step_size": [0.01, 0.05]},
+        }
+        rows = run_sweep(ExperimentSpec.from_dict(doc), tmp_path / "sweep")
+        status = [(r["num_devices"], r["status"]) for r in rows]
+        assert status == [(2, "ok"), (2, "ok"), (8, "error"), (8, "error"), (4, "ok"), (4, "ok")]
+        assert all(r["error"].startswith("DataError: dataset has 60 samples, need 80")
+                   for r in rows if r["status"] == "error")
+        assert calls == [2, 8, 8, 4]
 
     def test_delay_deltas_pair_on_every_other_axis(self, tmp_path, capsys):
         doc = quad_spec(horizon=60)

@@ -1,6 +1,7 @@
 """Dataset ingestion and partitioning."""
 
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,69 @@ class TestCifarFormat:
         with pytest.raises(DataError, match="multiple"):
             load_cifar10_batches([tmp_path / "data_batch_1.bin"])
 
+    def test_no_batches(self):
+        with pytest.raises(DataError, match="no CIFAR batch"):
+            load_cifar10_batches([])
+
+
+def _peak_bytes(load):
+    """(result, tracemalloc peak in bytes) of one call of ``load``."""
+    tracemalloc.start()
+    try:
+        result = load()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLoaderMemory:
+    """A loader holds one float64 copy of the pixels; the old ones held two."""
+
+    def test_cifar_batches(self, tmp_path):
+        rng = np.random.default_rng(7)
+        paths, blobs = [], []
+        for i in range(3):
+            records = rng.integers(0, 256, size=(200, 3073), dtype=np.uint8)
+            records[:, 0] %= 10
+            paths.append(tmp_path / f"data_batch_{i + 1}.bin")
+            paths[-1].write_bytes(records.tobytes())
+            blobs.append(records)
+        ds, peak = _peak_bytes(lambda: load_cifar10_batches(paths))
+        old = np.concatenate([r[:, 1:].astype(float) / 255.0 for r in blobs])
+        assert ds.features.tobytes() == old.tobytes()
+        assert np.array_equal(ds.labels, np.concatenate([r[:, 0] for r in blobs]))
+        assert peak < 1.5 * ds.features.nbytes
+
+    def test_idx_images(self, tmp_path):
+        rng = np.random.default_rng(8)
+        images = rng.integers(0, 256, size=(600, 28, 28), dtype=np.uint8)
+        write_idx_images(tmp_path / "img", images)
+        write_idx_labels(tmp_path / "lab", rng.integers(0, 10, size=600, dtype=np.uint8))
+        ds, peak = _peak_bytes(lambda: load_idx_dataset(tmp_path / "img", tmp_path / "lab"))
+        old = images.reshape(600, -1).astype(float) / 255.0
+        assert ds.features.tobytes() == old.tobytes()
+        assert peak < 1.5 * ds.features.nbytes
+
+
+def pop_loop_partition(dataset, num_devices, per_device, rng, retries=20):
+    """The partition as a loop that pops one boxed index at a time (the reference)."""
+    label_values = np.unique(dataset.labels)
+    pools = {int(lab): list(rng.permutation(np.flatnonzero(dataset.labels == lab)))
+             for lab in label_values}
+    feats, labels, redraws = [], [], 0
+    for _ in range(num_devices):
+        for _ in range(retries):
+            lab = int(rng.choice(label_values))
+            if len(pools[lab]) >= per_device:
+                break
+            redraws += 1
+        else:
+            return None, redraws
+        take = [pools[lab].pop() for _ in range(per_device)]
+        feats.append(dataset.features[take])
+        labels.append(dataset.labels[take])
+    return (feats, labels), redraws
+
 
 class TestSingleLabelPartition:
     def test_shards_are_pure_disjoint_and_sized(self, dataset):
@@ -132,6 +196,27 @@ class TestSingleLabelPartition:
         ds = LabeledDataset(feats, labels)
         with pytest.raises(DataError, match="could not find a label"):
             partition_single_label(ds, 4, 10, np.random.default_rng(6))
+
+    def test_shards_match_the_pop_loop(self):
+        # Five labels of 12 samples serve at most ten devices of 5: labels run
+        # short, so most seeds redraw a label and a few fail after LABEL_RETRIES.
+        feats = np.arange(120, dtype=float).reshape(60, 2)
+        ds = LabeledDataset(feats, np.repeat(np.arange(5), 12))
+        total_redraws, failures = 0, 0
+        for seed in range(150):
+            want, redraws = pop_loop_partition(ds, 10, 5, np.random.default_rng(seed))
+            total_redraws += redraws
+            if want is None:
+                failures += 1
+                with pytest.raises(DataError, match="could not find a label"):
+                    partition_single_label(ds, 10, 5, np.random.default_rng(seed))
+                continue
+            got = partition_single_label(ds, 10, 5, np.random.default_rng(seed))
+            for got_part, want_part in zip(got, want):
+                assert len(got_part) == len(want_part) == 10
+                for a, b in zip(got_part, want_part):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert total_redraws > 0 and 0 < failures < 150
 
     def test_label_choice_uniform_over_seeds(self, dataset):
         # Monte-Carlo over seeds: chosen labels should be uniform across the
