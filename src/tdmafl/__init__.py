@@ -21,7 +21,6 @@ from .timing import (
 from .simulator import (
     RunMetrics,
     SimResult,
-    StalenessRecord,
     run_timeline,
 )
 from .learner import SgdLearner

@@ -5,7 +5,7 @@ Experiments are described by one JSON document (the schema is in the
 command line with ``--set key.path=value``. Each run writes per-seed CSV
 metrics and a strict-JSON summary echoing the configuration, with the
 ``timing_report`` of its system. A sweep runs each point of its grid as one
-run; consecutive points with the same N share one build of the task, as the
+run; the points with one N run together on one build of the task, as the
 grid varies only the system. ``validate-timing`` prints that report for a
 JSON list of scenarios, each a spec ``system`` block that gives a non-empty
 ``group_sizes`` list in place of ``group_size``, and an optional ``label``.
@@ -512,12 +512,14 @@ def _run_sweep_point(args: tuple, builds: Optional[dict] = None) -> dict:
 def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1) -> list[dict]:
     """Run every grid point and write sweep.csv and sweep.json.
 
-    The grid varies only the system, so points in a row that share N share
-    one build of the task and its initial model: it is made once, for the
-    first of them, and dropped when N changes. With ``workers`` > 1 each point
-    builds its own in its worker process. A failed point becomes an ``error``
-    row and the others still run; if no point succeeds, the files are written
-    and a ConfigError is raised.
+    The grid varies only the system, so points that share N share one build
+    of the task and its initial model. The points run grouped by N, in the
+    order each N first appears in the grid; the build is made for the first
+    point of its group and dropped when the group ends, and the rows keep
+    grid order. With ``workers`` > 1 each point builds its own in its worker
+    process. A failed point becomes an ``error`` row and the others still
+    run; if no point succeeds, the files are written and a ConfigError is
+    raised.
     """
     if not spec.grid:
         raise ConfigError("sweep mode needs a non-empty grid")
@@ -529,8 +531,15 @@ def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_sweep_point, jobs))
     else:
+        # Each N as the spec gives it (repr: a malformed one may be a list) ->
+        # the position of its first point.
+        first: dict = {}
+        rank = [first.setdefault(repr(p.get("num_devices", spec.system.get("num_devices"))), i)
+                for i, (_, p) in enumerate(points)]
         builds: dict = {}  # lives for this call only
-        rows = [_run_sweep_point(j, builds) for j in jobs]
+        rows = [None] * len(jobs)
+        for i in sorted(range(len(jobs)), key=rank.__getitem__):
+            rows[i] = _run_sweep_point(jobs[i], builds)
 
     columns = sorted({k for row in rows for k in row})
     with open(out / "sweep.csv", "w", newline="") as fh:

@@ -1,4 +1,4 @@
-"""Monte-Carlo probe of the per-round descent inequality, and constant estimation.
+"""Exact probe of the per-round descent inequality, and constant estimation.
 
 Test-side oracles for the convergence analysis:
 
@@ -7,15 +7,15 @@ Test-side oracles for the convergence analysis:
 * estimating those constants (smoothness, per-sample
   gradient second-moment envelope, gradient dispersion across devices) from
   gradient evaluations alone, as upper envelopes over everything witnessed;
-* a Monte-Carlo check of the per-round descent inequality: the right side is
-  evaluated exactly from full gradients and the constants, only the left side
-  (expected post-update loss over fresh batch draws) is sampled.
+* an exact check of the per-round descent inequality on the quadratic: the
+  right side comes from full gradients and the constants, the left side
+  (expected post-update loss over fresh batch draws) from the mean and
+  covariance of the batch means. Nothing is sampled.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -205,97 +205,65 @@ def descent_rhs(
     )
 
 
-def _batches_without_replacement(
-    trials: int, shard_size: int, batch_size: int, rng: np.random.Generator
-) -> np.ndarray:
-    """(trials, batch_size) index array, each row a uniform distinct subset."""
-    keys = rng.random((trials, shard_size))
-    return np.argpartition(keys, batch_size - 1, axis=1)[:, :batch_size]
-
-
-def descent_lhs_mc(
-    task: Task,
+def descent_lhs(
+    task: QuadraticTask,
     eta: float,
     batch_size: int,
     w_now: np.ndarray,
     stale_models: Sequence[np.ndarray],
     transmitters: Sequence[int],
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate (mean, standard error) of the post-update loss.
+) -> float:
+    """Exact expected post-update loss E f(w+) over fresh batch draws.
 
-    Each trial redraws every transmitter's mini-batch, forms the averaged
-    stale update, applies one server step, and evaluates the global loss.
+    Every batch gradient is A w_old - (mean of the batch's offsets), so
+    w+ = w_now - (eta/S) sum_dev (A w_old,dev - b_dev,batch) with S independent
+    batch means. A mean of B of a shard's n offsets, drawn without
+    replacement, has the shard's population covariance times
+    (n - B) / ((n - 1) B), and 0 when B = n. Hence
+    E f(w+) = f(E w+) + tr(A Cov w+) / 2.
     """
-    if trials < 2:
-        raise ConfigError(f"trials must be >= 2, got {trials}")
     s = len(transmitters)
-    if isinstance(task, QuadraticTask):
-        # Closed-form batched evaluation: the batch gradient is
-        # A w_old - mean(batch offsets), so only the offset means are random.
-        mean_updates = np.zeros((trials, task.dim))
-        for dev, w_old in zip(transmitters, stale_models):
-            fixed = task.hessian @ w_old
-            idx = _batches_without_replacement(
-                trials, task.shard_sizes[dev], batch_size, rng
-            )
-            batch_means = task.sample_offsets[dev][idx].mean(axis=1)
-            mean_updates += fixed[None, :] - batch_means
-        mean_updates /= s
-        w_plus = w_now[None, :] - eta * mean_updates
-        quad = 0.5 * np.einsum("ti,ij,tj->t", w_plus, task.hessian, w_plus)
-        # grad(0) = -(mean offset) and loss(0) = mean constant, both exactly.
-        zero = np.zeros(task.dim)
-        lin = w_plus @ -task.grad(zero)
-        values = quad - lin + task.loss(zero)
-    else:
-        values = np.empty(trials)
-        for t in range(trials):
-            acc = np.zeros(task.dim)
-            for dev, w_old in zip(transmitters, stale_models):
-                batch = task.sample_batch(dev, batch_size, rng)
-                acc += task.grad(w_old, dev, batch)
-            values[t] = task.loss(w_now - (eta / s) * acc)
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(trials))
+    mean = w_now - (eta / s) * sum(
+        task.grad(w_old, dev) for dev, w_old in zip(transmitters, stale_models)
+    )
+    n = task.shard_sizes[0]
+    shrink = 0.0 if batch_size == n else (n - batch_size) / ((n - 1) * batch_size)
+    offsets = task.sample_offsets[list(transmitters)]  # (S, n, dim)
+    centered = offsets - offsets.mean(axis=1, keepdims=True)
+    cov = np.einsum("sni,snj->ij", centered, centered) * (shrink / n * (eta / s) ** 2)
+    return task.loss(mean) + 0.5 * float(np.sum(task.hessian * cov))
 
 
 def check_descent_lemma(
-    task: Task,
+    task: QuadraticTask,
     constants: AssumptionConstants,
     cfg: SystemConfig,
-    trials: int,
-    rng: np.random.Generator,
+    seed: int,
     *,
-    probes: int = 100,
     trajectory_rounds: int = 200,
     initial: Optional[np.ndarray] = None,
-    target_se: Optional[float] = None,
-) -> list[tuple[int, float, float]]:
-    """Probe the descent inequality along states of an actual run.
+) -> list[tuple[int, float]]:
+    """The descent inequality's margin at every round of an actual run.
 
-    A pipeline run supplies probe states: the current model, and the stale
-    model that round k's transmitters trained on. By the schedule law those
-    are group k mod G, all idfl_staleness(k) rounds behind. For each probe the
-    exact right side is compared against a Monte-Carlo estimate of the left
-    side over fresh batch draws. Returns (round, margin, standard error) per
-    probe; a probe passes when margin >= -3 standard errors. Both sides model
-    single-step local updates, so ``cfg.local_steps`` must be 1.
+    A pipeline run supplies the round states: the current model, and the
+    stale model that round k's transmitters trained on. By the schedule law
+    those are group k mod G, all idfl_staleness(k) rounds behind. Each round
+    from min(G, K - 1) on compares the exact right side with the exact left
+    side; returns (round, margin) pairs, and the inequality holds where
+    margin >= 0. Both sides model single-step local updates, so
+    ``cfg.local_steps`` must be 1.
     """
     if cfg.local_steps != 1:
         raise ConfigError(
             f"the descent-lemma probe models one local step, got local_steps={cfg.local_steps}"
         )
-    learner = RecordingLearner(task, cfg, seed=int(rng.integers(2**31)), initial=initial)
+    learner = RecordingLearner(task, cfg, seed=seed, initial=initial)
     result = run_timeline(cfg, learner, max_rounds=trajectory_rounds, metrics_every=0)
     history = learner.models
     g, s = cfg.num_groups, cfg.group_size
-    first = min(g, result.completed_rounds - 1)
-    candidates = np.arange(first, result.completed_rounds)
-    picks = rng.choice(candidates, size=probes, replace=len(candidates) < probes)
 
     out = []
-    for k in sorted(picks.tolist()):
+    for k in range(min(g, result.completed_rounds - 1), result.completed_rounds):
         transmitters = list(range(k % g * s, (k % g + 1) * s))
         stale_models = [history[k - idfl_staleness(k, cfg)]] * s
         w_now = history[k]
@@ -303,17 +271,8 @@ def check_descent_lemma(
             task, constants, cfg.step_size, cfg.batch_size,
             w_now, stale_models, transmitters,
         )
-        lhs, se = descent_lhs_mc(
-            task, cfg.step_size, cfg.batch_size,
-            w_now, stale_models, transmitters, trials, rng,
+        lhs = descent_lhs(
+            task, cfg.step_size, cfg.batch_size, w_now, stale_models, transmitters,
         )
-        out.append((k, rhs - lhs, se))
-    if target_se is not None:
-        worst = max(se for _, _, se in out)
-        if worst > target_se:
-            warnings.warn(
-                f"Monte-Carlo standard error {worst:.3g} exceeds target {target_se:.3g}; "
-                "increase trials",
-                stacklevel=2,
-            )
+        out.append((k, rhs - lhs))
     return out

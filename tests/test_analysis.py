@@ -1,5 +1,6 @@
-"""Constants estimation, the descent-inequality probe, the rate trend, and the deferral regime."""
+"""Constants estimation, the exact descent-inequality probe, the rate trend, and the deferral regime."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +15,10 @@ from tdmafl import (
     run_timeline,
 )
 from tdmafl.cli import rate_trend, theorem_step_size
-from tdmafl.tasks import QuadraticTask
 from descent_probe import (
     AssumptionConstants,
     check_descent_lemma,
-    descent_lhs_mc,
+    descent_lhs,
     descent_rhs,
     estimate_constants,
     exact_constants,
@@ -86,9 +86,7 @@ class TestDescentInequality:
         w = task.w_star + rng.normal(size=4)
         g = task.grad(w)
         rhs = descent_rhs(task, consts, eta, 1, w, [w], [0])
-        lhs, se = descent_lhs_mc(task, eta, 1, w, [w], [0], trials=16,
-                                 rng=np.random.default_rng(10))
-        assert se == pytest.approx(0.0, abs=1e-12)  # deterministic batches
+        lhs = descent_lhs(task, eta, 1, w, [w], [0])
         rayleigh = float(g @ task.hessian @ g / (g @ g))
         expected_margin = 0.5 * eta**2 * float(g @ g) * (consts.smoothness - rayleigh)
         assert rhs - lhs == pytest.approx(expected_margin, rel=1e-9)
@@ -106,10 +104,7 @@ class TestDescentInequality:
 
         def margin(eta):
             rhs = descent_rhs(hetero_quad, consts, eta, b, w_now, stale, transmitters)
-            lhs, _ = descent_lhs_mc(hetero_quad, eta, b, w_now, stale,
-                                    transmitters, trials=60_000,
-                                    rng=np.random.default_rng(12))
-            return rhs - lhs
+            return rhs - descent_lhs(hetero_quad, eta, b, w_now, stale, transmitters)
 
         # d(RHS - LHS)/d eta at 0, written out term by term.
         g_now = hetero_quad.grad(w_now)
@@ -123,29 +118,18 @@ class TestDescentInequality:
 
         m1, m2 = margin(1e-4), margin(5e-5)
         assert m1 > 0 and m2 > 0
-        assert m1 / 1e-4 == pytest.approx(slope, rel=0.02)
-        assert m2 / 5e-5 == pytest.approx(slope, rel=0.02)
+        assert m1 / 1e-4 == pytest.approx(slope, rel=1e-3)
+        assert m2 / 5e-5 == pytest.approx(slope, rel=1e-3)
 
     def test_trajectory_probes_have_no_violations(self, hetero_quad):
         cfg = SystemConfig(4, 2, compute_slots=1, horizon=10**6,
                            step_size=0.02, batch_size=4)
         probes = check_descent_lemma(
-            hetero_quad, exact_constants(hetero_quad), cfg, trials=2000,
-            rng=np.random.default_rng(13), probes=25, trajectory_rounds=80,
-            initial=hetero_quad.w_star + 1.0,
+            hetero_quad, exact_constants(hetero_quad), cfg, seed=13,
+            trajectory_rounds=80, initial=hetero_quad.w_star + 1.0,
         )
-        assert len(probes) == 25
-        assert all(margin >= -3.0 * se for _, margin, se in probes)
-
-    def test_se_warning(self, hetero_quad):
-        cfg = SystemConfig(4, 2, compute_slots=1, horizon=10**6,
-                           step_size=0.02, batch_size=4)
-        with pytest.warns(UserWarning, match="standard error"):
-            check_descent_lemma(
-                hetero_quad, exact_constants(hetero_quad), cfg, trials=16,
-                rng=np.random.default_rng(14), probes=4, trajectory_rounds=30,
-                target_se=1e-12,
-            )
+        assert [k for k, _ in probes] == list(range(2, 80))
+        assert all(margin >= 0 for _, margin in probes)
 
     def test_rejects_multi_step_config(self, hetero_quad):
         # The probe's two sides model one local step; H = 2 must not be
@@ -153,37 +137,25 @@ class TestDescentInequality:
         cfg = SystemConfig(4, 2, compute_slots=1, horizon=10**6,
                            step_size=0.02, batch_size=4, local_steps=2)
         with pytest.raises(ConfigError, match="local_steps=2"):
-            check_descent_lemma(hetero_quad, exact_constants(hetero_quad), cfg,
-                                trials=16, rng=np.random.default_rng(14), probes=4)
+            check_descent_lemma(hetero_quad, exact_constants(hetero_quad), cfg, seed=14)
 
-    def test_generic_path_matches_quadratic_path(self, hetero_quad):
-        # The non-quadratic fallback draws batches one trial at a time; its
-        # mean must agree with the vectorized closed form within MC error.
-        class Wrapped(QuadraticTask.__mro__[1]):  # plain Task interface
-            def __init__(self, inner):
-                self.inner = inner
-                self.dim = inner.dim
-                self.num_devices = inner.num_devices
-
-            @property
-            def shard_sizes(self):
-                return self.inner.shard_sizes
-
-            def loss(self, w, device=None, batch=None):
-                return self.inner.loss(w, device, batch)
-
-            def grad(self, w, device=None, batch=None):
-                return self.inner.grad(w, device, batch)
-
+    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4])
+    def test_lhs_is_the_mean_over_every_batch(self, batch_size):
+        # Two transmitters on 4-sample shards: averaging the post-update loss
+        # over every pair of distinct-index batches is the expectation itself.
+        # B = n leaves one batch per device, so the covariance term is 0.
         rng = np.random.default_rng(15)
-        w = hetero_quad.w_star + rng.normal(size=hetero_quad.dim)
-        stale = [w, w]
-        fast, _ = descent_lhs_mc(hetero_quad, 0.05, 4, w, stale, [0, 1],
-                                 trials=20_000, rng=np.random.default_rng(16))
-        slow, se = descent_lhs_mc(Wrapped(hetero_quad), 0.05, 4, w, stale,
-                                  [0, 1], trials=4000,
-                                  rng=np.random.default_rng(17))
-        assert fast == pytest.approx(slow, abs=6 * se)
+        task = make_quadratic(3, 3, 1.0, rng, samples_per_device=4,
+                              sample_noise=0.7, eig_range=(0.5, 2.0))
+        eta = 0.3
+        w = task.w_star + rng.normal(size=3)
+        stale = [w + 0.1 * rng.normal(size=3), w + 0.1 * rng.normal(size=3)]
+        batches = [np.array(c) for c in itertools.combinations(range(4), batch_size)]
+        mean = np.mean([
+            task.loss(w - eta / 2 * (task.grad(stale[0], 0, b0) + task.grad(stale[1], 2, b1)))
+            for b0, b1 in itertools.product(batches, batches)
+        ])
+        assert descent_lhs(task, eta, batch_size, w, stale, [0, 2]) == pytest.approx(mean, rel=1e-12)
 
 
 class TestRateTrend:

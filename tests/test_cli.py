@@ -600,18 +600,22 @@ class TestSweep:
             assert summary["config"]["seeds"] == [7]
 
     def test_parallel_points_write_the_same_bytes(self, tmp_path):
-        doc = quad_spec(horizon=60)  # seeds [0, 1]
-        doc["grid"] = {"group_size": [1, 2, 4], "intentional_delay": [0, "optimal"]}
-        spec = ExperimentSpec.from_dict(doc)
-        trees = {}
-        for workers in (1, 2):
-            out = tmp_path / str(workers)
-            run_sweep(spec, out, workers=workers)
-            trees[workers] = {p.relative_to(out).as_posix(): p.read_bytes()
-                              for p in out.rglob("*") if p.is_file()}
-        assert trees[1] == trees[2]
-        names = sorted(name.rpartition("/")[2] for name in trees[1])
-        assert names == ["metrics.csv"] * 12 + ["summary.json"] * 6 + ["sweep.csv", "sweep.json"]
+        grids = [({"group_size": [1, 2, 4], "intentional_delay": [0, "optimal"]}, 6),
+                 ({"group_size": [1, 2], "num_devices": [4, 8]}, 4)]  # run out of grid order
+        for grid, points in grids:
+            doc = quad_spec(horizon=60)  # seeds [0, 1]
+            doc["grid"] = grid
+            spec = ExperimentSpec.from_dict(doc)
+            trees = {}
+            for workers in (1, 2):
+                out = tmp_path / f"{points}-{workers}"
+                run_sweep(spec, out, workers=workers)
+                trees[workers] = {p.relative_to(out).as_posix(): p.read_bytes()
+                                  for p in out.rglob("*") if p.is_file()}
+            assert trees[1] == trees[2]
+            names = sorted(name.rpartition("/")[2] for name in trees[1])
+            assert names == (["metrics.csv"] * 2 * points + ["summary.json"] * points
+                             + ["sweep.csv", "sweep.json"])
 
     def test_points_of_one_n_share_one_build(self, tmp_path, monkeypatch):
         calls = count_builds(monkeypatch)
@@ -625,6 +629,16 @@ class TestSweep:
         assert calls == [4, 4]
         assert (tmp_path / "a" / "sweep.json").read_bytes() == \
             (tmp_path / "b" / "sweep.json").read_bytes()
+
+    def test_points_run_grouped_by_n(self, tmp_path, monkeypatch):
+        # Sorted keys put num_devices second, so grid order alternates N.
+        calls = count_builds(monkeypatch)
+        doc = quad_spec(horizon=60)
+        doc["grid"] = {"group_size": [1, 2], "num_devices": [4, 8]}
+        rows = run_sweep(ExperimentSpec.from_dict(doc), tmp_path / "sweep")
+        assert calls == [4, 8]
+        assert [(r["group_size"], r["num_devices"], r["status"]) for r in rows] == [
+            (1, 4, "ok"), (1, 8, "ok"), (2, 4, "ok"), (2, 8, "ok")]
 
     def test_a_failed_build_is_one_row_and_is_not_kept(self, tmp_path, monkeypatch):
         calls = count_builds(monkeypatch)

@@ -19,7 +19,6 @@ from tdmafl import (
     ConfigError,
     SgdLearner,
     SoftmaxRegressionTask,
-    StalenessRecord,
     SystemConfig,
     idfl_staleness,
     make_quadratic,
@@ -27,6 +26,7 @@ from tdmafl import (
     run_timeline,
 )
 from tdmafl import simulator
+from tdmafl.simulator import StalenessRecord
 from util import divisors, slot_trace
 
 
