@@ -347,13 +347,34 @@ def write_metrics_csv(path, metrics) -> None:
     """Write the metrics table, formatted as one string.
 
     The bytes are those of ``csv.writer``: ints and float reprs never need
-    quoting, and every line ends in CRLF.
+    quoting, and every line ends in CRLF. Consecutive rows whose loss,
+    grad_norm_sq and staleness have the same 64-bit patterns share one
+    formatted tail, joined to each row's ``round,slot`` head. A float's repr
+    is a function of its bits, so this is exact; equal values would not be
+    (0.0 == -0.0 print differently, and nan != nan). A timing-only table is
+    m such runs, m being the groups in flight: its loss and gradient columns
+    are NaN, and its staleness is constant from round m - 1 on.
     """
-    rows = zip(metrics.rounds, metrics.slots, metrics.loss, metrics.grad_norm_sq,
-               metrics.staleness)
-    text = "".join([f"{k},{s},{l!r},{g!r},{st!r}\r\n" for k, s, l, g, st in rows])
+    loss, grad, stale = metrics.loss, metrics.grad_norm_sq, metrics.staleness
+    starts = _bit_run_starts(loss, grad, stale)
+    heads = [f"{k},{s}" for k, s in zip(metrics.rounds, metrics.slots)]
+    parts = [",".join(CSV_HEADER) + "\r\n"]
+    for a, b in zip(starts, starts[1:]):
+        tail = f",{loss[a]!r},{grad[a]!r},{stale[a]!r}\r\n"
+        parts += (tail.join(heads[a:b]), tail)
+    del heads  # the parts hold their text; the join below copies it once more
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n" + text)
+        fh.write("".join(parts))
+
+
+def _bit_run_starts(*columns: Sequence[float]) -> list[int]:
+    """The first row of each run of rows whose floats have equal bits, then the row count."""
+    n = len(columns[0])
+    if not n:
+        return [0]
+    bits = np.array(columns, dtype=float).view(np.int64)
+    changes = np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0)) + 1
+    return [0, *changes.tolist(), n]
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +445,7 @@ def _run_built(spec: ExperimentSpec, cfg: SystemConfig, task, initial, out_dir) 
         "per_seed": [],
     }
     error: Optional[NumericsError] = None
+    finals = []  # each seed's final loss, before a non-finite one becomes null
     for seed, learner in zip(spec.seeds, learners):
         try:
             result = run_timeline(cfg, learner, metrics_every=spec.metrics_every)
@@ -440,12 +462,12 @@ def _run_built(spec: ExperimentSpec, cfg: SystemConfig, task, initial, out_dir) 
             "avg_grad_norm_sq": _finite(result.metrics.avg_grad_norm_sq()),
         }
         if task is not None and result.final_model is not None:
-            entry["final_loss"] = float(task.loss(result.final_model))
+            finals.append(float(task.loss(result.final_model)))
+            entry["final_loss"] = _finite(finals[-1])  # a loss can overflow in a finite model
         summary["per_seed"].append(entry)
 
-    finals = [e["final_loss"] for e in summary["per_seed"] if "final_loss" in e]
     if finals:
-        summary["mean_final_loss"] = float(np.mean(finals))
+        summary["mean_final_loss"] = _finite(float(np.mean(finals)))
     counts = [e["completed_rounds"] for e in summary["per_seed"] if "completed_rounds" in e]
     if counts:
         summary["completed_rounds"] = counts[0]
@@ -528,7 +550,8 @@ def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1)
     out = _make_out_dir(out_dir)
     jobs = [(spec.raw, name, p, str(out), dataset_dir) for name, p in points]
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # A forked pool starts all its workers on the first submit, so no more than the jobs.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             rows = list(pool.map(_run_sweep_point, jobs))
     else:
         # Each N as the spec gives it (repr: a malformed one may be a list) ->

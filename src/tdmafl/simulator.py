@@ -66,9 +66,12 @@ class RunMetrics:
         return len(self.rounds)
 
     def avg_grad_norm_sq(self) -> float:
-        """Mean of the evaluated squared gradient norms; NaN rows are skipped."""
+        """Mean of the evaluated squared gradient norms; NaN (unevaluated) rows are skipped.
+
+        An evaluated infinity is kept, so a diverged run's mean is infinite.
+        """
         vals = np.asarray(self.grad_norm_sq, dtype=float)
-        vals = vals[np.isfinite(vals)]
+        vals = vals[~np.isnan(vals)]
         return float(vals.mean()) if vals.size else float("nan")
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: artifacts, schemas, exit codes."""
 
+import concurrent.futures
 import contextlib
 import copy
 import csv
@@ -109,6 +110,22 @@ def read_metrics(path):
             for i, (name, kind) in enumerate(zip(header, kinds))}
 
 
+# Floats whose equal values print differently (0.0, -0.0), that are unequal to
+# themselves (nan), or that are at the ends of the double range.
+CSV_TAIL_PALETTE = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1 / 3, 5e-324, 1e300]
+
+
+def reference_csv_bytes(metrics) -> bytes:
+    """The metrics table as ``csv.writer`` writes it, one row at a time."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(CSV_HEADER)
+    for i in range(len(metrics)):
+        writer.writerow([metrics.rounds[i], metrics.slots[i], repr(metrics.loss[i]),
+                         repr(metrics.grad_norm_sq[i]), repr(metrics.staleness[i])])
+    return buf.getvalue().encode()
+
+
 class TestRunCommand:
     def test_artifacts_and_schema(self, tmp_path):
         out = tmp_path / "out"
@@ -163,20 +180,50 @@ class TestRunCommand:
             loss=[float("nan"), float("inf"), -0.0, 1e-300],
             grad_norm_sq=[float("-inf"), 2.5, float("nan"), 1e300],
         )
+        # Equal values with different reprs, and NaNs that are distinct objects:
+        # the rows share a tail only where the bits agree.
+        signed_zeros = RunMetrics(
+            rounds=list(range(6)), slots=list(range(10, 16)),
+            staleness=[0.0, -0.0, -0.0, 0.0, 0.0, 1.0],
+            loss=[float("nan"), float("nan"), -float("nan"), 0.0, -0.0, -0.0],
+            grad_norm_sq=[0.0, 0.0, 0.0, -0.0, -0.0, -0.0],
+        )
+        one_row = RunMetrics(rounds=[0], slots=[7], staleness=[0.0], loss=[0.5],
+                             grad_norm_sq=[float("nan")])
         timing_only = run_timeline(SystemConfig(1000, 10, compute_slots=500,
                                                 horizon=40_000)).metrics
         assert len(timing_only) == 3591 and all(map(math.isnan, timing_only.loss))
-        for metrics in (edge_values, timing_only, RunMetrics()):
+        cfg = build_system_config(quad_spec(horizon=120)["system"])
+        task, initial = cli.build_task(quad_spec()["task"], None, num_devices=4)
+        decimated = run_timeline(cfg, SgdLearner(task, cfg, initial=initial),
+                                 metrics_every=3).metrics
+        assert [k for k, x in enumerate(decimated.loss) if not math.isnan(x)] == \
+            list(range(0, len(decimated), 3))
+        for metrics in (edge_values, signed_zeros, one_row, timing_only, decimated, RunMetrics()):
             path = tmp_path / "metrics.csv"
             write_metrics_csv(path, metrics)
-            with open(tmp_path / "reference.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(CSV_HEADER)
-                for i in range(len(metrics)):
-                    writer.writerow([metrics.rounds[i], metrics.slots[i], repr(metrics.loss[i]),
-                                     repr(metrics.grad_norm_sq[i]), repr(metrics.staleness[i])])
-            assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
+            assert path.read_bytes() == reference_csv_bytes(metrics)
         assert path.read_bytes() == b"round,slot,loss,grad_norm_sq,staleness\r\n"  # header only
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.sampled_from(CSV_TAIL_PALETTE)),
+                    max_size=60))
+    def test_metrics_csv_matches_a_row_by_row_writer_on_repeated_tails(self, edits):
+        # Each row sets one column of the previous row's tail to a palette value,
+        # or (column 3) repeats it: long runs occur, and boundaries in one column.
+        tail, rows = [0.0, 0.0, 0.0], []
+        for column, value in edits:
+            if column < 3:
+                tail[column] = value
+            rows.append(tuple(tail))
+        metrics = RunMetrics(rounds=list(range(len(rows))),
+                             slots=[3 * k + 1 for k in range(len(rows))],
+                             loss=[r[0] for r in rows], grad_norm_sq=[r[1] for r in rows],
+                             staleness=[r[2] for r in rows])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "metrics.csv"
+            write_metrics_csv(path, metrics)
+            assert path.read_bytes() == reference_csv_bytes(metrics)
 
     def test_timing_only_metrics_csv_bytes_are_pinned(self, tmp_path):
         # The digest was recorded when the round table was still built round by round.
@@ -688,6 +735,33 @@ class TestSweep:
         assert tail == (f" (optimal delay minus plain):\n"
                         f"  : {loss['optimal'] - loss[0]:+.6g}\n")
 
+    def test_a_pool_starts_no_more_workers_than_points(self, tmp_path, monkeypatch):
+        # A forked pool starts every worker on its first submit; the pool here
+        # records its size and runs the points in this process.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        doc = quad_spec(horizon=40)
+        doc["grid"] = {"group_size": [1, 2], "intentional_delay": [0, "optimal"]}
+        spec = ExperimentSpec.from_dict(doc)
+        for workers in (64, 4, 3):
+            rows = run_sweep(spec, tmp_path / f"w{workers}", workers=workers)
+            assert [r["status"] for r in rows] == ["ok"] * 4
+        assert sizes == [4, 4, 3]
+
     def test_sweep_needs_grid(self, tmp_path):
         doc = quad_spec()
         doc["mode"] = "sweep"
@@ -776,6 +850,30 @@ class TestStrictJson:
         for name in ["run/summary.json", "sweep/sweep.json", "timing/timing.json",
                      "rt/rate_trend.json"]:
             json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_a_loss_that_overflows_in_a_finite_model_is_null(self, tmp_path):
+        # The loss and gradient norm overflow while the model stays finite, so
+        # no server step raises and the run completes.
+        doc = {"name": "diverged", "seeds": [0, 1],
+               "system": {"num_devices": 4, "group_size": 2, "compute_slots": 2,
+                          "batch_size": 4, "step_size": 1000, "horizon": 330},
+               "task": {"kind": "quadratic", "dim": 4, "samples_per_device": 24,
+                        "init_offset": 2.0}}
+        assert main(["run", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert summary["mean_final_loss"] is None
+        assert [(e["final_loss"], e["avg_grad_norm_sq"]) for e in summary["per_seed"]] == \
+            [(None, None)] * 2
+        assert math.isinf(read_metrics(tmp_path / "run" / "seed0" / "metrics.csv")["loss"][-1])
+        doc["grid"] = {"horizon": [330, 500]}
+        assert main(["sweep", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text(),
+                          parse_constant=_reject_constant)
+        assert [(r["status"], r["mean_final_loss"]) for r in rows] == [("ok", None)] * 2
 
 
 class TestSpecParsing:

@@ -26,7 +26,7 @@ from tdmafl import (
     run_timeline,
 )
 from tdmafl import simulator
-from tdmafl.simulator import StalenessRecord
+from tdmafl.simulator import RunMetrics, StalenessRecord
 from util import divisors, slot_trace
 
 
@@ -564,6 +564,15 @@ class TestLearnerDriving:
         finally:
             tracemalloc.stop()
         assert peak < (m + 2 * cfg.group_size + 8) * task.dim * 8
+
+
+class TestRunMetrics:
+    def test_avg_grad_norm_sq_skips_only_unevaluated_rows(self):
+        nan, inf = float("nan"), float("inf")
+        assert RunMetrics(grad_norm_sq=[nan, 1.0, nan, 3.0]).avg_grad_norm_sq() == 2.0
+        assert RunMetrics(grad_norm_sq=[nan, 1.0, inf]).avg_grad_norm_sq() == inf
+        assert np.isnan(RunMetrics(grad_norm_sq=[nan, nan]).avg_grad_norm_sq())
+        assert np.isnan(RunMetrics().avg_grad_norm_sq())
 
 
 class TestMeasuredStaleness:
