@@ -387,26 +387,28 @@ def timing_report(cfg: SystemConfig) -> dict:
 
     rounds_exact and round_length (the schedule law) hold for every alpha;
     alpha_star is Proposition 1's free deferral, with steady staleness d_star.
-    tau_asyn and rounds_closed_form hold only up to alpha*: above it both are
-    null, and ``closed_form_note`` says why.
+    tau_asyn (round_length at alpha = 0) and rounds_closed_form hold only up
+    to alpha*: above it both are null, and ``closed_form_note`` says why.
     """
     alpha_star = optimal_intentional_delay(cfg)
+    closed = cfg.intentional_delay <= alpha_star
+    length = str(cfg.round_length)
     report = {
         "num_groups": cfg.num_groups,
         "tau_comp": cfg.compute_slots,
         "tau_comm": cfg.tau_comm,
-        "tau_asyn": str(cfg.tau_asyn),
-        "rounds_closed_form": cfg.rounds_closed_form(),
+        "tau_asyn": length if closed else None,
+        "rounds_closed_form": cfg.rounds_closed_form() if closed else None,
         "rounds_exact": cfg.rounds_exact(),
-        "round_length": str(cfg.round_length),
+        "round_length": length,
         "intentional_delay": cfg.intentional_delay,
         "alpha_star": alpha_star,
         "d_star": cfg.num_groups - 1 - alpha_star,
     }
-    if cfg.intentional_delay > alpha_star:
-        report.update(tau_asyn=None, rounds_closed_form=None, closed_form_note=(
+    if not closed:
+        report["closed_form_note"] = (
             f"intentional_delay {cfg.intentional_delay} exceeds alpha* = {alpha_star}, "
-            "which lengthens rounds beyond the closed forms"))
+            "which lengthens rounds beyond the closed forms")
     return report
 
 

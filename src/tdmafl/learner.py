@@ -18,6 +18,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import index
 from typing import Optional, Sequence
@@ -112,6 +113,9 @@ class SgdLearner:
         return new_model
 
     def round_metrics(self, model: np.ndarray) -> tuple[float, float]:
-        """Global loss and squared gradient norm, from one pass over all data."""
+        """Global loss and squared gradient norm (one pass); a non-finite one is a NumericsError."""
         loss, g = self.task.loss_and_grad(model)
-        return float(loss), float(g @ g)
+        loss, norm_sq = float(loss), float(g @ g)
+        if not (math.isfinite(loss) and math.isfinite(norm_sq)):
+            raise NumericsError("non-finite loss or gradient norm; reduce the step size")
+        return loss, norm_sq

@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -66,10 +66,7 @@ class RunMetrics:
         return len(self.rounds)
 
     def avg_grad_norm_sq(self) -> float:
-        """Mean of the evaluated squared gradient norms; NaN (unevaluated) rows are skipped.
-
-        An evaluated infinity is kept, so a diverged run's mean is infinite.
-        """
+        """Mean of the evaluated squared gradient norms; NaN (unevaluated) rows are skipped."""
         vals = np.asarray(self.grad_norm_sq, dtype=float)
         vals = vals[~np.isnan(vals)]
         return float(vals.mean()) if vals.size else float("nan")
@@ -84,7 +81,7 @@ class SimResult:
     ``config`` on its first read, round k's set being
     ``select_transmitters`` of group k mod G, and cached. ``staleness_records``
     and ``launch_clocks`` are read-only views, derived on every access from
-    ``config``, ``completed_rounds``, ``transmitter_sets`` and
+    ``transmitter_sets`` with ``metrics.staleness`` and from
     ``downlink_end_slots``. So a run that never reads these never builds them.
     ``events`` and ``model_history`` are the constants ``()`` and None, not
     fields: no run keeps a slot trace or its intermediate models. They remain
@@ -108,15 +105,15 @@ class SimResult:
 
     @property
     def staleness_records(self) -> list[StalenessRecord]:
-        """One record per upload: round k gives (k, dev, min(k, m - 1)) for each dev it uploads.
+        """One record per upload: round k gives (k, dev, s_k) for each dev it uploads.
 
-        The staleness is the schedule law's int, not a ``metrics.staleness`` float.
+        s_k is the int of round k's ``metrics.staleness``, the column that
+        ``run_timeline`` fills from the schedule law.
         """
-        m = self.config.num_groups - self.config.intentional_delay
-        staleness = chain(range(min(self.completed_rounds, m)), repeat(m - 1))
         new_record = tuple.__new__  # skips the NamedTuple's Python-level __new__
         return [new_record(StalenessRecord, (k, dev, stale))
-                for k, chosen, stale in zip(count(), self.transmitter_sets, staleness)
+                for k, (chosen, stale) in enumerate(zip(self.transmitter_sets,
+                                                        map(int, self.metrics.staleness)))
                 for dev in chosen]
 
     @property
@@ -161,11 +158,11 @@ def run_timeline(
     that is fewer; ``rounds_exact`` raises ConfigError for a horizon too short
     for one round to complete, whatever ``max_rounds`` is, before the learner
     is called. So does a learner built on a config other than ``cfg``, whose
-    B, H and eta would not match the schedule. Round k ends its
-    downlink at ``cfg.downlink_ends(K)[k]``, launches one slot after the
-    previous downlink end (round 0 at slot 0), uploads group k mod G and has
-    staleness min(k, m - 1), with m = G - alpha. Without a learner nothing
-    else is computed; with one, the result keeps only the final model.
+    B, H and eta would not match the schedule. Round k ends its downlink at
+    ``cfg.downlink_ends(K)[k]``, launches one slot after the previous downlink
+    end (round 0 at slot 0), uploads group k mod G and has staleness s_k.
+    Without a learner nothing else is computed; with one, the result keeps
+    only the final model.
 
     A learner is driven by that recurrence. A FIFO holds the m groups in
     flight, oldest first, as the (model, round) each started from: at first

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -218,7 +219,7 @@ def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 class SoftmaxRegressionTask(Task):
-    """Softmax classifier over explicit per-device (features, labels) shards.
+    """Softmax classifier over per-device (features, labels) shards, views into one copy.
 
     As constructed it is multinomial logistic regression; ``MlpTask`` puts
     tanh hidden layers in front of the same softmax output layer. The
@@ -235,24 +236,28 @@ class SoftmaxRegressionTask(Task):
     def __init__(self, features, labels, num_classes: int):
         if not features or len(features) != len(labels):
             raise DataError("need one (features, labels) pair per device")
-        self.features = [np.asarray(x, dtype=float) for x in features]
-        self.labels = [np.asarray(y, dtype=np.int64) for y in labels]
-        dims = {x.shape[1] for x in self.features}
+        features = [np.asarray(x, dtype=float) for x in features]
+        labels = [np.asarray(y, dtype=np.int64) for y in labels]
+        dims = {x.shape[1] for x in features}
         if len(dims) != 1:
             raise DataError("all shards must share the feature dimension")
         self.feature_dim = dims.pop()
         self.num_classes = num_classes
-        self.num_devices = len(self.features)
-        for device, (x, y) in enumerate(zip(self.features, self.labels)):
+        self.num_devices = len(features)
+        for device, (x, y) in enumerate(zip(features, labels)):
             if x.shape[0] != y.shape[0]:
                 raise DataError("features and labels disagree on shard size")
             if x.shape[0] == 0:
                 raise DataError(f"device {device} has an empty shard")
             if y.size and (y.min() < 0 or y.max() >= num_classes):
                 raise DataError("label outside [0, num_classes)")
-        self.shard_sizes = tuple(x.shape[0] for x in self.features)
-        self._all_x = np.concatenate(self.features, axis=0)
-        self._all_y = np.concatenate(self.labels, axis=0)
+        self.shard_sizes = tuple(x.shape[0] for x in features)
+        self._all_x = np.concatenate(features, axis=0)
+        self._all_y = np.concatenate(labels, axis=0)
+        shards = [slice(end - n, end)
+                  for n, end in zip(self.shard_sizes, accumulate(self.shard_sizes))]
+        self.features = [self._all_x[shard] for shard in shards]
+        self.labels = [self._all_y[shard] for shard in shards]
         widths = (self.feature_dim, *self._hidden_widths, num_classes)
         self._slices, at = [], 0  # per layer: (start, bias start, stop, weight shape) in w
         for fan_in, fan_out in zip(widths, widths[1:]):

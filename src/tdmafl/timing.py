@@ -8,7 +8,7 @@ staleness law induced by group rotation, and the largest downlink deferral
 that keeps the pipeline saturated. A spec's rate becomes slots in the CLI.
 
 Average round lengths are kept as exact ``Fraction`` values because the
-pipelined average divides an integer slot count by the group count; rounding
+pipelined average divides an integer slot count by the groups in flight; rounding
 here would corrupt horizon-to-round conversions for long runs.
 """
 
@@ -115,36 +115,27 @@ class SystemConfig:
         return self.slots_per_transfer * (self.group_size + 1)
 
     @property
-    def tau_asyn(self) -> Fraction:
-        """Average slots per round in steady state, for alpha <= alpha*.
-
-        When local compute is at least as long as the channel time of the other
-        G - 1 groups, a cycle of G rounds costs tau_comp + r(S+1) slots; otherwise
-        the channel never idles and each round costs tau_comm: P / G at alpha = 0.
-        """
-        g, tau_comm = self.num_groups, self.tau_comm
-        return Fraction(max(g * tau_comm, self.compute_slots + tau_comm), g)
-
-    @property
     def round_length(self) -> Fraction:
         """Exact steady slots per round, for every alpha: P / m (see downlink_ends).
 
-        That is max(tau_comm, (tau_comp + tau_comm) / (G - alpha)); it equals
-        tau_asyn for alpha <= alpha*, and a larger deferral lengthens it.
+        That is max(tau_comm, (tau_comp + tau_comm) / (G - alpha)); at alpha = 0 it
+        is the paper's asynchronous round length, and only alpha > alpha* lengthens it.
         """
         m, _, period = self._rotation()
         return Fraction(period, m)
 
     def rounds_closed_form(self) -> int:
-        """floor(T / tau_asyn), the paper's round count; valid for alpha <= alpha*.
+        """floor(T / L), the paper's round count, L being round_length at alpha = 0.
 
-        tau_asyn ignores the deferral, and a larger one lengthens rounds, so run
-        summaries write null above optimal_intentional_delay(self). Within
-        the domain it still exceeds the exact count, rounds_exact(), by about
-        tau_comp / tau_asyn rounds: floor(T / tau_asyn) ignores the first
-        tau_comp slots, which pass before the first upload can start.
+        L ignores the deferral, and one above optimal_intentional_delay(self)
+        lengthens rounds, so there the count is a ConfigError. Within the domain
+        it exceeds the exact count, rounds_exact(), by about tau_comp / L rounds:
+        it ignores the first tau_comp slots, which pass before the first upload.
         """
-        return math.floor(Fraction(self.horizon) / self.tau_asyn)
+        alpha_star = optimal_intentional_delay(self)
+        if self.intentional_delay > alpha_star:
+            raise ConfigError(f"rounds_closed_form holds only up to alpha* = {alpha_star}")
+        return math.floor(Fraction(self.horizon) / self.round_length)
 
     def _rotation(self) -> tuple[int, int, int]:
         """(m, Delta, P) of the schedule law; see downlink_ends."""

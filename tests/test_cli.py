@@ -831,6 +831,14 @@ class TestValidators:
         assert [p["num_groups"] for p in doc["points"]] == [1, 2]
 
 
+# A run whose loss and gradient norm overflow while its model stays finite.
+OVERFLOW_SPEC = {"name": "diverged", "seeds": [0, 1],
+                 "system": {"num_devices": 4, "group_size": 2, "compute_slots": 2,
+                            "batch_size": 4, "step_size": 1000, "horizon": 330},
+                 "task": {"kind": "quadratic", "dim": 4, "samples_per_device": 24,
+                          "init_offset": 2.0}}
+
+
 class TestStrictJson:
     def test_every_json_artifact_is_strict(self, tmp_path):
         doc = quad_spec(horizon=40)
@@ -853,13 +861,9 @@ class TestStrictJson:
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_a_loss_that_overflows_in_a_finite_model_is_null(self, tmp_path):
-        # The loss and gradient norm overflow while the model stays finite, so
-        # no server step raises and the run completes.
-        doc = {"name": "diverged", "seeds": [0, 1],
-               "system": {"num_devices": 4, "group_size": 2, "compute_slots": 2,
-                          "batch_size": 4, "step_size": 1000, "horizon": 330},
-               "task": {"kind": "quadratic", "dim": 4, "samples_per_device": 24,
-                        "init_offset": 2.0}}
+        # The final loss overflows while the model stays finite, so no server
+        # step raises, and with no row evaluated the run completes.
+        doc = {**OVERFLOW_SPEC, "metrics_every": 0}
         assert main(["run", "--config", str(write_spec(tmp_path, doc)),
                      "--out", str(tmp_path / "run")]) == EXIT_OK
         summary = json.loads((tmp_path / "run" / "summary.json").read_text(),
@@ -867,13 +871,29 @@ class TestStrictJson:
         assert summary["mean_final_loss"] is None
         assert [(e["final_loss"], e["avg_grad_norm_sq"]) for e in summary["per_seed"]] == \
             [(None, None)] * 2
-        assert math.isinf(read_metrics(tmp_path / "run" / "seed0" / "metrics.csv")["loss"][-1])
         doc["grid"] = {"horizon": [330, 500]}
         assert main(["sweep", "--config", str(write_spec(tmp_path, doc)),
                      "--out", str(tmp_path / "sweep")]) == EXIT_OK
         rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text(),
                           parse_constant=_reject_constant)
         assert [(r["status"], r["mean_final_loss"]) for r in rows] == [("ok", None)] * 2
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_an_evaluated_loss_that_overflows_is_a_numerical_failure(self, tmp_path):
+        # The same run evaluating every row: the first overflowing row aborts it.
+        doc = {**OVERFLOW_SPEC, "metrics_every": 1}
+        assert main(["run", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(tmp_path / "run")]) == EXIT_NUMERIC
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text(),
+                             parse_constant=_reject_constant)
+        assert "non-finite loss" in summary["per_seed"][-1]["error"]
+        doc["grid"] = {"horizon": [60, 330]}
+        assert main(["sweep", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        rows = json.loads((tmp_path / "sweep" / "sweep.json").read_text(),
+                          parse_constant=_reject_constant)
+        assert [r["status"] for r in rows] == ["ok", "error"]
+        assert rows[1]["error"].startswith("NumericsError")
 
 
 class TestSpecParsing:

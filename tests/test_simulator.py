@@ -118,7 +118,7 @@ class TestComputeBoundSchedule:
         ends, g = result.downlink_end_slots, result.config.num_groups
         # Mean round length over the last two full rotations.
         assert Fraction(ends[-1] - ends[-1 - 2 * g], 2 * g) == Fraction(53, 2)
-        assert result.config.tau_asyn == Fraction(53, 2)
+        assert result.config.round_length == Fraction(53, 2)
 
 
 class TestTableRoundCounts:
@@ -176,7 +176,7 @@ class TestScheduleInvariants:
         g = cfg.num_groups
         result = run_timeline(cfg, max_rounds=11 * g + 1)
         ends = result.downlink_end_slots
-        assert Fraction(ends[-1] - ends[-1 - 10 * g], 10 * g) == cfg.tau_asyn
+        assert Fraction(ends[-1] - ends[-1 - 10 * g], 10 * g) == cfg.round_length
 
     def test_determinism(self):
         cfg = SystemConfig(6, 2, compute_slots=4, horizon=4000)
@@ -336,16 +336,21 @@ class TestScheduleProperties:
     @settings(max_examples=300, deadline=None)
     @given(schedules())
     def test_round_length_is_the_steady_clock_advance(self, case):
-        """m rounds advance the clock by m * round_length from any round on; tau_asyn up to alpha*."""
+        """m rounds advance the clock by m * round_length from any round on; tau_asyn up to alpha*.
+
+        tau_asyn = max(G * tau_comm, tau_comp + tau_comm) / G is the round length at alpha = 0.
+        """
         cfg, _ = case
         m = cfg.num_groups - cfg.intentional_delay
         ends = cfg.downlink_ends(3 * m)
         assert {Fraction(ends[k + m] - ends[k], m) for k in range(2 * m)} == {cfg.round_length}
+        tau_asyn = replace(cfg, intentional_delay=0).round_length
         if cfg.intentional_delay <= optimal_intentional_delay(cfg):
-            assert cfg.round_length == cfg.tau_asyn
+            assert cfg.round_length == tau_asyn
         else:
-            assert cfg.round_length > cfg.tau_asyn
-        assert cfg.tau_asyn == replace(cfg, intentional_delay=0).round_length
+            assert cfg.round_length > tau_asyn
+        g = cfg.num_groups
+        assert tau_asyn == Fraction(max(g * cfg.tau_comm, cfg.compute_slots + cfg.tau_comm), g)
 
 
 @st.composite

@@ -267,6 +267,28 @@ class TestShardSizes:
                     task.grad(w, device, np.array(bad, dtype=np.int64))
 
 
+@pytest.mark.parametrize("kind", ["softmax", "mlp"])
+class TestOneCopyOfTheSamples:
+    """A classifier keeps its samples once: each shard is a view of the all-data arrays."""
+
+    def test_every_shard_is_a_view_of_all_data(self, kind):
+        task, _ = uneven_task(kind)
+        for x, y in zip(task.features, task.labels):
+            assert np.shares_memory(x, task._all_x) and np.shares_memory(y, task._all_y)
+
+    def test_the_callers_arrays_are_not_read_after_construction(self, kind):
+        rng = np.random.default_rng(82)
+        feats = [rng.normal(size=(n, 4)) for n in (3, 5)]
+        labels = [rng.integers(0, 2, size=n) for n in (3, 5)]
+        cls = SoftmaxRegressionTask if kind == "softmax" else MlpTask
+        task = cls(feats, labels, num_classes=2)
+        w = rng.normal(size=task.dim)
+        before = [task.loss(w, device) for device in (None, 0, 1)]
+        feats[0] += 5.0
+        labels[1][:] = 1 - labels[1]
+        assert [task.loss(w, device) for device in (None, 0, 1)] == before
+
+
 def make_classifier(cls, feats, labels, num_classes, hidden):
     """``cls`` on the shards; ``hidden`` is MlpTask's width and unused otherwise."""
     if cls is MlpTask:

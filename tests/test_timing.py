@@ -1,6 +1,7 @@
 """Closed-form slot algebra: costs, staleness law, optimal deferral."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -61,19 +62,19 @@ class TestTauComm:
 class TestTauAsyn:
     def test_comm_bound_branch(self):
         cfg = SystemConfig(100, 1, compute_slots=50)
-        assert cfg.tau_asyn == Fraction(2)
+        assert cfg.round_length == Fraction(2)
 
     def test_single_group(self):
         cfg = SystemConfig(100, 100, compute_slots=50)
-        assert cfg.tau_asyn == Fraction(151)
+        assert cfg.round_length == Fraction(151)
 
     def test_two_groups_comm_bound(self):
         cfg = SystemConfig(20, 10, compute_slots=4)
-        assert cfg.tau_asyn == Fraction(11)
+        assert cfg.round_length == Fraction(11)
 
     def test_compute_bound_branch_is_fractional(self):
         cfg = SystemConfig(4, 2, compute_slots=50)
-        assert cfg.tau_asyn == Fraction(53, 2)
+        assert cfg.round_length == Fraction(53, 2)
 
     def test_never_exceeds_synchronous_sum(self):
         for n in (4, 6, 20):
@@ -81,7 +82,7 @@ class TestTauAsyn:
                 for comp in (1, 4, 50):
                     for r in (1, 5):
                         cfg = SystemConfig(n, s, comp, r)
-                        assert cfg.tau_asyn <= cfg.compute_slots + cfg.tau_comm
+                        assert cfg.round_length <= cfg.compute_slots + cfg.tau_comm
 
 
 class TestRoundsClosedForm:
@@ -93,6 +94,14 @@ class TestRoundsClosedForm:
         # floor(T / tau_asyn); the event-sim count is tracked separately.
         cfg = SystemConfig(100, s, compute_slots=50, horizon=50000)
         assert cfg.rounds_closed_form() == expect
+
+    def test_raises_above_alpha_star(self):
+        # N = 4 singleton groups with 2-slot compute: alpha* = 2.
+        cfg = SystemConfig(4, 1, compute_slots=2, horizon=400, intentional_delay=2)
+        assert optimal_intentional_delay(cfg) == 2
+        assert cfg.rounds_closed_form() == 200
+        with pytest.raises(ConfigError, match="alpha\\* = 2"):
+            replace(cfg, intentional_delay=3).rounds_closed_form()
 
 
 class TestStalenessLaw:
