@@ -281,6 +281,7 @@ def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int)
         else:
             raise ConfigError(f"unknown partition {partition!r}")
         num_classes = dataset.num_classes
+        del dataset  # the shards are copies; the build holds two copies at most, not three
         if kind == "logistic":
             _reject_unknown(kind, params)
             return SoftmaxRegressionTask(feats, labels, num_classes), None
@@ -627,14 +628,20 @@ KSCALE_FACTOR = 4
 
 def theorem_step_size(smoothness: float, num_devices: int, group_size: int,
                       batch_size: int, rounds: int) -> float:
-    """Step size beta / sqrt(K+1), capped at the 2/L stability limit.
+    """Step size beta / sqrt(K+1), capped at the stability limit of its staleness.
 
-    beta takes the noise scale M = 1, which is exact for the quadratic.
+    beta takes the noise scale M = 1, which is exact for the quadratic. The
+    rate trend runs undeferred, so every round applies updates of staleness
+    d = G - 1 (G = N/S). On a quadratic, each eigenmode then follows
+    x_{k+1} = x_k - eta*lambda*x_{k-d}, which is stable iff
+    0 < eta*lambda < 2*sin(pi/(4d + 2)) (Levin and May, 1976). So the cap is
+    2*sin(pi/(4(G - 1) + 2))/L: 2/L at G = 1, 1/L at G = 2.
     """
     beta = (group_size * batch_size / (2 * smoothness * num_devices)) * (
         math.sqrt(1 + 8 * num_devices / batch_size) - 1)
     eta = beta / math.sqrt(rounds + 1)
-    cap = 2.0 / smoothness
+    staleness = num_devices // group_size - 1
+    cap = 2.0 * math.sin(math.pi / (4 * staleness + 2)) / smoothness
     if eta > cap:
         warnings.warn(f"schedule step size {eta:.3g} exceeds stability cap {cap:.3g}; capping",
                       stacklevel=2)

@@ -16,10 +16,13 @@ estimate.
 The classifiers are one class: ``SoftmaxRegressionTask`` is a softmax layer
 over per-device shards, with one forward and one backward pass written as a
 loop over layers, and ``MlpTask`` only adds a tanh hidden layer in front.
-Both own reusable work buffers: metrics evaluate all data every round, and a
-fresh 256 KB temporary would be faulted in again on every round. So one task
-instance must not be used from two threads at once (a sweep runs its points
-on one task in turn; a process-pool sweep builds one task per point).
+They store their samples once, samples last, and every pass runs with
+activations of shape (width, samples): each numpy call then sweeps rows as
+long as the data, not one short row of 10 or 32 floats per sample. Both own
+reusable work buffers, because metrics evaluate all data every round and a
+fresh temporary would be faulted in again each time. So one task instance
+must not be used from two threads at once (a sweep runs its points on one
+task in turn; a process-pool sweep builds one task per point).
 """
 
 from __future__ import annotations
@@ -214,8 +217,8 @@ def make_quadratic(
 
 
 def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy of the labels under the given log-probabilities."""
-    return float(-log_probs[np.arange(len(labels)), labels].mean())
+    """Mean cross-entropy of the labels under (classes, samples) log-probabilities."""
+    return float(-log_probs[labels, np.arange(len(labels))].mean())
 
 
 class SoftmaxRegressionTask(Task):
@@ -226,9 +229,19 @@ class SoftmaxRegressionTask(Task):
     parameters hold each layer's (out, in) weights, then its biases, input
     layer first: (C, d) weights then C biases here.
 
-    Every pass writes into leading rows of work buffers sized to all data, as
-    a fresh (samples, width) temporary is faulted in again on every round.
-    Results never alias them; one instance must not be used from two threads.
+    The samples are stored once, samples last: one C-contiguous (d, n) array
+    holds every device's features in device order, beside the (n,) labels.
+    ``features[i]`` is a (samples, d) view of device i's columns of it and
+    ``labels[i]`` a view of its labels; a mini-batch reads its columns.
+    Every pass runs in the (width, samples) layout: each layer computes
+    ``W @ inputs`` plus the bias broadcast over columns, and the softmax
+    reduces along axis 0.
+
+    Every pass writes into work buffers sized to all data, as a fresh
+    (width, samples) temporary is faulted in again on every round. Each
+    buffer is flat, and a pass over k samples uses its first width*k floats
+    as one C-contiguous (width, k) array. Results never alias the buffers;
+    one instance must not be used from two threads.
     """
 
     _hidden_widths: tuple[int, ...] = ()  # set by MlpTask before this constructor runs
@@ -252,11 +265,14 @@ class SoftmaxRegressionTask(Task):
             if y.size and (y.min() < 0 or y.max() >= num_classes):
                 raise DataError("label outside [0, num_classes)")
         self.shard_sizes = tuple(x.shape[0] for x in features)
-        self._all_x = np.concatenate(features, axis=0)
-        self._all_y = np.concatenate(labels, axis=0)
+        total = sum(self.shard_sizes)
+        # concatenate would lay out transposed inputs column-major; out= keeps rows.
+        self._all_xt = np.concatenate([x.T for x in features], axis=1,
+                                      out=np.empty((self.feature_dim, total)))
+        self._all_y = np.concatenate(labels)
         shards = [slice(end - n, end)
                   for n, end in zip(self.shard_sizes, accumulate(self.shard_sizes))]
-        self.features = [self._all_x[shard] for shard in shards]
+        self.features = [self._all_xt[:, shard].T for shard in shards]
         self.labels = [self._all_y[shard] for shard in shards]
         widths = (self.feature_dim, *self._hidden_widths, num_classes)
         self._slices, at = [], 0  # per layer: (start, bias start, stop, weight shape) in w
@@ -265,81 +281,101 @@ class SoftmaxRegressionTask(Task):
             self._slices.append((at, bias_at, bias_at + fan_out, (fan_out, fan_in)))
             at = bias_at + fan_out
         self.dim = at
-        self._allocate(self._all_x.shape[0])
+        self._allocate(total)
 
-    def _allocate(self, rows: int) -> None:
-        """Work buffers of ``rows`` rows: each layer's output, the probs, then
-        each hidden layer's back-propagated signal."""
+    def _allocate(self, samples: int) -> None:
+        """Flat work buffers for ``samples`` columns: each layer's output, the
+        probs, then each hidden layer's back-propagated signal."""
         hidden, c = self._hidden_widths, self.num_classes
-        self._work = [np.empty((rows, width)) for width in (*hidden, c, c, *hidden)]
+        self._widths = (*hidden, c, c, *hidden)
+        self._work = [np.empty(width * samples) for width in self._widths]
+        self._capacity = samples
+        self._views = {}
 
-    def _rows(self, n: int) -> list[np.ndarray]:
-        if n > len(self._work[0]):  # a batch with repeats can outgrow all data
-            self._allocate(n)
-        return [buf[:n] for buf in self._work]
+    def _columns(self, n: int) -> list[np.ndarray]:
+        """C-contiguous (width, n) views of the work buffers.
+
+        Views are kept per sample count (all data, a batch size, a shard
+        size): making them on every pass made an 8-sample gradient about 10%
+        slower. Growing the buffers drops them.
+        """
+        views = self._views.get(n)
+        if views is None:
+            if n > self._capacity:  # a batch with repeats can outgrow all data
+                self._allocate(n)
+            views = self._views[n] = [buf[:width * n].reshape(width, n)
+                                      for buf, width in zip(self._work, self._widths)]
+        return views
 
     def _select(self, device, batch):
+        """The selected samples as (d, k) columns, and their labels."""
         self.check_batch(device, batch)
         if device is None:
-            return self._all_x, self._all_y
-        x, y = self.features[device], self.labels[device]
+            return self._all_xt, self._all_y
+        xt, y = self.features[device].T, self.labels[device]
         if batch is None:
-            return x, y
+            return xt, y
         b = np.asarray(batch)
-        return x[b], y[b]
+        return xt[:, b], y[b]
 
-    def _forward(self, x, w):
-        """(weights, each layer's input, work buffers, log-probs).
+    def _forward(self, xt, w):
+        """(weights, each layer's input, work buffers, log-probs), all (width, samples).
 
         Tanh on the hidden layers, log-softmax on the last; the log-probs
         overwrite the logits and the probs go to the buffer after them.
         """
         weights = [w[start:bias].reshape(shape) for start, bias, _, shape in self._slices]
-        work = self._rows(x.shape[0])
-        inputs, last = [x], len(weights) - 1
+        work = self._columns(xt.shape[1])
+        inputs, last = [xt], len(weights) - 1
         for layer, (_, bias, stop, _) in enumerate(self._slices):
-            out = np.matmul(inputs[-1], weights[layer].T, out=work[layer])
-            out += w[bias:stop]
+            out = np.matmul(weights[layer], inputs[-1], out=work[layer])
+            out += w[bias:stop, None]
             if layer < last:
                 inputs.append(np.tanh(out, out=out))
         logits, probs = out, work[last + 1]
-        logits -= logits.max(axis=1, keepdims=True)
+        logits -= logits.max(axis=0)
         np.exp(logits, out=probs)
-        total = probs.sum(axis=1, keepdims=True)
+        total = probs.sum(axis=0)
         probs /= total
         logits -= np.log(total)
         return weights, inputs, work, logits
 
     def _backward(self, y, weights, inputs, work):
-        """Gradient in the parameter layout; overwrites the probs and the hidden activations."""
+        """Gradient in the parameter layout; overwrites the probs and the hidden activations.
+
+        Each layer writes its weight gradient and then its bias gradient
+        straight into their slices of the one result vector.
+        """
         last = len(weights) - 1
         delta = work[last + 1]  # the probs, becoming the mean loss gradient in the logits
-        delta[np.arange(len(y)), y] -= 1.0
+        delta[y, np.arange(len(y))] -= 1.0
         delta /= len(y)
-        parts = []
+        grad = np.empty(self.dim)
         for layer in range(last, -1, -1):
+            start, bias, stop, shape = self._slices[layer]
             act = inputs[layer]
-            parts += [delta.sum(axis=0), (delta.T @ act).ravel()]
+            np.matmul(delta, act.T, out=grad[start:bias].reshape(shape))
+            np.add.reduce(delta, axis=1, out=grad[bias:stop])
             if layer:  # act is a hidden layer's output, not the data
-                back = np.matmul(delta, weights[layer], out=work[last + 1 + layer])
+                back = np.matmul(weights[layer].T, delta, out=work[last + 1 + layer])
                 np.multiply(act, act, out=act)  # act becomes the tanh slope 1 - act**2
                 np.subtract(1.0, act, out=act)
                 back *= act
                 delta = back
-        return np.concatenate(parts[::-1])
+        return grad
 
     def loss(self, w, device=None, batch=None):
-        x, y = self._select(device, batch)
-        return _mean_nll(self._forward(x, w)[3], y)
+        xt, y = self._select(device, batch)
+        return _mean_nll(self._forward(xt, w)[3], y)
 
     def grad(self, w, device=None, batch=None):
-        x, y = self._select(device, batch)
-        weights, inputs, work, _ = self._forward(x, w)
+        xt, y = self._select(device, batch)
+        weights, inputs, work, _ = self._forward(xt, w)
         return self._backward(y, weights, inputs, work)
 
     def loss_and_grad(self, w, device=None, batch=None):
-        x, y = self._select(device, batch)
-        weights, inputs, work, log_probs = self._forward(x, w)
+        xt, y = self._select(device, batch)
+        weights, inputs, work, log_probs = self._forward(xt, w)
         return _mean_nll(log_probs, y), self._backward(y, weights, inputs, work)
 
 

@@ -167,7 +167,8 @@ class TestRateTrend:
         assert eta == pytest.approx(expect / np.sqrt(2001))
         with pytest.warns(UserWarning, match="stability cap"):
             capped = theorem_step_size(smoothness, 20, 10, 4, rounds=0)
-            assert capped == pytest.approx(2.0 / smoothness)
+            # G = 2, so staleness 1: the delayed recurrence is stable below eta*L = 1.
+            assert capped == pytest.approx(1.0 / smoothness)
 
     def test_smoke_report_structure(self, hetero_quad):
         # 4-device task: G in {1, 2, 4}; G=3 must be skipped with a notice.
@@ -209,6 +210,39 @@ def delayed_spectral_radius(c: float, d: int) -> float:
     coeffs[:2] = 1.0, -1.0
     coeffs[-1] += c
     return float(max(abs(np.roots(coeffs))))
+
+
+class TestStabilityLaw:
+    """x_{k+1} = x_k - a*x_{k-d} is stable iff 0 < a < 2*sin(pi/(4d + 2)) (Levin and May, 1976).
+
+    On a noise-free homogeneous quadratic each round applies the full H-step
+    update from the model d = G - 1 - alpha rounds old, so along the top
+    eigenvector (eigenvalue L) a = 1 - (1 - eta*L)^H. Through the whole
+    pipeline, a step at 0.9 times the bound converges and one at 1.1 times
+    it diverges.
+    """
+
+    @pytest.mark.parametrize("groups,alpha,local_steps", [
+        (10, 0, 1), (10, 5, 1), (10, 8, 1), (4, 3, 1), (10, 5, 2), (6, 0, 3)])
+    def test_distance_contracts_below_the_bound_and_grows_above_it(
+            self, groups, alpha, local_steps):
+        task = make_quadratic(2 * groups, 3, 0.0, np.random.default_rng(4),
+                              samples_per_device=2, eig_range=(0.5, 2.0))
+        top = task.smoothness()
+        d = groups - 1 - alpha
+        bound = 2 * np.sin(np.pi / (4 * d + 2))
+        start = np.ones(task.dim)
+        distances = []
+        for factor in (0.9, 1.1):
+            eta = (1 - (1 - factor * bound) ** (1 / local_steps)) / top
+            cfg = SystemConfig(2 * groups, 2, compute_slots=1, horizon=10**7, step_size=eta,
+                               local_steps=local_steps, intentional_delay=alpha)
+            learner = SgdLearner(task, cfg, initial=task.w_star + start)
+            result = run_timeline(cfg, learner, max_rounds=1000, metrics_every=0)
+            distances.append(np.linalg.norm(result.final_model - task.w_star))
+        initial = np.linalg.norm(start)
+        assert distances[0] < 1e-2 * initial
+        assert 1e2 * initial < distances[1] < np.inf
 
 
 class TestDeferralRegime:

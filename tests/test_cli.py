@@ -9,6 +9,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,6 +156,26 @@ class TestRunCommand:
         assert read_metrics(out / "seed0" / "metrics.csv")["loss"][0] == task.loss(task.w_star)
         del doc["task"]["init_offset"]
         assert cli.build_task(doc["task"], None, num_devices=4)[1] is None
+
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_classifier_build_peaks_below_two_and_a_half_copies_of_the_samples(self, kind):
+        # 20 iid shards of 100 take all 2,000 samples: the dataset, the shards
+        # and the task's array are one copy each, and the build drops the
+        # dataset before it builds the task.
+        spec = {"kind": kind, "dataset": "clusters", "num_classes": 4, "feature_dim": 128,
+                "samples_per_class": 500, "partition": "iid", "per_device": 100}
+        if kind == "mlp":
+            spec["hidden"] = 4
+        cli.build_task(spec, None, num_devices=20)  # warm-up: lazy imports are not the build
+        tracemalloc.start()
+        try:
+            task = cli.build_task(spec, None, num_devices=20)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        samples = 2000 * 128 * 8
+        assert sum(task.shard_sizes) * task.feature_dim * 8 == samples
+        assert peak < 2.5 * samples
 
     def test_csv_parses_back_losslessly(self, tmp_path):
         out = tmp_path / "out"

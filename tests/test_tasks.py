@@ -17,7 +17,7 @@ from tdmafl import (
 )
 from tdmafl.tasks import QuadraticTask, Task
 from descent_probe import exact_constants, persample_grad_sq_mean
-from util import central_difference, relative_error
+from util import central_difference, classifier_reference, relative_error
 
 
 @pytest.fixture()
@@ -274,7 +274,7 @@ class TestOneCopyOfTheSamples:
     def test_every_shard_is_a_view_of_all_data(self, kind):
         task, _ = uneven_task(kind)
         for x, y in zip(task.features, task.labels):
-            assert np.shares_memory(x, task._all_x) and np.shares_memory(y, task._all_y)
+            assert np.shares_memory(x, task._all_xt) and np.shares_memory(y, task._all_y)
 
     def test_the_callers_arrays_are_not_read_after_construction(self, kind):
         rng = np.random.default_rng(82)
@@ -341,6 +341,33 @@ class TestMlpWorkBuffers:
                 kept += [(grad, grad.copy()), (fused, fused.copy())]
         assert all(np.array_equal(g, copy) for g, copy in kept)
         assert persample_grad_sq_mean(task, w, 3) == persample_grad_sq_mean(fresh(), w, 3)
+
+
+@pytest.mark.parametrize("name", ["softmax_task", "mlp_task"])
+@pytest.mark.parametrize("device, batch", [
+    (None, None), (2, None),
+    (1, np.concatenate([np.tile(np.arange(25), 5), [7, 0, 24, 7, 3]])),  # longer than all data
+], ids=["all-data", "one-device", "long-batch"])
+class TestAgainstRowMajorReference:
+    """Every pass matches the textbook (samples, width) forward and backward passes."""
+
+    def test_loss_grad_and_fused_pass(self, request, name, device, batch):
+        task = request.getfixturevalue(name)
+        if device is None:
+            x, y = np.concatenate(task.features), np.concatenate(task.labels)
+        else:
+            x, y = task.features[device], task.labels[device]
+            if batch is not None:
+                x, y = x[batch], y[batch]
+        rng = np.random.default_rng(65)
+        for _ in range(3):
+            w = rng.normal(scale=0.5, size=task.dim)
+            ref_loss, ref_grad = classifier_reference(task, w, x, y)
+            loss, grad = task.loss_and_grad(w, device, batch)
+            assert loss == pytest.approx(ref_loss, rel=1e-12)
+            assert task.loss(w, device, batch) == pytest.approx(ref_loss, rel=1e-12)
+            assert relative_error(grad, ref_grad) <= 1e-12
+            assert relative_error(task.grad(w, device, batch), ref_grad) <= 1e-12
 
 
 class TestLossAndGrad:

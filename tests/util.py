@@ -57,6 +57,43 @@ def slot_trace(result) -> list[tuple[int, str, int, int]]:
     return trace
 
 
+def classifier_reference(task, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """(mean cross-entropy, gradient) of a softmax classifier task, from the formulas.
+
+    One sample per row of ``x``. The parameters hold each layer's (out, in)
+    weights, then its biases, input layer first; an ``MlpTask`` has one tanh
+    layer of ``task.hidden`` units in front of the softmax layer.
+    Forward: a_0 = x, a_{l+1} = tanh(a_l W_l^T + b_l), z = a_L W_L^T + b_L,
+    loss = mean_i (logsumexp(z_i) - z_{i, y_i}). Backward: dz = (softmax(z) -
+    onehot(y)) / n; per layer dW = dz^T a, db = sum of dz over samples, and
+    the signal one layer down is (dz W) * (1 - a^2).
+    """
+    hidden = [task.hidden] if hasattr(task, "hidden") else []
+    widths = [task.feature_dim, *hidden, task.num_classes]
+    layers, at = [], 0
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        weight = w[at:at + fan_out * fan_in].reshape(fan_out, fan_in)
+        at += fan_out * fan_in
+        layers.append((weight, w[at:at + fan_out]))
+        at += fan_out
+    acts = [np.asarray(x, dtype=float)]
+    for weight, bias in layers[:-1]:
+        acts.append(np.tanh(acts[-1] @ weight.T + bias))
+    weight, bias = layers[-1]
+    z = acts[-1] @ weight.T + bias
+    shifted = z - z.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    onehot = np.eye(task.num_classes)[y]
+    loss = -np.sum(onehot * log_probs) / len(y)
+    dz = (np.exp(log_probs) - onehot) / len(y)
+    parts = []
+    for layer in range(len(layers) - 1, -1, -1):
+        parts = [(dz.T @ acts[layer]).ravel(), dz.sum(axis=0), *parts]
+        if layer:
+            dz = (dz @ layers[layer][0]) * (1 - acts[layer] ** 2)
+    return float(loss), np.concatenate(parts)
+
+
 class RecordingLearner(SgdLearner):
     """An SgdLearner that keeps its initial model and every model a server step returns."""
 
