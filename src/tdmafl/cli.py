@@ -275,19 +275,20 @@ def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int)
         else:
             raise ConfigError(f"unknown dataset {dataset_name!r}")
         if partition == "single_label":
-            feats, labels = partition_single_label(dataset, num_devices, per_device, rng)
+            take = partition_single_label(dataset, num_devices, per_device, rng)
         elif partition == "iid":
-            feats, labels = partition_iid(dataset, num_devices, per_device, rng)
+            take = partition_iid(dataset, num_devices, per_device, rng)
         else:
             raise ConfigError(f"unknown partition {partition!r}")
-        num_classes = dataset.num_classes
-        del dataset  # the shards are copies; the build holds two copies at most, not three
+        feats, labels = dataset.features[take], dataset.labels[take]
+        num_classes, shard_sizes = dataset.num_classes, (per_device,) * num_devices
+        del dataset, take  # the gather is a copy; the build holds two copies at most, not three
         if kind == "logistic":
             _reject_unknown(kind, params)
-            return SoftmaxRegressionTask(feats, labels, num_classes), None
+            return SoftmaxRegressionTask(feats, labels, shard_sizes, num_classes), None
         hidden = _pop_integer(params, "hidden", 32)
         _reject_unknown(kind, params)
-        task = MlpTask(feats, labels, num_classes, hidden=hidden)
+        task = MlpTask(feats, labels, shard_sizes, num_classes, hidden=hidden)
         return task, task.init_params(np.random.default_rng([data_seed, 0x1417]))
 
     raise ConfigError(f"unknown task kind {kind!r}")
@@ -597,7 +598,9 @@ def _print_delay_deltas(rows: list[dict], axes: list[str]) -> None:
     free deferral, the largest that costs no rounds, not the loss-optimal one:
     the sign and size of the gap depend on eta * lambda, S and H, as stale
     updates can contract like momentum. With eta * lambda in [0.025, 0.1] on a
-    quadratic, deferral wins at S = 1, loses at S = 4, 5.
+    quadratic, deferral wins at S = 1, loses at S = 4, 5. What deferral does
+    widen is the stable range: a mode with a = 1 - (1 - eta * lambda)^H is
+    stable at staleness d iff 0 < a < 2 sin(pi / (4d + 2)) (Levin and May, 1976).
     """
     plain, delayed = {}, {}
     for row in rows:

@@ -3,7 +3,9 @@
 Covers the IDX binary image/label format (gzip transparently supported), the
 CIFAR-10 binary batch format, a synthetic clustered-label generator for desk
 scale runs, and the heterogeneous single-label partitioning used by the
-non-IID experiments.
+non-IID experiments. A partition is one index array into the dataset, in
+device order and ``per_device`` entries per device, so one gather gives the
+(features, labels) pair a classifier task takes.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ def _read_idx(path, ndim: int, payload: str) -> np.ndarray:
 
     The header is the magic 0x800 + ndim, then ndim big-endian int32
     dimensions; the payload is their product of bytes. Returns a read-only
-    uint8 view of that shape.
+    uint8 view of that shape. The payload is read to the end of the file, so
+    a header claiming more bytes than the file holds is a parse error.
     """
     with _open_maybe_gzip(path) as fh:
         magic = _read_be32(fh, "magic")
@@ -79,10 +82,10 @@ def _read_idx(path, ndim: int, payload: str) -> np.ndarray:
         if min(shape) < 0:
             raise IdxParseError(f"negative dimension in the header of {path}")
         size = math.prod(shape)
-        raw = fh.read(size)
-    if len(raw) != size:
+        raw = fh.read()
+    if len(raw) < size:
         raise IdxParseError(f"truncated {payload} data: expected {size} bytes, got {len(raw)}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+    return np.frombuffer(raw, dtype=np.uint8, count=size).reshape(shape)
 
 
 def load_idx_images(path) -> np.ndarray:
@@ -146,9 +149,11 @@ def make_clustered_dataset(
         raise DataError("need num_classes >= 2, per_class >= 1, dim >= 1")
     centers = rng.normal(size=(num_classes, dim))
     centers *= spread / np.linalg.norm(centers, axis=1, keepdims=True)
-    feats = np.concatenate(
-        [c + noise * rng.normal(size=(per_class, dim)) for c in centers]
-    )
+    feats = np.empty((num_classes * per_class, dim))
+    for center, rows in zip(centers, feats.reshape(num_classes, per_class, dim)):
+        rng.standard_normal(out=rows)  # normal(size=...)'s draws, with no temporary
+        rows *= noise
+        rows += center
     labels = np.repeat(np.arange(num_classes), per_class)
     return LabeledDataset(feats, labels)
 
@@ -158,13 +163,13 @@ def partition_single_label(
     num_devices: int,
     per_device: int,
     rng: np.random.Generator,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> np.ndarray:
     """Give every device ``per_device`` samples of one randomly chosen label.
 
     Labels are drawn uniformly per device; samples are drawn without
     replacement across the whole partition. If the chosen label runs out of
     samples the label is redrawn up to ``LABEL_RETRIES`` times before failing.
-    Returns the per-device feature and label lists the task classes take.
+    Returns the dataset indices in device order, ``per_device`` per device.
     """
     if len(dataset) < num_devices * per_device:
         raise DataError(
@@ -176,8 +181,8 @@ def partition_single_label(
         idx = np.flatnonzero(dataset.labels == lab)
         pools[int(lab)] = rng.permutation(idx)
 
-    feats, labels = [], []
-    for dev in range(num_devices):
+    order = np.empty(num_devices * per_device, dtype=np.intp)
+    for dev, take in enumerate(order.reshape(num_devices, per_device)):
         chosen = None
         for _ in range(LABEL_RETRIES):
             lab = int(rng.choice(label_values))
@@ -191,10 +196,8 @@ def partition_single_label(
             )
         pool = pools[chosen]
         rest = len(pool) - per_device
-        take, pools[chosen] = pool[rest:][::-1], pool[:rest]
-        feats.append(dataset.features[take])
-        labels.append(dataset.labels[take])
-    return feats, labels
+        take[:], pools[chosen] = pool[rest:][::-1], pool[:rest]
+    return order
 
 
 def partition_iid(
@@ -202,15 +205,9 @@ def partition_iid(
     num_devices: int,
     per_device: int,
     rng: np.random.Generator,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Disjoint uniform shards, label-agnostic, as (features, labels) lists."""
+) -> np.ndarray:
+    """Disjoint uniform shards, label-agnostic: the dataset indices in device order."""
     need = num_devices * per_device
     if len(dataset) < need:
         raise DataError(f"dataset has {len(dataset)} samples, need {need}")
-    order = rng.permutation(len(dataset))[:need]
-    feats, labels = [], []
-    for dev in range(num_devices):
-        take = order[dev * per_device: (dev + 1) * per_device]
-        feats.append(dataset.features[take])
-        labels.append(dataset.labels[take])
-    return feats, labels
+    return rng.permutation(len(dataset))[:need]

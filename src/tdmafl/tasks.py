@@ -14,8 +14,8 @@ level are all exact closed forms, and the theorem's step size needs no
 estimate.
 
 The classifiers are one class: ``SoftmaxRegressionTask`` is a softmax layer
-over per-device shards, with one forward and one backward pass written as a
-loop over layers, and ``MlpTask`` only adds a tanh hidden layer in front.
+over one (features, labels) pair cut into device shards, with one forward and
+one backward pass as a loop over layers; ``MlpTask`` adds a tanh hidden layer.
 They store their samples once, samples last, and every pass runs with
 activations of shape (width, samples): each numpy call then sweeps rows as
 long as the data, not one short row of 10 or 32 floats per sample. Both own
@@ -222,17 +222,17 @@ def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 class SoftmaxRegressionTask(Task):
-    """Softmax classifier over per-device (features, labels) shards, views into one copy.
+    """Softmax classifier over one (features, labels) pair cut into per-device shards.
 
     As constructed it is multinomial logistic regression; ``MlpTask`` puts
     tanh hidden layers in front of the same softmax output layer. The
     parameters hold each layer's (out, in) weights, then its biases, input
     layer first: (C, d) weights then C biases here.
 
-    The samples are stored once, samples last: one C-contiguous (d, n) array
-    holds every device's features in device order, beside the (n,) labels.
-    ``features[i]`` is a (samples, d) view of device i's columns of it and
-    ``labels[i]`` a view of its labels; a mini-batch reads its columns.
+    It copies (n, d) ``features`` and (n,) ``labels`` in device order once,
+    samples last: one C-contiguous (d, n) array beside the (n,) labels, cut
+    by ``shard_sizes``. ``features[i]`` is a (samples, d) view of device i's
+    columns and ``labels[i]`` a view of its labels; a mini-batch reads columns.
     Every pass runs in the (width, samples) layout: each layer computes
     ``W @ inputs`` plus the bias broadcast over columns, and the softmax
     reduces along axis 0.
@@ -246,30 +246,24 @@ class SoftmaxRegressionTask(Task):
 
     _hidden_widths: tuple[int, ...] = ()  # set by MlpTask before this constructor runs
 
-    def __init__(self, features, labels, num_classes: int):
-        if not features or len(features) != len(labels):
-            raise DataError("need one (features, labels) pair per device")
-        features = [np.asarray(x, dtype=float) for x in features]
-        labels = [np.asarray(y, dtype=np.int64) for y in labels]
-        dims = {x.shape[1] for x in features}
-        if len(dims) != 1:
-            raise DataError("all shards must share the feature dimension")
-        self.feature_dim = dims.pop()
+    def __init__(self, features, labels, shard_sizes, num_classes: int):
+        features = np.asarray(features, dtype=float)
+        labels = np.asarray(labels)
+        sizes = np.asarray(shard_sizes, dtype=np.int64)
+        if features.ndim != 2 or labels.shape != features.shape[:1]:
+            raise DataError("features must be (samples, d) and labels (samples,)")
+        if sizes.ndim != 1 or sizes.size == 0 or sizes.sum() != len(labels):
+            raise DataError("shard sizes must be one count per device, adding up to the samples")
+        if sizes.min() < 1:
+            raise DataError(f"device {np.flatnonzero(sizes < 1)[0]} has an empty shard")
+        if labels.min() < 0 or labels.max() >= num_classes:
+            raise DataError("label outside [0, num_classes)")
+        self.feature_dim = features.shape[1]
         self.num_classes = num_classes
-        self.num_devices = len(features)
-        for device, (x, y) in enumerate(zip(features, labels)):
-            if x.shape[0] != y.shape[0]:
-                raise DataError("features and labels disagree on shard size")
-            if x.shape[0] == 0:
-                raise DataError(f"device {device} has an empty shard")
-            if y.size and (y.min() < 0 or y.max() >= num_classes):
-                raise DataError("label outside [0, num_classes)")
-        self.shard_sizes = tuple(x.shape[0] for x in features)
-        total = sum(self.shard_sizes)
-        # concatenate would lay out transposed inputs column-major; out= keeps rows.
-        self._all_xt = np.concatenate([x.T for x in features], axis=1,
-                                      out=np.empty((self.feature_dim, total)))
-        self._all_y = np.concatenate(labels)
+        self.num_devices = len(sizes)
+        self.shard_sizes = tuple(sizes.tolist())
+        self._all_xt = features.T.copy()  # C order: the (d, n) samples-last layout
+        self._all_y = labels.astype(np.int64)
         shards = [slice(end - n, end)
                   for n, end in zip(self.shard_sizes, accumulate(self.shard_sizes))]
         self.features = [self._all_xt[:, shard].T for shard in shards]
@@ -281,7 +275,7 @@ class SoftmaxRegressionTask(Task):
             self._slices.append((at, bias_at, bias_at + fan_out, (fan_out, fan_in)))
             at = bias_at + fan_out
         self.dim = at
-        self._allocate(total)
+        self._allocate(len(labels))
 
     def _allocate(self, samples: int) -> None:
         """Flat work buffers for ``samples`` columns: each layer's output, the
@@ -385,10 +379,10 @@ class MlpTask(SoftmaxRegressionTask):
     The parameters are w1 (hidden, d), b1, w2 (C, hidden), b2.
     """
 
-    def __init__(self, features, labels, num_classes: int, hidden: int = 32):
+    def __init__(self, features, labels, shard_sizes, num_classes: int, hidden: int = 32):
         self.hidden = hidden
         self._hidden_widths = (hidden,)
-        super().__init__(features, labels, num_classes)
+        super().__init__(features, labels, shard_sizes, num_classes)
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray:
         d, h = self.feature_dim, self.hidden

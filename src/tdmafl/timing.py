@@ -204,7 +204,9 @@ def optimal_intentional_delay(cfg: SystemConfig) -> int:
     alpha* is the free deferral, the largest that costs no rounds; it is not
     the loss-optimal one. Deferral cuts staleness, but stale steps can also
     contract like momentum, so whether alpha* lowers the final loss, and by
-    how much, depends on eta * lambda, S and H.
+    how much, depends on eta * lambda, S and H. What deferral does widen is
+    the stable range: with a = 1 - (1 - eta * lambda)^H, a mode at staleness
+    d is stable iff 0 < a < 2 sin(pi / (4d + 2)) (Levin and May, 1976).
 
     By the schedule law (see SystemConfig.downlink_ends), deferral alpha moves
     no round iff Delta = 0, i.e. tau_comp <= (G - 1 - alpha) * tau_comm. So

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tdmafl import (
     ConfigError,
@@ -243,6 +245,16 @@ class TestStabilityLaw:
         initial = np.linalg.norm(start)
         assert distances[0] < 1e-2 * initial
         assert 1e2 * initial < distances[1] < np.inf
+
+    @settings(max_examples=61, deadline=None)
+    @example(d=0)
+    @example(d=60)
+    @given(d=st.integers(0, 60))
+    def test_the_bound_is_where_the_companion_spectral_radius_crosses_one(self, d):
+        # np.roots takes the eigenvalues of the companion matrix of the polynomial.
+        bound = 2 * np.sin(np.pi / (4 * d + 2))
+        assert delayed_spectral_radius(0.999 * bound, d) < 1
+        assert delayed_spectral_radius(1.001 * bound, d) > 1
 
 
 class TestDeferralRegime:

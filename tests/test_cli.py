@@ -4,10 +4,12 @@ import concurrent.futures
 import contextlib
 import copy
 import csv
+import gzip
 import hashlib
 import io
 import json
 import math
+import struct
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdmafl import cli
+from tdmafl import cli, load_cifar10_batches, load_idx_dataset
 from tdmafl.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -37,6 +39,7 @@ from tdmafl.learner import SgdLearner
 from tdmafl.simulator import RunMetrics, run_timeline
 from tdmafl.tasks import Task
 from tdmafl.timing import SystemConfig
+from util import write_idx_images, write_idx_labels
 
 
 def quad_spec(**system_overrides):
@@ -159,7 +162,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     def test_classifier_build_peaks_below_two_and_a_half_copies_of_the_samples(self, kind):
-        # 20 iid shards of 100 take all 2,000 samples: the dataset, the shards
+        # 20 iid shards of 100 take all 2,000 samples: the dataset, the gather
         # and the task's array are one copy each, and the build drops the
         # dataset before it builds the task.
         spec = {"kind": kind, "dataset": "clusters", "num_classes": 4, "feature_dim": 128,
@@ -369,6 +372,88 @@ class TestRunCommand:
             assert (timing["tau_asyn"] is None) == (alpha > (2 if compute == 2 else 0))
 
 
+def classifier_spec(kind, dataset, partition):
+    """A small run of ``kind`` on a real-format ``dataset``: 4 devices of 5 samples."""
+    return {"name": "real_format", "seeds": [0],
+            "system": {"num_devices": 4, "group_size": 2, "compute_slots": 2,
+                       "batch_size": 2, "step_size": 0.05, "horizon": 40},
+            "task": {"kind": kind, "dataset": dataset, "partition": partition,
+                     "per_device": 5, "data_seed": 3, **({"hidden": 3} if kind == "mlp" else {})}}
+
+
+def write_mnist(root, gz, count=24):
+    """Tiny IDX training files under ``root``, labels 0 and 1 alternating."""
+    images = np.random.default_rng(5).integers(0, 256, size=(count, 4, 3), dtype=np.uint8)
+    paths = [root / "train-images-idx3-ubyte", root / "train-labels-idx1-ubyte"]
+    write_idx_images(paths[0], images)
+    write_idx_labels(paths[1], np.arange(count, dtype=np.uint8) % 2)
+    if not gz:
+        return paths
+    for path in paths:
+        with gzip.open(f"{path}.gz", "wb") as fh:
+            fh.write(path.read_bytes())
+        path.unlink()
+    return [Path(f"{path}.gz") for path in paths]
+
+
+def write_cifar(root, count=12):
+    """Two tiny CIFAR-10 batches under ``root/cifar-10-batches-bin``, labels 0 and 1."""
+    rng, paths = np.random.default_rng(6), []
+    (root / "cifar-10-batches-bin").mkdir()
+    for batch in (1, 2):
+        records = rng.integers(0, 256, size=(count, 3073), dtype=np.uint8)
+        records[:, 0] = np.arange(count) % 2
+        paths.append(root / "cifar-10-batches-bin" / f"data_batch_{batch}.bin")
+        paths[-1].write_bytes(records.tobytes())
+    return paths
+
+
+def recording(results, real):
+    """``real``, appending each result to ``results``."""
+    def record(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+    return record
+
+
+class TestRealFormatBuilds:
+    """A classifier run on IDX or CIFAR files: each device holds its partition's rows."""
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    @pytest.mark.parametrize("partition", ["single_label", "iid"])
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    @pytest.mark.parametrize("fmt", ["idx", "idx.gz", "cifar10"])
+    def test_run_builds_each_device_from_its_rows(self, tmp_path, monkeypatch,
+                                                  fmt, kind, partition, via):
+        root = tmp_path / "data"
+        root.mkdir()
+        if fmt == "cifar10":
+            loaded = load_cifar10_batches(write_cifar(root))
+        else:
+            loaded = load_idx_dataset(*write_mnist(root, gz=fmt == "idx.gz"))
+        takes, tasks = [], []
+        for name in ("partition_single_label", "partition_iid"):
+            monkeypatch.setattr(cli, name, recording(takes, getattr(cli, name)))
+        monkeypatch.setattr(cli, "build_task", recording(tasks, cli.build_task))
+        flags = ["--dataset-dir", str(root)]
+        if via == "env":
+            monkeypatch.setenv(cli.DATA_DIR_ENV, str(root))
+            flags = []
+        doc = classifier_spec(kind, "mnist" if fmt.startswith("idx") else "cifar10", partition)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(out), *flags]) == EXIT_OK
+        json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+        (take,), ((task, _),) = takes, tasks
+        assert task.num_devices == 4 and len(take) == 20
+        for device in range(4):
+            rows = take[5 * device: 5 * (device + 1)]
+            assert np.array_equal(task.features[device], loaded.features[rows])
+            assert np.array_equal(task.labels[device], loaded.labels[rows])
+            if partition == "single_label":
+                assert len(set(task.labels[device].tolist())) == 1
+
+
 class TestExitCodes:
     def test_config_error(self, tmp_path):
         doc = quad_spec(group_size=9)  # exceeds num_devices
@@ -386,6 +471,20 @@ class TestExitCodes:
                        "--out", str(out), "--dataset-dir", str(tmp_path / "nowhere")])
             assert rc == EXIT_DATA
             assert not out.exists()
+
+    def test_idx_header_claiming_more_than_the_file(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        root.mkdir()
+        write_mnist(root, gz=False)
+        (root / "train-images-idx3-ubyte").write_bytes(
+            struct.pack(">iiii", 0x803, 100_000, 100_000, 100_000) + bytes(16))
+        doc = classifier_spec("logistic", "mnist", "iid")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(out),
+                     "--dataset-dir", str(root)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: truncated pixel data") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_numeric_error_leaves_partial_artifacts(self, tmp_path):

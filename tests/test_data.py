@@ -1,6 +1,7 @@
 """Dataset ingestion and partitioning."""
 
 import gzip
+import struct
 import tracemalloc
 
 import numpy as np
@@ -78,6 +79,23 @@ class TestIdxFormat:
         with pytest.raises(IdxParseError, match="truncated pixel data"):
             load_idx_images(tmp_path / "img")
 
+    @pytest.mark.parametrize("name", ["img", "img.gz"], ids=["plain", "gz"])
+    def test_header_claiming_more_than_the_file_is_a_parse_error(self, tmp_path, name):
+        # 10^15 claimed pixels over 16 bytes: the loader must not ask for them.
+        raw = struct.pack(">iiii", 0x803, 100_000, 100_000, 100_000) + bytes(16)
+        with (gzip.open if name.endswith(".gz") else open)(tmp_path / name, "wb") as fh:
+            fh.write(raw)
+        with pytest.raises(IdxParseError, match="truncated pixel data: expected "
+                                                "1000000000000000 bytes, got 16"):
+            load_idx_images(tmp_path / name)
+
+    def test_bytes_past_the_payload_are_ignored(self, tmp_path):
+        images = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
+        write_idx_images(tmp_path / "img", images)
+        with open(tmp_path / "img", "ab") as fh:
+            fh.write(b"trailer")
+        assert np.array_equal(load_idx_images(tmp_path / "img"), images)
+
     def test_count_mismatch_between_files(self, tmp_path):
         write_idx_images(tmp_path / "img", np.zeros((3, 2, 2), dtype=np.uint8))
         write_idx_labels(tmp_path / "lab", np.zeros(4, dtype=np.uint8))
@@ -151,7 +169,7 @@ def pop_loop_partition(dataset, num_devices, per_device, rng, retries=20):
     label_values = np.unique(dataset.labels)
     pools = {int(lab): list(rng.permutation(np.flatnonzero(dataset.labels == lab)))
              for lab in label_values}
-    feats, labels, redraws = [], [], 0
+    order, redraws = [], 0
     for _ in range(num_devices):
         for _ in range(retries):
             lab = int(rng.choice(label_values))
@@ -160,15 +178,21 @@ def pop_loop_partition(dataset, num_devices, per_device, rng, retries=20):
             redraws += 1
         else:
             return None, redraws
-        take = [pools[lab].pop() for _ in range(per_device)]
-        feats.append(dataset.features[take])
-        labels.append(dataset.labels[take])
-    return (feats, labels), redraws
+        order += [pools[lab].pop() for _ in range(per_device)]
+    return np.array(order, dtype=np.intp), redraws
+
+
+def shards(dataset, take, num_devices):
+    """Per-device feature and label lists of a partition's index array."""
+    return (np.split(dataset.features[take], num_devices),
+            np.split(dataset.labels[take], num_devices))
 
 
 class TestSingleLabelPartition:
     def test_shards_are_pure_disjoint_and_sized(self, dataset):
-        feats, labels = partition_single_label(dataset, 10, 25, np.random.default_rng(3))
+        take = partition_single_label(dataset, 10, 25, np.random.default_rng(3))
+        assert take.dtype == np.intp and take.shape == (250,)
+        feats, labels = shards(dataset, take, 10)
         assert len(feats) == len(labels) == 10
         seen = set()
         for x, y in zip(feats, labels):
@@ -180,7 +204,8 @@ class TestSingleLabelPartition:
         assert sum(x.shape[0] for x in feats) == 250
 
     def test_single_device(self, dataset):
-        _, labels = partition_single_label(dataset, 1, 30, np.random.default_rng(4))
+        take = partition_single_label(dataset, 1, 30, np.random.default_rng(4))
+        _, labels = shards(dataset, take, 1)
         assert len(labels) == 1 and len(set(labels[0].tolist())) == 1
 
     def test_insufficient_data(self, dataset):
@@ -212,7 +237,9 @@ class TestSingleLabelPartition:
                     partition_single_label(ds, 10, 5, np.random.default_rng(seed))
                 continue
             got = partition_single_label(ds, 10, 5, np.random.default_rng(seed))
-            for got_part, want_part in zip(got, want):
+            assert got.shape == want.shape == (50,)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            for got_part, want_part in zip(shards(ds, got, 10), shards(ds, want, 10)):
                 assert len(got_part) == len(want_part) == 10
                 for a, b in zip(got_part, want_part):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -223,8 +250,8 @@ class TestSingleLabelPartition:
         # ten classes; chi-square should not reject at the 1% level.
         counts = np.zeros(10)
         for seed in range(100):
-            _, labels = partition_single_label(dataset, 8, 10,
-                                               np.random.default_rng(seed))
+            take = partition_single_label(dataset, 8, 10, np.random.default_rng(seed))
+            _, labels = shards(dataset, take, 8)
             for y in labels:
                 counts[y[0]] += 1
         _, pvalue = stats.chisquare(counts)
@@ -233,8 +260,9 @@ class TestSingleLabelPartition:
 
 class TestIidPartition:
     def test_disjoint_and_sized(self, dataset):
-        feats, _ = partition_iid(dataset, 6, 40, np.random.default_rng(7))
-        all_rows = np.concatenate(feats)
+        take = partition_iid(dataset, 6, 40, np.random.default_rng(7))
+        assert take.dtype == np.intp and len(set(take.tolist())) == 240
+        all_rows = np.concatenate(shards(dataset, take, 6)[0])
         assert all_rows.shape[0] == 240
         assert len({tuple(r) for r in all_rows}) == 240
 

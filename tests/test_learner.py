@@ -112,8 +112,8 @@ class TestLocalUpdate:
         # complete rounds with a batch that device can never draw.
         rng = np.random.default_rng(3)
         sizes = (6, 6, 6, 2)
-        task = SoftmaxRegressionTask([rng.normal(size=(n, 2)) for n in sizes],
-                                     [rng.integers(0, 2, n) for n in sizes], num_classes=2)
+        task = SoftmaxRegressionTask(rng.normal(size=(sum(sizes), 2)),
+                                     rng.integers(0, 2, sum(sizes)), sizes, num_classes=2)
         cfg = SystemConfig(4, 1, compute_slots=1, horizon=10**6,
                            batch_size=4, intentional_delay=alpha)
         with pytest.raises(SamplingError, match="exceeds shard size 2 of device 3"):
@@ -189,8 +189,8 @@ def metrics_task(kind):
                               samples_per_device=6, sample_noise=0.2)
         return task, np.random.default_rng(13).normal(size=task.dim)
     data = make_clustered_dataset(3, 5, 20, np.random.default_rng(14))
-    task = MlpTask(*partition_iid(data, 4, 10, np.random.default_rng(15)),
-                   num_classes=3, hidden=6)
+    take = partition_iid(data, 4, 10, np.random.default_rng(15))
+    task = MlpTask(data.features[take], data.labels[take], (10,) * 4, num_classes=3, hidden=6)
     return task, task.init_params(np.random.default_rng(16))
 
 

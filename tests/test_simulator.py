@@ -556,8 +556,8 @@ class TestLearnerDriving:
         # The recurrence needs the m = G - alpha models in flight and one
         # round's S updates, not m * S updates (about 205 and 105 vectors).
         rng = np.random.default_rng(3)
-        feats = [rng.standard_normal((2, 255)) for _ in range(200)]
-        task = SoftmaxRegressionTask(feats, [rng.integers(0, 10, 2) for _ in feats], 10)
+        feats = rng.standard_normal((400, 255))
+        task = SoftmaxRegressionTask(feats, rng.integers(0, 10, 400), (2,) * 200, 10)
         cfg = SystemConfig(200, 10, compute_slots=10, horizon=1_000, intentional_delay=alpha)
         learner = SgdLearner(task, cfg, seed=1)
         m = cfg.num_groups - alpha

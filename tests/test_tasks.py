@@ -30,8 +30,9 @@ def quad():
 @pytest.fixture()
 def softmax_task():
     data = make_clustered_dataset(3, 6, 40, np.random.default_rng(1))
-    feats, labels = partition_iid(data, 4, 25, np.random.default_rng(2))
-    return SoftmaxRegressionTask(feats, labels, num_classes=3)
+    take = partition_iid(data, 4, 25, np.random.default_rng(2))
+    return SoftmaxRegressionTask(data.features[take], data.labels[take], (25,) * 4,
+                                 num_classes=3)
 
 
 def softmax_accuracy(task, w):
@@ -45,8 +46,8 @@ def softmax_accuracy(task, w):
 @pytest.fixture()
 def mlp_task():
     data = make_clustered_dataset(3, 6, 40, np.random.default_rng(3))
-    feats, labels = partition_iid(data, 4, 25, np.random.default_rng(4))
-    return MlpTask(feats, labels, num_classes=3, hidden=7)
+    take = partition_iid(data, 4, 25, np.random.default_rng(4))
+    return MlpTask(data.features[take], data.labels[take], (25,) * 4, num_classes=3, hidden=7)
 
 
 class TestQuadratic:
@@ -180,7 +181,7 @@ class TestSoftmax:
         # Balanced binary labels at zero parameters: loss is ln 2.
         x = np.random.default_rng(30).normal(size=(40, 3))
         y = np.array([0, 1] * 20)
-        task = SoftmaxRegressionTask([x], [y], num_classes=2)
+        task = SoftmaxRegressionTask(x, y, [40], num_classes=2)
         assert task.loss(np.zeros(task.dim)) == pytest.approx(np.log(2.0), rel=1e-12)
 
     def test_full_data_loss_is_weighted_shard_mean(self, softmax_task):
@@ -200,7 +201,7 @@ class TestSoftmax:
 
     def test_label_range_enforced(self):
         with pytest.raises(DataError):
-            SoftmaxRegressionTask([np.zeros((2, 2))], [np.array([0, 5])], num_classes=3)
+            SoftmaxRegressionTask(np.zeros((2, 2)), np.array([0, 5]), [2], num_classes=3)
 
 
 class TestMlp:
@@ -219,10 +220,21 @@ class TestMlp:
 
 @pytest.mark.parametrize("cls", [SoftmaxRegressionTask, MlpTask])
 def test_empty_shard_is_rejected(cls):
-    feats = [np.ones((2, 3)), np.zeros((0, 3))]
-    labels = [np.array([0, 1]), np.array([], dtype=np.int64)]
     with pytest.raises(DataError, match="device 1 has an empty shard"):
-        cls(feats, labels, num_classes=2)
+        cls(np.ones((2, 3)), np.array([0, 1]), [2, 0], num_classes=2)
+
+
+@pytest.mark.parametrize("cls", [SoftmaxRegressionTask, MlpTask])
+@pytest.mark.parametrize("features, labels, sizes, match", [
+    (np.ones((4, 3)), np.zeros(3, dtype=int), [4], "features must be"),
+    (np.ones(4), np.zeros(4, dtype=int), [4], "features must be"),
+    (np.ones((4, 3)), np.zeros(4, dtype=int), [2, 1], "adding up to the samples"),
+    (np.ones((4, 3)), np.zeros(4, dtype=int), [], "one count per device"),
+    (np.ones((4, 3)), np.zeros(4, dtype=int), [[2, 2]], "one count per device"),
+], ids=["label-count", "flat-features", "short-sizes", "no-devices", "nested-sizes"])
+def test_mismatched_samples_and_sizes_are_rejected(cls, features, labels, sizes, match):
+    with pytest.raises(DataError, match=match):
+        cls(features, labels, sizes, num_classes=2)
 
 
 @pytest.mark.parametrize("build", [
@@ -237,18 +249,17 @@ def test_empty_quadratic_shard_is_rejected(build):
 def uneven_task(kind):
     """A three-device task of the given kind and its per-device sample counts.
 
-    The sharded kinds get shards of 3, 5 and 2 samples; quadratic shards are
-    equal by construction.
+    The classifier kinds get shards of 3, 5 and 2 samples; quadratic shards
+    are equal by construction.
     """
     if kind == "quadratic":
         task = make_quadratic(3, 2, 1.0, np.random.default_rng(80), samples_per_device=4)
         return task, [4, 4, 4]
     rng = np.random.default_rng(81)
     sizes = [3, 5, 2]
-    feats = [rng.normal(size=(n, 4)) for n in sizes]
-    labels = [rng.integers(0, 2, size=n) for n in sizes]
+    feats, labels = rng.normal(size=(10, 4)), rng.integers(0, 2, size=10)
     cls = SoftmaxRegressionTask if kind == "softmax" else MlpTask
-    return cls(feats, labels, num_classes=2), sizes
+    return cls(feats, labels, sizes, num_classes=2), sizes
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "softmax", "mlp"])
@@ -272,28 +283,28 @@ class TestOneCopyOfTheSamples:
     """A classifier keeps its samples once: each shard is a view of the all-data arrays."""
 
     def test_every_shard_is_a_view_of_all_data(self, kind):
-        task, _ = uneven_task(kind)
-        for x, y in zip(task.features, task.labels):
+        task, sizes = uneven_task(kind)
+        for x, y, size in zip(task.features, task.labels, sizes):
             assert np.shares_memory(x, task._all_xt) and np.shares_memory(y, task._all_y)
+            assert x.shape == (size, 4) and y.shape == (size,)
 
     def test_the_callers_arrays_are_not_read_after_construction(self, kind):
         rng = np.random.default_rng(82)
-        feats = [rng.normal(size=(n, 4)) for n in (3, 5)]
-        labels = [rng.integers(0, 2, size=n) for n in (3, 5)]
+        feats, labels = rng.normal(size=(8, 4)), rng.integers(0, 2, size=8)
         cls = SoftmaxRegressionTask if kind == "softmax" else MlpTask
-        task = cls(feats, labels, num_classes=2)
+        task = cls(feats, labels, (3, 5), num_classes=2)
         w = rng.normal(size=task.dim)
         before = [task.loss(w, device) for device in (None, 0, 1)]
-        feats[0] += 5.0
-        labels[1][:] = 1 - labels[1]
+        feats[:3] += 5.0
+        labels[3:] = 1 - labels[3:]
         assert [task.loss(w, device) for device in (None, 0, 1)] == before
 
 
-def make_classifier(cls, feats, labels, num_classes, hidden):
-    """``cls`` on the shards; ``hidden`` is MlpTask's width and unused otherwise."""
+def make_classifier(cls, feats, labels, sizes, num_classes, hidden):
+    """``cls`` on the samples; ``hidden`` is MlpTask's width and unused otherwise."""
     if cls is MlpTask:
-        return MlpTask(feats, labels, num_classes, hidden=hidden)
-    return cls(feats, labels, num_classes)
+        return MlpTask(feats, labels, sizes, num_classes, hidden=hidden)
+    return cls(feats, labels, sizes, num_classes)
 
 
 @pytest.mark.parametrize("cls", [SoftmaxRegressionTask, MlpTask], ids=["logistic", "mlp"])
@@ -302,8 +313,9 @@ class TestMlpWorkBuffers:
 
     def test_full_data_pass_allocates_less_than_one_activation(self, cls):
         data = make_clustered_dataset(10, 16, 100, np.random.default_rng(70))
-        feats, labels = partition_iid(data, 20, 50, np.random.default_rng(71))
-        task = make_classifier(cls, feats, labels, 10, hidden=32)
+        take = partition_iid(data, 20, 50, np.random.default_rng(71))
+        task = make_classifier(cls, data.features[take], data.labels[take], (50,) * 20, 10,
+                               hidden=32)
         w = np.random.default_rng(72).normal(scale=0.3, size=task.dim)
         task.loss_and_grad(w)  # warm-up
         tracemalloc.start()
@@ -321,8 +333,9 @@ class TestMlpWorkBuffers:
         task = request.getfixturevalue("mlp_task" if cls is MlpTask else "softmax_task")
 
         def fresh():
-            return make_classifier(cls, task.features, task.labels, task.num_classes,
-                                   getattr(task, "hidden", None))
+            return make_classifier(cls, np.concatenate(task.features),
+                                   np.concatenate(task.labels), task.shard_sizes,
+                                   task.num_classes, getattr(task, "hidden", None))
 
         calls = [(None, None), (1, None), (2, np.array([0, 4, 4, 9, 11, 3, 2, 8])),
                  (0, np.array([5])), (3, np.tile(np.arange(25), 5)),  # longer than all data
