@@ -5,13 +5,15 @@ Experiments are described by one JSON document (the schema is in the
 command line with ``--set key.path=value``. Each run writes per-seed CSV
 metrics and a strict-JSON summary echoing the configuration, with the
 ``timing_report`` of its system. A sweep runs each point of its grid as one
-run; the points with one N run together on one build of the task, as the
-grid varies only the system. ``validate-timing`` prints that report for a
-JSON list of scenarios, each a spec ``system`` block that gives a non-empty
-``group_sizes`` list in place of ``group_size``, and an optional ``label``.
-``rate-trend`` prints and writes the document of ``rate_trend``: the trend of
-the convergence bound in the group count G and the round budget K. Exit
-codes: 0 success, 2 configuration error, 3 data error, 4 numerical failure.
+run; at any worker count, the points with one N that a worker runs in turn
+share one build of the task, as the grid varies only the system.
+``validate-timing`` prints that report for a JSON list of scenarios, each a
+spec ``system`` block that gives a non-empty ``group_sizes`` list in place of
+``group_size``, and an optional ``label``. ``rate-trend`` prints and writes
+the document of ``rate_trend``: the trend of the convergence bound in the
+group count G and the round budget K. Exit codes: 0 success, 2 configuration
+error (an artifact that cannot be written is one), 3 data error, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import io
 import itertools
 import json
 import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -314,9 +317,9 @@ def _reject_unknown(kind: str, params: dict) -> None:
 def _find_file(root: Path, names: Sequence[str]) -> Path:
     for name in names:
         cand = root / name
-        if cand.exists():
+        if cand.is_file():
             return cand
-    raise DataError(f"none of {list(names)} found under {root}")
+    raise DataError(f"none of {list(names)} is a file under {root}")
 
 
 def _load_mnist(dataset_dir: Optional[str]):
@@ -365,8 +368,7 @@ def write_metrics_csv(path, metrics) -> None:
         tail = f",{loss[a]!r},{grad[a]!r},{stale[a]!r}\r\n"
         parts += (tail.join(heads[a:b]), tail)
     del heads  # the parts hold their text; the join below copies it once more
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(parts))
+    _write_text(path, "".join(parts))
 
 
 def _bit_run_starts(*columns: Sequence[float]) -> list[int]:
@@ -424,6 +426,19 @@ def _make_out_dir(path) -> Path:
     return out
 
 
+def _write_text(path, text: str) -> None:
+    """Write an artifact's text as given; one that cannot be written is a ConfigError."""
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_json(path, doc) -> None:
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _finite(value: Optional[float]) -> Optional[float]:
     """A strict JSON value: a non-finite float becomes None."""
     return value if value is not None and math.isfinite(value) else None
@@ -476,7 +491,7 @@ def _run_built(spec: ExperimentSpec, cfg: SystemConfig, task, initial, out_dir) 
     if counts:
         summary["completed_rounds"] = counts[0]
 
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "summary.json", summary)
     if error is not None:
         raise error
     return summary
@@ -502,78 +517,78 @@ def _grid_points(grid: dict) -> list[tuple[str, dict]]:
     return list(points.items())
 
 
-def _run_sweep_point(args: tuple, builds: Optional[dict] = None) -> dict:
-    """Run one grid point and return its row.
+def _run_points(job: tuple) -> list[dict]:
+    """Run a list of (name, overrides) grid points in order; returns their rows.
 
-    ``builds`` maps N to the last (task, initial) build; consecutive points
-    given one dict share it. It holds one entry at most, and a build that
-    fails is not kept.
+    One task build is kept while N stays the same and dropped before the next
+    N's is made. A build that fails is not kept, and a failed point is an
+    ``error`` row.
     """
-    spec_doc, point_name, overrides, out_dir, dataset_dir = args
-    builds = {} if builds is None else builds
-    doc = json.loads(json.dumps(spec_doc))  # deep copy
-    doc.pop("grid", None)
-    doc.setdefault("system", {}).update(overrides)
-    doc["name"] = f"{doc.get('name', 'sweep')}_{point_name}"
-    spec = ExperimentSpec.from_dict(doc)
-    row = dict(overrides)
-    try:
-        cfg = build_system_config(spec.system)
-        n = cfg.num_devices
-        if n not in builds:
-            builds.clear()  # the old task goes before the new one is built
-            builds[n] = build_task(spec.task, dataset_dir, num_devices=n)
-        summary = _run_built(spec, cfg, *builds[n], Path(out_dir) / point_name)
-        row.update(
-            status="ok",
-            completed_rounds=summary.get("completed_rounds"),
-            mean_final_loss=summary.get("mean_final_loss"),
-            steady_staleness=summary["per_seed"][0].get("steady_staleness"),
-        )
-    except Exception as exc:  # record and continue with other points
-        row.update(status="error", error=f"{type(exc).__name__}: {exc}")
-    return row
+    spec, points, out_dir, dataset_dir = job
+    raw = {k: v for k, v in (spec.raw or {}).items() if k != "grid"}
+    builds, rows = {}, []  # builds: N -> (task, initial), one entry at most
+    for point_name, overrides in points:
+        name, system = f"{spec.name}_{point_name}", {**spec.system, **overrides}
+        point = replace(spec, name=name, system=system, grid=None,
+                        raw={**raw, "name": name, "system": system})
+        row = dict(overrides)
+        try:
+            cfg = build_system_config(system)
+            n = cfg.num_devices
+            if n not in builds:
+                builds.clear()  # the old task goes before the new one is built
+                builds[n] = build_task(spec.task, dataset_dir, num_devices=n)
+            summary = _run_built(point, cfg, *builds[n], Path(out_dir) / point_name)
+            row.update(
+                status="ok",
+                completed_rounds=summary.get("completed_rounds"),
+                mean_final_loss=summary.get("mean_final_loss"),
+                steady_staleness=summary["per_seed"][0].get("steady_staleness"),
+            )
+        except Exception as exc:  # record and continue with other points
+            row.update(status="error", error=f"{type(exc).__name__}: {exc}")
+        rows.append(row)
+    return rows
 
 
 def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1) -> list[dict]:
     """Run every grid point and write sweep.csv and sweep.json.
 
     The grid varies only the system, so points that share N share one build
-    of the task and its initial model. The points run grouped by N, in the
-    order each N first appears in the grid; the build is made for the first
-    point of its group and dropped when the group ends, and the rows keep
-    grid order. With ``workers`` > 1 each point builds its own in its worker
-    process. A failed point becomes an ``error`` row and the others still
-    run; if no point succeeds, the files are written and a ConfigError is
-    raised.
+    of the task and its initial model. The points, sorted by where their N
+    first appears, are dealt round-robin to min(``workers``, points) jobs
+    that each build once per run of one N; one job runs in this process,
+    more in a process pool. The rows keep grid order. A failed point becomes
+    an ``error`` row and the others still run; if no point succeeds, the
+    files are written and a ConfigError is raised.
     """
     if not spec.grid:
         raise ConfigError("sweep mode needs a non-empty grid")
     require_integer("workers", workers, 1)
     points = _grid_points(spec.grid)
     out = _make_out_dir(out_dir)
-    jobs = [(spec.raw, name, p, str(out), dataset_dir) for name, p in points]
-    if workers > 1:
-        # A forked pool starts all its workers on the first submit, so no more than the jobs.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            rows = list(pool.map(_run_sweep_point, jobs))
-    else:
-        # Each N as the spec gives it (repr: a malformed one may be a list) ->
-        # the position of its first point.
-        first: dict = {}
-        rank = [first.setdefault(repr(p.get("num_devices", spec.system.get("num_devices"))), i)
-                for i, (_, p) in enumerate(points)]
-        builds: dict = {}  # lives for this call only
-        rows = [None] * len(jobs)
-        for i in sorted(range(len(jobs)), key=rank.__getitem__):
-            rows[i] = _run_sweep_point(jobs[i], builds)
+    first: dict = {}  # N as given (repr: a malformed N may be a list) -> its first point
+    rank = [first.setdefault(repr(p.get("num_devices", spec.system.get("num_devices"))), i)
+            for i, (_, p) in enumerate(points)]
+    order = sorted(range(len(points)), key=rank.__getitem__)
+    size = min(workers, len(points))
+    deals = [order[j::size] for j in range(size)]
+    jobs = [(spec, [points[i] for i in deal], str(out), dataset_dir) for deal in deals]
+    if size == 1:
+        results = [_run_points(jobs[0])]
+    else:  # a forked pool starts all its workers on the first submit, so no more than the jobs
+        with concurrent.futures.ProcessPoolExecutor(max_workers=size) as pool:
+            results = list(pool.map(_run_points, jobs))
+    # Back to grid order; the indices are distinct, so no two rows are compared.
+    rows = [row for _, row in sorted(zip(itertools.chain(*deals), itertools.chain(*results)))]
 
     columns = sorted({k for row in rows for k in row})
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        writer.writerows(rows)
-    (out / "sweep.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    text = io.StringIO(newline="")
+    writer = csv.DictWriter(text, fieldnames=columns)
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_text(out / "sweep.csv", text.getvalue())
+    _write_json(out / "sweep.json", rows)
 
     _print_table(rows, columns)
     _print_delay_deltas(rows, [k for k in sorted(spec.grid) if k != "intentional_delay"])
@@ -876,7 +891,7 @@ def _dispatch(args) -> int:
         out = args.out and _make_out_dir(args.out)
         _print_table(rows, list(dict.fromkeys(k for row in rows for k in row)))
         if out:
-            (out / "timing.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+            _write_json(out / "timing.json", rows)
         return EXIT_OK
 
     if args.command == "rate-trend":
@@ -908,7 +923,7 @@ def _dispatch(args) -> int:
             print(f"K vs {KSCALE_FACTOR}K average ratio at G={KSCALE_GROUP}: "
                   f"{doc['kscale_ratio']:.3f}")
         if out:
-            (out / "rate_trend.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            _write_json(out / "rate_trend.json", doc)
         return EXIT_OK
 
     raise ConfigError(f"unknown command {args.command!r}")

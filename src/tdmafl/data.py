@@ -13,6 +13,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -71,18 +72,24 @@ def _read_idx(path, ndim: int, payload: str) -> np.ndarray:
     The header is the magic 0x800 + ndim, then ndim big-endian int32
     dimensions; the payload is their product of bytes. Returns a read-only
     uint8 view of that shape. The payload is read to the end of the file, so
-    a header claiming more bytes than the file holds is a parse error.
+    a header claiming more bytes than the file holds is a parse error. A file
+    that cannot be opened, read or decompressed is a DataError that names it.
     """
-    with _open_maybe_gzip(path) as fh:
-        magic = _read_be32(fh, "magic")
-        if magic != 0x800 + ndim:
-            raise IdxParseError(f"bad magic in {path}: expected {0x800 + ndim:#010x} "
-                                f"({ndim}-dimensional IDX), got {magic:#010x}")
-        shape = [_read_be32(fh, f"dimension {axis}") for axis in range(ndim)]
-        if min(shape) < 0:
-            raise IdxParseError(f"negative dimension in the header of {path}")
-        size = math.prod(shape)
-        raw = fh.read()
+    try:
+        with _open_maybe_gzip(path) as fh:
+            magic = _read_be32(fh, "magic")
+            if magic != 0x800 + ndim:
+                raise IdxParseError(f"bad magic in {path}: expected {0x800 + ndim:#010x} "
+                                    f"({ndim}-dimensional IDX), got {magic:#010x}")
+            shape = [_read_be32(fh, f"dimension {axis}") for axis in range(ndim)]
+            if min(shape) < 0:
+                raise IdxParseError(f"negative dimension in the header of {path}")
+            size = math.prod(shape)
+            raw = fh.read()
+    except OSError as exc:  # a .gz file that is not gzip is one too
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except (EOFError, zlib.error) as exc:  # a .gz file cut short or corrupt
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if len(raw) < size:
         raise IdxParseError(f"truncated {payload} data: expected {size} bytes, got {len(raw)}")
     return np.frombuffer(raw, dtype=np.uint8, count=size).reshape(shape)
@@ -114,7 +121,10 @@ def load_idx_dataset(images_path, labels_path) -> LabeledDataset:
 
 def _read_cifar_batch(path) -> np.ndarray:
     """One CIFAR-10 binary batch as a read-only uint8 array of records."""
-    raw = Path(path).read_bytes()
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from exc
     if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
         raise DataError(f"{path}: size {len(raw)} is not a multiple of {CIFAR_RECORD_BYTES}")
     return np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)

@@ -21,8 +21,8 @@ activations of shape (width, samples): each numpy call then sweeps rows as
 long as the data, not one short row of 10 or 32 floats per sample. Both own
 reusable work buffers, because metrics evaluate all data every round and a
 fresh temporary would be faulted in again each time. So one task instance
-must not be used from two threads at once (a sweep runs its points on one
-task in turn; a process-pool sweep builds one task per point).
+must not be used from two threads at once (a sweep's job runs its points on
+one task in turn, and each job of a process-pool sweep builds its own).
 """
 
 from __future__ import annotations

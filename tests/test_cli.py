@@ -486,6 +486,43 @@ class TestExitCodes:
         assert err.startswith("data error: truncated pixel data") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage", ["gz-not-gzip", "gz-truncated", "gz-corrupt",
+                                        "idx-directory", "cifar-directory"])
+    def test_dataset_file_that_cannot_be_read(self, tmp_path, capsys, damage):
+        named = {
+            "gz-not-gzip": "train-images-idx3-ubyte.gz: Not a gzipped file",
+            "gz-truncated": "train-images-idx3-ubyte.gz: Compressed file ended",
+            "gz-corrupt": "train-images-idx3-ubyte.gz: Error -3 while decompressing",
+            "idx-directory": "'train-images-idx3-ubyte', 'train-images-idx3-ubyte.gz'] is a file",
+            "cifar-directory": "data_batch_2.bin: Is a directory",
+        }[damage]
+        root = tmp_path / "data"
+        root.mkdir()
+        if damage == "cifar-directory":
+            write_cifar(root)[1].unlink()
+            (root / "cifar-10-batches-bin" / "data_batch_2.bin").mkdir()
+        elif damage == "idx-directory":
+            write_mnist(root, gz=False)[0].unlink()
+            (root / "train-images-idx3-ubyte").mkdir()
+        else:
+            images = write_mnist(root, gz=True)[0]
+            blob = gzip.decompress(images.read_bytes()) if damage == "gz-not-gzip" else \
+                images.read_bytes()
+            if damage == "gz-truncated":
+                blob = blob[:len(blob) // 2]
+            elif damage == "gz-corrupt":  # a header and a trailer around bytes that are not deflate
+                blob = blob[:10] + bytes(range(256)) + blob[-8:]
+            images.write_bytes(blob)
+        doc = classifier_spec("logistic", "cifar10" if damage.startswith("cifar") else "mnist",
+                              "iid")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(out),
+                     "--dataset-dir", str(root)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert named in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_numeric_error_leaves_partial_artifacts(self, tmp_path):
         doc = quad_spec(step_size=1e6, horizon=4000)  # divergent
@@ -630,6 +667,24 @@ class TestExitCodes:
         assert err.startswith("configuration error: cannot create output directory")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert calls == [] and blocker.read_text() == ""
+
+    @pytest.mark.parametrize("command, artifact", [
+        ("run", "summary.json"), ("run", "seed0/metrics.csv"), ("sweep", "sweep.csv"),
+        ("sweep", "sweep.json"), ("validate-timing", "timing.json"),
+        ("rate-trend", "rate_trend.json"),
+    ])
+    def test_artifact_that_cannot_be_written(self, tmp_path, capsys, command, artifact):
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)  # a directory where the file goes
+        doc = quad_spec(horizon=40)
+        doc["grid"] = {"group_size": [1, 2]}
+        config = ["--config", str(write_spec(tmp_path, doc))]
+        flags = {"run": config, "sweep": config, "validate-timing": [],
+                 "rate-trend": ["--groups", "1,2", "--rounds", "5", "--num-seeds", "1",
+                                "--num-devices", "4"]}[command]
+        assert main([command, *flags, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"configuration error: cannot write {out / artifact}: Is a directory\n"
 
     @pytest.mark.parametrize("sizes", [[2, 2], [2, "2"]], ids=["repeated", "same-name"])
     def test_sweep_repeated_point_writes_nothing(self, tmp_path, capsys, sizes):
@@ -824,6 +879,18 @@ class TestSweep:
                    for r in rows if r["status"] == "error")
         assert calls == [2, 8, 8, 4]
 
+    def test_a_spec_built_without_from_dict_runs(self, tmp_path):
+        # raw is None here; each point echoes its own name and system.
+        system = quad_spec(horizon=40)["system"]
+        spec = ExperimentSpec(name="direct", system=system, task=quad_spec()["task"], seeds=[0],
+                              grid={"intentional_delay": [0, "optimal"]})
+        rows = run_sweep(spec, tmp_path / "sweep")
+        assert [r["status"] for r in rows] == ["ok", "ok"]
+        summary = json.loads((tmp_path / "sweep" / "intentional_delay-0" / "summary.json")
+                             .read_text())
+        assert summary["config"] == {"name": "direct_intentional_delay-0",
+                                     "system": {**system, "intentional_delay": 0}}
+
     def test_delay_deltas_pair_on_every_other_axis(self, tmp_path, capsys):
         doc = quad_spec(horizon=60)
         doc["seeds"] = [0]
@@ -857,8 +924,9 @@ class TestSweep:
 
     def test_a_pool_starts_no_more_workers_than_points(self, tmp_path, monkeypatch):
         # A forked pool starts every worker on its first submit; the pool here
-        # records its size and runs the points in this process.
-        sizes = []
+        # records its size and runs the jobs in this process. Each job builds
+        # once per run of one N among its points.
+        sizes, calls = [], count_builds(monkeypatch)
 
         class RecordingPool:
             def __init__(self, max_workers):
@@ -877,10 +945,20 @@ class TestSweep:
         doc = quad_spec(horizon=40)
         doc["grid"] = {"group_size": [1, 2], "intentional_delay": [0, "optimal"]}
         spec = ExperimentSpec.from_dict(doc)
-        for workers in (64, 4, 3):
+        for workers in (64, 4, 3, 2):
+            del calls[:]
             rows = run_sweep(spec, tmp_path / f"w{workers}", workers=workers)
             assert [r["status"] for r in rows] == ["ok"] * 4
-        assert sizes == [4, 4, 3]
+            assert calls == [4] * min(workers, 4)
+        assert sizes == [4, 4, 3, 2]
+        # Two values of N, alternating in grid order: no more builds than points.
+        doc["grid"] = {"group_size": [1, 2], "num_devices": [4, 8]}
+        for workers in (2, 3):
+            del calls[:]
+            rows = run_sweep(ExperimentSpec.from_dict(doc), tmp_path / f"n{workers}",
+                             workers=workers)
+            assert [r["status"] for r in rows] == ["ok"] * 4
+            assert calls == [4, 8, 4, 8]
 
     def test_sweep_needs_grid(self, tmp_path):
         doc = quad_spec()
