@@ -95,7 +95,8 @@ class ExperimentSpec:
             own output directory.
 
     The document is strict JSON: a NaN or an infinity anywhere in it is a
-    ConfigError.
+    ConfigError. A run's summary echoes every field but mode, out_dir and grid,
+    and ``from_dict`` of that echo gives back the spec that ran.
 
     The ``system`` block takes the SystemConfig fields: num_devices and
     group_size (required; group_size must divide num_devices, so the TDMA
@@ -109,7 +110,7 @@ class ExperimentSpec:
     this block with a ``group_sizes`` list in place of ``group_size``.
 
     Task kinds and their fields (all optional):
-        none: timing only, no model is trained.
+        none: timing only, no model is trained; it takes no other field.
         quadratic: dim, heterogeneity, samples_per_device, sample_noise,
             eig_range [lo, hi], data_seed, init_offset.
         logistic and mlp: dataset ("clusters", "mnist" or "cifar10"),
@@ -125,7 +126,6 @@ class ExperimentSpec:
     metrics_every: int = 1
     out_dir: Optional[str] = None
     grid: Optional[dict] = None
-    raw: Optional[dict] = None
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentSpec":
@@ -170,7 +170,6 @@ class ExperimentSpec:
             metrics_every=metrics_every,
             out_dir=out_dir,
             grid=doc.get("grid"),
-            raw=doc,
         )
 
 
@@ -231,9 +230,10 @@ def build_system_config(system: dict) -> SystemConfig:
 def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int):
     """Construct the task named by the spec. Returns (task, initial_model)."""
     kind = task_spec.get("kind", "none")
-    if kind == "none":
-        return None, None
     params = {k: v for k, v in task_spec.items() if k != "kind"}
+    if kind == "none":  # takes no fields, so one given without its kind is not lost
+        _reject_unknown(kind, params)
+        return None, None
     data_seed = _pop_integer(params, "data_seed", 0, minimum=0)
     rng = np.random.default_rng([data_seed, 0xDA7A])
 
@@ -452,14 +452,16 @@ def run_experiment(spec: ExperimentSpec, out_dir, dataset_dir=None) -> dict:
 
 
 def _run_built(spec: ExperimentSpec, cfg: SystemConfig, task, initial, out_dir) -> dict:
-    """``run_experiment`` on a task already built for ``cfg``; no seed's run changes it."""
+    """``run_experiment`` on a task already built for ``cfg``; no seed's run changes it.
+
+    ``config`` echoes name, system, task, seeds and metrics_every; ``timing`` resolves them."""
     timing = timing_report(cfg)
     learners = [None if task is None else SgdLearner(task, cfg, seed=seed, initial=initial)
                 for seed in spec.seeds]  # a bad batch size fails here, before any output
     out = _make_out_dir(out_dir)
     summary: dict = {
         "name": spec.name,
-        "config": spec.raw if spec.raw is not None else {},
+        "config": {k: v for k, v in vars(spec).items() if k not in ("out_dir", "grid")},
         "timing": timing,
         "per_seed": [],
     }
@@ -525,15 +527,13 @@ def _run_points(job: tuple) -> list[dict]:
     ``error`` row.
     """
     spec, points, out_dir, dataset_dir = job
-    raw = {k: v for k, v in (spec.raw or {}).items() if k != "grid"}
     builds, rows = {}, []  # builds: N -> (task, initial), one entry at most
     for point_name, overrides in points:
-        name, system = f"{spec.name}_{point_name}", {**spec.system, **overrides}
-        point = replace(spec, name=name, system=system, grid=None,
-                        raw={**raw, "name": name, "system": system})
+        point = replace(spec, name=f"{spec.name}_{point_name}",
+                        system={**spec.system, **overrides}, grid=None)
         row = dict(overrides)
         try:
-            cfg = build_system_config(system)
+            cfg = build_system_config(point.system)
             n = cfg.num_devices
             if n not in builds:
                 builds.clear()  # the old task goes before the new one is built
@@ -560,7 +560,9 @@ def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1)
     that each build once per run of one N; one job runs in this process,
     more in a process pool. The rows keep grid order. A failed point becomes
     an ``error`` row and the others still run; if no point succeeds, the
-    files are written and a ConfigError is raised.
+    files are written and a ConfigError is raised. Each pool worker runs
+    numpy's default BLAS thread count, so set OPENBLAS_NUM_THREADS=1 before
+    a classifier sweep with ``workers`` > 1.
     """
     if not spec.grid:
         raise ConfigError("sweep mode needs a non-empty grid")
@@ -828,7 +830,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"dataset root (default: ${DATA_DIR_ENV})")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a spec field, e.g. system.group_size=5")
-    p_sweep.add_argument("--workers", type=int, default=1, help="parallel sweep points")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="parallel sweep points; each worker runs numpy's default BLAS "
+                              "thread count, so set OPENBLAS_NUM_THREADS=1 for a classifier "
+                              "sweep with more than one")
     p_vt = sub.add_parser("validate-timing", help="the run summary's timing block per group "
                           "size: closed forms, exact schedule law and alpha*")
     p_vt.add_argument("--config", type=Path, help="JSON list of scenarios, each a spec system "

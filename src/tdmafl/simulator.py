@@ -29,6 +29,7 @@ one ``select_transmitters`` call per round, and cached.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -158,7 +159,8 @@ def run_timeline(
     that is fewer; ``rounds_exact`` raises ConfigError for a horizon too short
     for one round to complete, whatever ``max_rounds`` is, before the learner
     is called. So does a learner built on a config other than ``cfg``, whose
-    B, H and eta would not match the schedule. Round k ends its downlink at
+    B, H and eta would not match the schedule, and a K beyond sys.maxsize,
+    which no list can hold. Round k ends its downlink at
     ``cfg.downlink_ends(K)[k]``, launches one slot after the previous downlink
     end (round 0 at slot 0), uploads group k mod G and has staleness s_k.
     Without a learner nothing else is computed; with one, the result keeps
@@ -180,6 +182,8 @@ def run_timeline(
     rounds = cfg.rounds_exact()
     if max_rounds is not None:
         rounds = max(0, min(rounds, max_rounds))
+    if rounds > sys.maxsize:
+        raise ConfigError(f"{rounds} rounds are more than a list can hold ({sys.maxsize})")
     downlink_ends = cfg.downlink_ends(rounds)
 
     nan = float("nan")

@@ -10,8 +10,10 @@ import io
 import json
 import math
 import struct
+import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -96,6 +98,11 @@ def count_builds(monkeypatch) -> list:
 
 def _reject_constant(token):
     raise ValueError(f"bare {token} is not strict JSON")
+
+
+# Task blocks with a field that their kind does not take; a task without a kind is "none".
+UNKNOWN_TASK_FIELDS = [{"dim": 3}, {"kind": "none", "dim": 3}, {"kind": "quadratic", "dimm": 3},
+                       {"kind": "mlp", "hiden": 3}]
 
 
 def write_spec(tmp_path, doc):
@@ -276,11 +283,42 @@ class TestRunCommand:
             assert len(table["loss"]) == len(metrics) and all(map(math.isfinite, table["loss"]))
 
     def test_config_echo_round_trips(self, tmp_path):
-        doc = quad_spec()
-        out = tmp_path / "out"
-        main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(out)])
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"] == doc
+        # The echo is the spec that ran: its settings as given, with no mode,
+        # out_dir or grid, and with the defaults of task, seeds and metrics_every.
+        doc = quad_spec(intentional_delay="optimal")
+        del doc["system"]["compute_slots"]
+        doc["system"]["samples_per_slot"] = "2/3"
+        timing_only = {"name": "defaults", "mode": "sweep", "out_dir": "elsewhere",
+                       "grid": {"group_size": [1, 2]},
+                       "system": {"num_devices": 4, "group_size": 2, "horizon": 40}}
+        echoes = [{k: v for k, v in doc.items() if k != "mode"},
+                  {"name": "defaults", "system": timing_only["system"],
+                   "task": {"kind": "none"}, "seeds": [0], "metrics_every": 1}]
+        timings = []
+        for given, echo in zip((doc, timing_only), echoes):
+            out = tmp_path / given["name"]
+            assert main(["run", "--config", str(write_spec(tmp_path, given)),
+                         "--out", str(out)]) == EXIT_OK
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["config"] == echo
+            assert ExperimentSpec.from_dict(summary["config"]) == \
+                replace(ExperimentSpec.from_dict(given), out_dir=None, grid=None)
+            timings.append(summary["timing"])
+        # The timing block holds what the rate q = 2/3 (H*B = 4) and "optimal" resolve to.
+        assert (timings[0]["tau_comp"], timings[0]["intentional_delay"]) == (6, 0)
+
+    def test_a_direct_or_replaced_spec_echoes_what_it_ran(self, tmp_path):
+        doc = quad_spec(horizon=40)
+        direct = ExperimentSpec(name="direct", system=doc["system"], task=doc["task"], seeds=[3])
+        replaced = replace(ExperimentSpec.from_dict(doc), name="replaced", seeds=[5],
+                           system={**doc["system"], "group_size": 4})
+        for spec in (direct, replaced):
+            summary = run_experiment(spec, tmp_path / spec.name)
+            assert json.loads((tmp_path / spec.name / "summary.json").read_text()) == summary
+            assert summary["config"]["system"] == spec.system
+            assert summary["config"]["seeds"] == [e["seed"] for e in summary["per_seed"]]
+            assert ExperimentSpec.from_dict(summary["config"]) == spec
+        assert summary["timing"]["num_groups"] == 1  # the replaced system ran
 
     def test_deterministic_outputs(self, tmp_path):
         doc = quad_spec()
@@ -487,18 +525,34 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("damage", ["gz-not-gzip", "gz-truncated", "gz-corrupt",
-                                        "idx-directory", "cifar-directory"])
-    def test_dataset_file_that_cannot_be_read(self, tmp_path, capsys, damage):
+                                        "idx-directory", "cifar-directory", "mnist-no-directory",
+                                        "cifar-no-directory", "cifar-no-batches",
+                                        "idx-negative-dimension"])
+    def test_dataset_file_that_cannot_be_read(self, tmp_path, capsys, monkeypatch, damage):
         named = {
             "gz-not-gzip": "train-images-idx3-ubyte.gz: Not a gzipped file",
             "gz-truncated": "train-images-idx3-ubyte.gz: Compressed file ended",
             "gz-corrupt": "train-images-idx3-ubyte.gz: Error -3 while decompressing",
             "idx-directory": "'train-images-idx3-ubyte', 'train-images-idx3-ubyte.gz'] is a file",
             "cifar-directory": "data_batch_2.bin: Is a directory",
+            "mnist-no-directory": "mnist task needs --dataset-dir or TDMAFL_DATA_DIR",
+            "cifar-no-directory": "cifar10 task needs --dataset-dir or TDMAFL_DATA_DIR",
+            "cifar-no-batches": "no data_batch_*.bin files under",
+            "idx-negative-dimension": "negative dimension in the header of",
         }[damage]
+        monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
         root = tmp_path / "data"
         root.mkdir()
-        if damage == "cifar-directory":
+        flags = ["--dataset-dir", str(root)]
+        if damage.endswith("no-directory"):
+            flags = []
+        elif damage == "cifar-no-batches":
+            (root / "cifar-10-batches-bin").mkdir()
+        elif damage == "idx-negative-dimension":
+            write_mnist(root, gz=False)
+            (root / "train-images-idx3-ubyte").write_bytes(
+                struct.pack(">iiii", 0x803, 24, -4, 3) + bytes(288))
+        elif damage == "cifar-directory":
             write_cifar(root)[1].unlink()
             (root / "cifar-10-batches-bin" / "data_batch_2.bin").mkdir()
         elif damage == "idx-directory":
@@ -517,7 +571,7 @@ class TestExitCodes:
                               "iid")
         out = tmp_path / "out"
         assert main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(out),
-                     "--dataset-dir", str(root)]) == EXIT_DATA
+                     *flags]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert named in err and "Traceback" not in err
@@ -553,7 +607,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("doc", [
+    @pytest.mark.parametrize("doc, flags", [(doc, []) for doc in [
         {"system": {"group_size": 1}},
         {"system": {"group_size": 1, "compute_slots": 2}},
         {"system": {"num_devices": 2.5, "group_size": 1}},
@@ -577,19 +631,24 @@ class TestExitCodes:
         {"system": {"num_devices": 4, "group_size": 2}, "grid": {"step_size": [0.01, math.nan]}},
         {"system": {"num_devices": 4, "group_size": 2}, "seeds": [2**64]},
         {"system": {"num_devices": 4, "group_size": 2}, "seeds": [0, 0]},
-    ], ids=["no-num-devices", "no-num-devices-compute-slots", "fractional-num-devices",
+        {},
+        {"system": {"num_devices": 4, "group_size": 2, "compute_slots": 2, "samples_per_slot": 1}},
+    ]] + [({"system": {"num_devices": 4, "group_size": 2}}, ["--set", flag])
+          for flag in ("system", "name.x=1")],
+        ids=["no-num-devices", "no-num-devices-compute-slots", "fractional-num-devices",
             "metrics-every-string", "seeds-not-list", "metrics-every-negative",
             "system-not-object", "step-size-string", "mode-list", "grid-number",
             "step-size-nan", "samples-per-slot-nan", "samples-per-slot-inf",
             "samples-per-slot-string", "intentional-delay-null", "step-size-huge",
             "name-nan", "name-list", "name-empty", "out-dir-number", "unused-grid-nan",
-            "seed-beyond-64-bits", "seeds-repeated"])
-    def test_malformed_spec_field(self, tmp_path, capsys, doc):
+            "seed-beyond-64-bits", "seeds-repeated", "no-system", "compute-slots-and-rate",
+            "set-without-value", "set-below-a-string"])
+    def test_malformed_spec_field(self, tmp_path, capsys, doc, flags):
         doc = {"name": "bad", **doc}
-        if isinstance(doc["system"], dict):
+        if isinstance(doc.get("system"), dict):
             doc["system"]["horizon"] = 40
         rc = main(["run", "--config", str(write_spec(tmp_path, doc)),
-                   "--out", str(tmp_path / "out")])
+                   "--out", str(tmp_path / "out"), *flags])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
@@ -607,9 +666,12 @@ class TestExitCodes:
         {"kind": "quadratic", "eig_range": [1, 10**400]},
         {"kind": "logistic", "num_classes": 1},
         {"kind": "logistic", "num_classes": 0},
+        *UNKNOWN_TASK_FIELDS,
+        {"kind": "quadratic", "sample_noise": 0.5, "samples_per_device": 1},
     ], ids=["not-object", "dim-string", "eig-range-number", "fractional-hidden", "kind-list",
             "heterogeneity-nan", "sample-noise-nan", "heterogeneity-huge", "eig-range-huge",
-            "one-class", "no-class"])
+            "one-class", "no-class", "fields-without-kind", "none-with-fields",
+            "quadratic-unknown-field", "mlp-unknown-field", "noise-with-one-sample"])
     def test_malformed_task_field(self, tmp_path, capsys, task):
         doc = {"name": "bad", "system": {"num_devices": 4, "group_size": 2, "horizon": 40},
                "task": task}
@@ -618,6 +680,8 @@ class TestExitCodes:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
+        if task in UNKNOWN_TASK_FIELDS:  # the kind, "none" if absent, rejects them by name
+            assert f"{task.get('kind', 'none')} task fields: {sorted(set(task) - {'kind'})}" in err
 
     @pytest.mark.parametrize("flags, named", [
         (["--groups", "x"], "--groups"),
@@ -735,6 +799,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: no training round completes")
         assert err.count("\n") == 1
+
+    def test_round_count_beyond_any_list(self, tmp_path, capsys):
+        # About 3.3e29 rounds: the timing report gives the count, and a run,
+        # which lists its rounds, is a configuration error.
+        scenario = {"num_devices": 4, "compute_slots": 2, "horizon": 10**30, "group_sizes": [2]}
+        path = tmp_path / "scen.json"
+        path.write_text(json.dumps([scenario]))
+        assert main(["validate-timing", "--config", str(path)]) == EXIT_OK
+        system = {"num_devices": 4, "group_size": 2, "compute_slots": 2, "horizon": 10**30}
+        spec = write_spec(tmp_path, {"name": "long", "system": system})
+        rc = main(["run", "--config", str(spec), "--out", str(tmp_path / "out")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert f"({sys.maxsize})" in err
+        assert run_timeline(build_system_config(system), max_rounds=5).completed_rounds == 5
 
     def test_sweep_empty_grid_axis_writes_nothing(self, tmp_path, capsys):
         doc = quad_spec(horizon=40)
@@ -880,16 +960,22 @@ class TestSweep:
         assert calls == [2, 8, 8, 4]
 
     def test_a_spec_built_without_from_dict_runs(self, tmp_path):
-        # raw is None here; each point echoes its own name and system.
-        system = quad_spec(horizon=40)["system"]
-        spec = ExperimentSpec(name="direct", system=system, task=quad_spec()["task"], seeds=[0],
+        # Each point echoes its own name and system, and the spec's task and seeds.
+        system, task = quad_spec(horizon=40)["system"], quad_spec()["task"]
+        spec = ExperimentSpec(name="direct", system=system, task=task, seeds=[3],
                               grid={"intentional_delay": [0, "optimal"]})
         rows = run_sweep(spec, tmp_path / "sweep")
         assert [r["status"] for r in rows] == ["ok", "ok"]
-        summary = json.loads((tmp_path / "sweep" / "intentional_delay-0" / "summary.json")
-                             .read_text())
-        assert summary["config"] == {"name": "direct_intentional_delay-0",
-                                     "system": {**system, "intentional_delay": 0}}
+        for delay in (0, "optimal"):
+            point = f"intentional_delay-{delay}"
+            summary = json.loads((tmp_path / "sweep" / point / "summary.json").read_text())
+            assert summary["config"] == {"name": f"direct_{point}",
+                                         "system": {**system, "intentional_delay": delay},
+                                         "task": task, "seeds": [3], "metrics_every": 1}
+            assert ExperimentSpec.from_dict(summary["config"]) == replace(
+                spec, name=f"direct_{point}", system={**system, "intentional_delay": delay},
+                grid=None)
+            assert [e["seed"] for e in summary["per_seed"]] == [3]
 
     def test_delay_deltas_pair_on_every_other_axis(self, tmp_path, capsys):
         doc = quad_spec(horizon=60)
