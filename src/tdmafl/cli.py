@@ -116,7 +116,9 @@ class ExperimentSpec:
         logistic and mlp: dataset ("clusters", "mnist" or "cifar10"),
             partition ("single_label" or "iid"), per_device, data_seed; for
             "clusters" also num_classes, feature_dim, samples_per_class,
-            spread and noise; for mlp also hidden.
+            spread and noise; for mlp also hidden. A "single_label" build
+            fails only when the labels cannot fill N shards of per_device
+            samples (a label of c samples fills floor(c / per_device)).
     """
 
     name: str
@@ -841,12 +843,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vt.add_argument("--out", type=Path, help="output directory")
     p_rt = sub.add_parser("rate-trend", help="avg squared gradient norm vs group count")
     p_rt.add_argument("--out", type=Path, help="output directory")
-    p_rt.add_argument("--groups", default="1,2,5,10")
-    p_rt.add_argument("--rounds", type=int, default=2000)
-    p_rt.add_argument("--num-seeds", type=int, default=10)
-    p_rt.add_argument("--num-devices", type=int, default=20)
-    p_rt.add_argument("--batch-size", type=int, default=4)
-    p_rt.add_argument("--heterogeneity", type=float, default=2.0)
+    p_rt.add_argument("--groups", default="1,2,5,10", help="comma-separated group counts G; "
+                      "those that do not divide --num-devices are skipped (default: %(default)s)")
+    p_rt.add_argument("--rounds", type=int, default=2000,
+                      help="rounds K per run (default: %(default)s)")
+    p_rt.add_argument("--num-seeds", type=int, default=10,
+                      help="runs per group count, seeds 0 to n-1 (default: %(default)s)")
+    p_rt.add_argument("--num-devices", type=int, default=20,
+                      help="devices N of the quadratic task (default: %(default)s)")
+    p_rt.add_argument("--batch-size", type=int, default=4,
+                      help="samples per local step, at most 40 (default: %(default)s)")
+    p_rt.add_argument("--heterogeneity", type=float, default=2.0,
+                      help="largest distance of a device's gradient from the global one "
+                           "(default: %(default)s)")
     return parser
 
 

@@ -5,7 +5,9 @@ CIFAR-10 binary batch format, a synthetic clustered-label generator for desk
 scale runs, and the heterogeneous single-label partitioning used by the
 non-IID experiments. A partition is one index array into the dataset, in
 device order and ``per_device`` entries per device, so one gather gives the
-(features, labels) pair a classifier task takes.
+(features, labels) pair a classifier task takes. A single-label partition
+draws each device's label from those that can still fill a shard, so it fails
+only when the dataset or its labels are too small for every device.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 from .errors import DataError, IdxParseError
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixels
-LABEL_RETRIES = 20  # label draws per device in partition_single_label
 
 
 @dataclass
@@ -176,37 +177,35 @@ def partition_single_label(
 ) -> np.ndarray:
     """Give every device ``per_device`` samples of one randomly chosen label.
 
-    Labels are drawn uniformly per device; samples are drawn without
-    replacement across the whole partition. If the chosen label runs out of
-    samples the label is redrawn up to ``LABEL_RETRIES`` times before failing.
+    Each device's label is drawn uniformly from the labels that still hold
+    ``per_device`` unused samples; samples are drawn without replacement
+    across the whole partition. A label holds floor(samples / per_device)
+    shards, so the partition fails only if the dataset is too small or its
+    labels hold fewer than ``num_devices`` shards.
     Returns the dataset indices in device order, ``per_device`` per device.
     """
+    if min(num_devices, per_device) < 1:
+        raise DataError(f"num_devices and per_device must be >= 1, got {num_devices}, {per_device}")
     if len(dataset) < num_devices * per_device:
-        raise DataError(
-            f"dataset has {len(dataset)} samples, need {num_devices * per_device}"
-        )
-    label_values = np.unique(dataset.labels)
+        raise DataError(f"dataset has {len(dataset)} samples, need {num_devices * per_device}")
+    label_values, counts = np.unique(dataset.labels, return_counts=True)
+    held = int((counts // per_device).sum())
+    if held < num_devices:
+        raise DataError(f"labels hold {held} shards of {per_device} samples, need {num_devices}")
     pools = {}  # per label, the unused indices; a device takes the last ones, last first
     for lab in label_values:
         idx = np.flatnonzero(dataset.labels == lab)
         pools[int(lab)] = rng.permutation(idx)
 
+    eligible = label_values[counts >= per_device]  # the labels that can still fill a shard
     order = np.empty(num_devices * per_device, dtype=np.intp)
-    for dev, take in enumerate(order.reshape(num_devices, per_device)):
-        chosen = None
-        for _ in range(LABEL_RETRIES):
-            lab = int(rng.choice(label_values))
-            if len(pools[lab]) >= per_device:
-                chosen = lab
-                break
-        if chosen is None:
-            raise DataError(
-                f"could not find a label with {per_device} remaining samples "
-                f"for device {dev} after {LABEL_RETRIES} draws"
-            )
-        pool = pools[chosen]
+    for take in order.reshape(num_devices, per_device):
+        lab = int(rng.choice(eligible))
+        pool = pools[lab]
         rest = len(pool) - per_device
-        take[:], pools[chosen] = pool[rest:][::-1], pool[:rest]
+        take[:], pools[lab] = pool[rest:][::-1], pool[:rest]
+        if rest < per_device:
+            eligible = eligible[eligible != lab]
     return order
 
 

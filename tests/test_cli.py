@@ -105,6 +105,16 @@ UNKNOWN_TASK_FIELDS = [{"dim": 3}, {"kind": "none", "dim": 3}, {"kind": "quadrat
                        {"kind": "mlp", "hiden": 3}]
 
 
+def full_shards_spec(data_seed):
+    """10 classes of 10 samples on 10 devices of 10: the labels hold exactly 10 shards."""
+    return {"name": "full_shards", "seeds": [0],
+            "system": {"num_devices": 10, "group_size": 2, "compute_slots": 2,
+                       "batch_size": 4, "step_size": 0.05, "horizon": 60},
+            "task": {"kind": "logistic", "num_classes": 10, "feature_dim": 2,
+                     "samples_per_class": 10, "partition": "single_label", "per_device": 10,
+                     "data_seed": data_seed}}
+
+
 def write_spec(tmp_path, doc):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -524,6 +534,35 @@ class TestExitCodes:
         assert err.startswith("data error: truncated pixel data") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("data_seed", [11, 15, 16])
+    def test_single_label_partition_that_uses_every_shard_runs(self, tmp_path, monkeypatch,
+                                                              data_seed):
+        takes = []
+        monkeypatch.setattr(cli, "partition_single_label",
+                            recording(takes, cli.partition_single_label))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_spec(tmp_path, full_shards_spec(data_seed))),
+                     "--out", str(out)]) == EXIT_OK
+        json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+        (take,) = takes
+        assert sorted(take.tolist()) == list(range(100))  # every sample, once
+
+    @pytest.mark.parametrize("task, named", [
+        ({"num_devices": 12}, "dataset has 100 samples, need 120"),
+        ({"samples_per_class": 9, "per_device": 5, "num_devices": 12},
+         "labels hold 10 shards of 5 samples, need 12"),
+    ], ids=["too-few-samples", "too-few-shards"])
+    def test_single_label_partition_that_does_not_exist(self, tmp_path, capsys, task, named):
+        doc = full_shards_spec(0)
+        doc["system"]["num_devices"] = task.pop("num_devices")
+        doc["task"].update(task)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {named}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", ["gz-not-gzip", "gz-truncated", "gz-corrupt",
                                         "idx-directory", "cifar-directory", "mnist-no-directory",
                                         "cifar-no-directory", "cifar-no-batches",
@@ -634,7 +673,7 @@ class TestExitCodes:
         {},
         {"system": {"num_devices": 4, "group_size": 2, "compute_slots": 2, "samples_per_slot": 1}},
     ]] + [({"system": {"num_devices": 4, "group_size": 2}}, ["--set", flag])
-          for flag in ("system", "name.x=1")],
+          for flag in ("system", "name.x=1", "system.step_size=fast")],
         ids=["no-num-devices", "no-num-devices-compute-slots", "fractional-num-devices",
             "metrics-every-string", "seeds-not-list", "metrics-every-negative",
             "system-not-object", "step-size-string", "mode-list", "grid-number",
@@ -642,7 +681,7 @@ class TestExitCodes:
             "samples-per-slot-string", "intentional-delay-null", "step-size-huge",
             "name-nan", "name-list", "name-empty", "out-dir-number", "unused-grid-nan",
             "seed-beyond-64-bits", "seeds-repeated", "no-system", "compute-slots-and-rate",
-            "set-without-value", "set-below-a-string"])
+            "set-without-value", "set-below-a-string", "set-value-not-json"])
     def test_malformed_spec_field(self, tmp_path, capsys, doc, flags):
         doc = {"name": "bad", **doc}
         if isinstance(doc.get("system"), dict):
@@ -668,10 +707,13 @@ class TestExitCodes:
         {"kind": "logistic", "num_classes": 0},
         *UNKNOWN_TASK_FIELDS,
         {"kind": "quadratic", "sample_noise": 0.5, "samples_per_device": 1},
+        {"kind": "logistic", "dataset": "imagenet"},
+        {"kind": "logistic", "partition": "dirichlet"},
     ], ids=["not-object", "dim-string", "eig-range-number", "fractional-hidden", "kind-list",
             "heterogeneity-nan", "sample-noise-nan", "heterogeneity-huge", "eig-range-huge",
             "one-class", "no-class", "fields-without-kind", "none-with-fields",
-            "quadratic-unknown-field", "mlp-unknown-field", "noise-with-one-sample"])
+            "quadratic-unknown-field", "mlp-unknown-field", "noise-with-one-sample",
+            "unknown-dataset", "unknown-partition"])
     def test_malformed_task_field(self, tmp_path, capsys, task):
         doc = {"name": "bad", "system": {"num_devices": 4, "group_size": 2, "horizon": 40},
                "task": task}
@@ -1231,6 +1273,9 @@ MLP_SPEC = {
 VALID_DOCUMENTS = {  # id: (command, document)
     "run-quadratic": ("run", quad_spec(horizon=60)),
     "run-mlp": ("run", MLP_SPEC),
+    "run-quadratic-dim-1": ("run", {**quad_spec(horizon=60), "task": {
+        "kind": "quadratic", "dim": 1, "samples_per_device": 8, "init_offset": 1.0}}),
+    "run-single-label-full": ("run", full_shards_spec(11)),
     "sweep": ("sweep", {**quad_spec(horizon=60), "seeds": [0], "grid": {
         "group_size": [1, 2], "intentional_delay": [0, "optimal"]}}),
     "validate-timing": ("validate-timing", [

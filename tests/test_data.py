@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tdmafl import (
@@ -164,22 +166,26 @@ class TestLoaderMemory:
         assert peak < 1.5 * ds.features.nbytes
 
 
-def pop_loop_partition(dataset, num_devices, per_device, rng, retries=20):
-    """The partition as a loop that pops one boxed index at a time (the reference)."""
+def pop_loop_partition(dataset, num_devices, per_device, rng):
+    """The partition as a loop that pops one boxed index at a time (the reference).
+
+    Each device draws its label from a fresh list of the labels that hold at
+    least ``per_device`` unused samples. Returns the index array, or None once
+    no label can fill a shard, and the number of draws made from fewer than
+    all the labels.
+    """
     label_values = np.unique(dataset.labels)
     pools = {int(lab): list(rng.permutation(np.flatnonzero(dataset.labels == lab)))
              for lab in label_values}
-    order, redraws = [], 0
+    order, narrowed = [], 0
     for _ in range(num_devices):
-        for _ in range(retries):
-            lab = int(rng.choice(label_values))
-            if len(pools[lab]) >= per_device:
-                break
-            redraws += 1
-        else:
-            return None, redraws
+        eligible = [lab for lab in pools if len(pools[lab]) >= per_device]
+        if not eligible:
+            return None, narrowed
+        narrowed += len(eligible) < len(pools)
+        lab = int(rng.choice(eligible))
         order += [pools[lab].pop() for _ in range(per_device)]
-    return np.array(order, dtype=np.intp), redraws
+    return np.array(order, dtype=np.intp), narrowed
 
 
 def shards(dataset, take, num_devices):
@@ -213,29 +219,31 @@ class TestSingleLabelPartition:
             partition_single_label(dataset, 200, 100, np.random.default_rng(5))
 
     def test_exhausted_label_falls_back_then_errors(self):
-        # Two labels, one too small to ever serve a device: draws of the
-        # small label are redrawn, and once the big label is consumed the
-        # partition fails loudly.
+        # Two labels, one too small to ever serve a device: it is never drawn,
+        # every device falls back to the big label, and once the big label's
+        # three shards are taken the partition fails up front, naming both counts.
         feats = np.arange(80, dtype=float).reshape(40, 2)
         labels = np.array([0] * 35 + [1] * 5)
         ds = LabeledDataset(feats, labels)
-        with pytest.raises(DataError, match="could not find a label"):
-            partition_single_label(ds, 4, 10, np.random.default_rng(6))
+        for seed in range(20):
+            take = partition_single_label(ds, 3, 10, np.random.default_rng(seed))
+            assert (labels[take] == 0).all() and len(set(take.tolist())) == 30
+        rng = np.random.default_rng(6)
+        state = rng.bit_generator.state
+        with pytest.raises(DataError, match=r"^labels hold 3 shards of 10 samples, need 4$"):
+            partition_single_label(ds, 4, 10, rng)
+        assert rng.bit_generator.state == state  # it fails before any draw
 
     def test_shards_match_the_pop_loop(self):
-        # Five labels of 12 samples serve at most ten devices of 5: labels run
-        # short, so most seeds redraw a label and a few fail after LABEL_RETRIES.
+        # Five labels of 12 samples hold exactly ten shards of 5: labels run
+        # short, so most seeds draw from fewer than five labels, and none fails.
         feats = np.arange(120, dtype=float).reshape(60, 2)
         ds = LabeledDataset(feats, np.repeat(np.arange(5), 12))
-        total_redraws, failures = 0, 0
+        total_narrowed = 0
         for seed in range(150):
-            want, redraws = pop_loop_partition(ds, 10, 5, np.random.default_rng(seed))
-            total_redraws += redraws
-            if want is None:
-                failures += 1
-                with pytest.raises(DataError, match="could not find a label"):
-                    partition_single_label(ds, 10, 5, np.random.default_rng(seed))
-                continue
+            want, narrowed = pop_loop_partition(ds, 10, 5, np.random.default_rng(seed))
+            total_narrowed += narrowed
+            assert want is not None  # no seed fails
             got = partition_single_label(ds, 10, 5, np.random.default_rng(seed))
             assert got.shape == want.shape == (50,)
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -243,7 +251,49 @@ class TestSingleLabelPartition:
                 assert len(got_part) == len(want_part) == 10
                 for a, b in zip(got_part, want_part):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert total_redraws > 0 and 0 < failures < 150
+        assert total_narrowed > 0
+
+    def test_mnist_label_counts_fill_every_shard(self):
+        # MNIST's training-label counts hold exactly 100 shards of 580 (9 of
+        # label 5, 11 of label 1, 10 of each other), so every shard is used.
+        counts = [5923, 6742, 5958, 6131, 5842, 5421, 5918, 6265, 5851, 5949]
+        labels = np.repeat(np.arange(10), counts)
+        ds = LabeledDataset(np.zeros((len(labels), 1)), labels)
+        for seed in range(20):
+            take = partition_single_label(ds, 100, 580, np.random.default_rng(seed))
+            assert take.shape == (58_000,) and len(np.unique(take)) == 58_000
+            per_device = labels[take].reshape(100, 580)
+            assert (per_device == per_device[:, :1]).all()
+
+    @pytest.mark.parametrize("num_devices, per_device", [(4, 0), (4, -2), (0, 5), (-1, 5)])
+    def test_non_positive_sizes_are_a_data_error(self, dataset, num_devices, per_device):
+        with pytest.raises(DataError, match="must be >= 1"):
+            partition_single_label(dataset, num_devices, per_device, np.random.default_rng(0))
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+           num_devices=st.integers(1, 8), per_device=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_succeeds_exactly_when_the_labels_hold_every_shard(self, counts, num_devices,
+                                                               per_device, seed):
+        labels = np.repeat(np.arange(len(counts)), counts)
+        ds = LabeledDataset(np.zeros((len(labels), 1)), labels)
+        held = sum(c // per_device for c in counts)
+        big_enough = len(labels) >= num_devices * per_device
+        want, _ = pop_loop_partition(ds, num_devices, per_device, np.random.default_rng(seed))
+        assert (want is not None) == (held >= num_devices)
+        if not big_enough:
+            with pytest.raises(DataError, match="^dataset has"):
+                partition_single_label(ds, num_devices, per_device, np.random.default_rng(seed))
+        elif held < num_devices:
+            with pytest.raises(DataError, match=f"^labels hold {held} shards of {per_device} "
+                                                f"samples, need {num_devices}$"):
+                partition_single_label(ds, num_devices, per_device, np.random.default_rng(seed))
+        else:
+            got = partition_single_label(ds, num_devices, per_device, np.random.default_rng(seed))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert len(set(got.tolist())) == num_devices * per_device
+            assert all(len(set(y.tolist())) == 1 for y in shards(ds, got, num_devices)[1])
 
     def test_label_choice_uniform_over_seeds(self, dataset):
         # Monte-Carlo over seeds: chosen labels should be uniform across the
