@@ -45,7 +45,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, NumericsError
 from .learner import SgdLearner, check_batch_size
-from .simulator import run_timeline
+from .simulator import round_count, run_timeline
 from .tasks import MlpTask, QuadraticTask, SoftmaxRegressionTask, make_quadratic
 from .timing import SystemConfig, optimal_intentional_delay, require_integer, require_real
 
@@ -458,8 +458,9 @@ def _run_built(spec: ExperimentSpec, cfg: SystemConfig, task, initial, out_dir) 
 
     ``config`` echoes name, system, task, seeds and metrics_every; ``timing`` resolves them."""
     timing = timing_report(cfg)
+    round_count(cfg)  # a run too long to list fails here, before any output
     learners = [None if task is None else SgdLearner(task, cfg, seed=seed, initial=initial)
-                for seed in spec.seeds]  # a bad batch size fails here, before any output
+                for seed in spec.seeds]  # so does a bad batch size
     out = _make_out_dir(out_dir)
     summary: dict = {
         "name": spec.name,

@@ -169,6 +169,14 @@ def make_clustered_dataset(
     return LabeledDataset(feats, labels)
 
 
+def _check_shard_sizes(dataset: LabeledDataset, num_devices: int, per_device: int) -> None:
+    """Raise DataError unless both sizes are >= 1 and the dataset holds their product."""
+    if min(num_devices, per_device) < 1:
+        raise DataError(f"num_devices and per_device must be >= 1, got {num_devices}, {per_device}")
+    if len(dataset) < num_devices * per_device:
+        raise DataError(f"dataset has {len(dataset)} samples, need {num_devices * per_device}")
+
+
 def partition_single_label(
     dataset: LabeledDataset,
     num_devices: int,
@@ -184,10 +192,7 @@ def partition_single_label(
     labels hold fewer than ``num_devices`` shards.
     Returns the dataset indices in device order, ``per_device`` per device.
     """
-    if min(num_devices, per_device) < 1:
-        raise DataError(f"num_devices and per_device must be >= 1, got {num_devices}, {per_device}")
-    if len(dataset) < num_devices * per_device:
-        raise DataError(f"dataset has {len(dataset)} samples, need {num_devices * per_device}")
+    _check_shard_sizes(dataset, num_devices, per_device)
     label_values, counts = np.unique(dataset.labels, return_counts=True)
     held = int((counts // per_device).sum())
     if held < num_devices:
@@ -216,7 +221,5 @@ def partition_iid(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Disjoint uniform shards, label-agnostic: the dataset indices in device order."""
-    need = num_devices * per_device
-    if len(dataset) < need:
-        raise DataError(f"dataset has {len(dataset)} samples, need {need}")
-    return rng.permutation(len(dataset))[:need]
+    _check_shard_sizes(dataset, num_devices, per_device)
+    return rng.permutation(len(dataset))[:num_devices * per_device]

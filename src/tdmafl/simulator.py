@@ -10,7 +10,11 @@ names a group that has not yet received a model. Round k thus uploads the
 group that started right after round k - m (at slot 0 for k < m), and its
 staleness is s_k = min(k, m - 1). Training is the paper's delayed recurrence
 w_{k+1} = w_k - (eta / S) * sum over dev in group k mod G of U(w_{k - s_k}, dev),
-with U a device's H-step update (``SgdLearner.local_update``).
+with U a device's H-step update (``SgdLearner.local_update``), whose batches
+are drawn from the stream keyed on (seed, dev, k - s_k). The law gives the
+keys of every round ahead, so ``run_timeline`` seeds them block by block, one
+``SgdLearner.rng_for`` call per ``SEED_BLOCK`` keys, with the same streams as
+``default_rng([seed, dev, k - s_k])``.
 
 A new round is launched while the consumed-slot clock is still within the
 horizon (clock <= T); the final launched round runs to completion. This is
@@ -41,6 +45,9 @@ import numpy as np
 from .errors import ConfigError
 from .learner import SgdLearner
 from .timing import SystemConfig
+
+SEED_BLOCK = 512
+"""Keys seeded per ``rng_for`` call; their seed words take 32 bytes a key."""
 
 
 class StalenessRecord(NamedTuple):
@@ -145,6 +152,19 @@ def _group_members(cfg: SystemConfig) -> list[tuple[int, ...]]:
     return [tuple(range(j * s + 1, (j + 1) * s + 1)) for j in range(cfg.num_groups)]
 
 
+def round_count(cfg: SystemConfig, max_rounds: Optional[int] = None) -> int:
+    """The rounds a run completes: ``cfg.rounds_exact()``, or ``max_rounds`` if fewer.
+
+    A count beyond sys.maxsize, which no list can hold, is a ConfigError.
+    """
+    rounds = cfg.rounds_exact()
+    if max_rounds is not None:
+        rounds = max(0, min(rounds, max_rounds))
+    if rounds > sys.maxsize:
+        raise ConfigError(f"{rounds} rounds are more than a list can hold ({sys.maxsize})")
+    return rounds
+
+
 def run_timeline(
     cfg: SystemConfig,
     learner: Optional[SgdLearner] = None,
@@ -166,24 +186,23 @@ def run_timeline(
     Without a learner nothing else is computed; with one, the result keeps
     only the final model.
 
-    A learner is driven by that recurrence. A FIFO holds the m groups in
-    flight, oldest first, as the (model, round) each started from: at first
-    m copies of (w_0, 0). Round k evaluates the model, pops (w_j, j), computes
-    the S updates of group k mod G from w_j with randomness keyed on round j,
-    takes the server step and appends (w_{k+1}, k + 1); so an update is
-    computed only in the round that uploads it. Runs are fully deterministic:
-    the scheduler draws no randomness, a learner's is keyed on (device, round).
+    A learner is driven by that recurrence. A FIFO holds the models of the m
+    groups in flight, oldest first: at first m copies of w_0. Round k
+    evaluates the model, pops w_j, j = k - s_k = max(0, k - (m - 1)),
+    computes the S updates of group k mod G from w_j with randomness keyed
+    on (device, j), takes the server step and appends w_{k+1}; so an update
+    is computed only in the round that uploads it. The keys come from the
+    law, not the FIFO: before each block of rounds, one ``rng_for`` call
+    seeds the generators of its at most ``SEED_BLOCK`` uploads (one round's
+    S if S is larger). Runs are fully deterministic: the scheduler draws no
+    randomness, a learner's is keyed on (device, round).
     """
     g = cfg.num_groups
     m = g - cfg.intentional_delay
     if learner is not None and learner.config != cfg:
         raise ConfigError("the learner was built on another SystemConfig than the schedule's")
 
-    rounds = cfg.rounds_exact()
-    if max_rounds is not None:
-        rounds = max(0, min(rounds, max_rounds))
-    if rounds > sys.maxsize:
-        raise ConfigError(f"{rounds} rounds are more than a list can hold ({sys.maxsize})")
+    rounds = round_count(cfg, max_rounds)
     downlink_ends = cfg.downlink_ends(rounds)
 
     nan = float("nan")
@@ -196,14 +215,20 @@ def run_timeline(
     if learner is not None:
         model = learner.initial_model()
         members = _group_members(cfg)
-        in_flight = deque(repeat((model, 0), m))
-        for k in range(rounds):
-            if metrics_every and k % metrics_every == 0:
-                metrics.loss[k], metrics.grad_norm_sq[k] = learner.round_metrics(model)
-            start, j = in_flight.popleft()
-            model = learner.apply_round(model, [learner.local_update(dev, start, j)
-                                                for dev in members[k % g]])
-            in_flight.append((model, k + 1))
+        s = cfg.group_size
+        in_flight = deque(repeat(model, m))
+        block = max(1, SEED_BLOCK // s)
+        for first in range(0, rounds, block):
+            ks = np.arange(first, min(first + block, rounds))
+            rngs = learner.rng_for((ks[:, None] % g * s + np.arange(1, s + 1)).ravel(),
+                                   np.maximum(ks - (m - 1), 0).repeat(s))
+            for k in range(first, first + len(ks)):
+                if metrics_every and k % metrics_every == 0:
+                    metrics.loss[k], metrics.grad_norm_sq[k] = learner.round_metrics(model)
+                start = in_flight.popleft()
+                model = learner.apply_round(model, [learner.local_update(dev, start, next(rngs))
+                                                    for dev in members[k % g]])
+                in_flight.append(model)
 
     return SimResult(
         config=cfg,

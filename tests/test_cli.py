@@ -858,6 +858,16 @@ class TestExitCodes:
         assert f"({sys.maxsize})" in err
         assert run_timeline(build_system_config(system), max_rounds=5).completed_rounds == 5
 
+    @pytest.mark.parametrize("task", [None, {"kind": "quadratic", "dim": 2}])
+    def test_round_count_beyond_any_list_writes_nothing(self, tmp_path, capsys, task):
+        system = {"num_devices": 4, "group_size": 2, "compute_slots": 2, "horizon": 10**30}
+        doc = {"name": "long", "system": system, **({"task": task} if task else {})}
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "more than a list can hold" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_empty_grid_axis_writes_nothing(self, tmp_path, capsys):
         doc = quad_spec(horizon=40)
         doc["grid"] = {"group_size": [1, 2], "intentional_delay": []}

@@ -320,6 +320,13 @@ class TestIidPartition:
         with pytest.raises(DataError):
             partition_iid(dataset, 100, 100, np.random.default_rng(8))
 
+    @pytest.mark.parametrize("num_devices, per_device", [(-1, 5), (4, 0), (0, 5), (4, -2)])
+    def test_non_positive_sizes_are_a_data_error(self, num_devices, per_device):
+        # On 30 samples the first case took rng.permutation(30)[:-5], 25 indices.
+        small = LabeledDataset(np.zeros((30, 1)), np.zeros(30, dtype=int))
+        with pytest.raises(DataError, match="must be >= 1"):
+            partition_iid(small, num_devices, per_device, np.random.default_rng(0))
+
 
 class TestLabeledDataset:
     def test_count_mismatch(self):

@@ -1,5 +1,7 @@
 """Local updates, the averaged server step, and pipeline equivalences."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,9 +18,12 @@ from tdmafl import (
     idfl_staleness,
     make_clustered_dataset,
     make_quadratic,
+    optimal_intentional_delay,
     partition_iid,
     run_timeline,
 )
+from tdmafl.learner import pcg64_seed_words
+from tdmafl.simulator import SEED_BLOCK
 from tdmafl.tasks import QuadraticTask, Task
 from util import RecordingLearner, central_difference, relative_error
 
@@ -39,6 +44,12 @@ def learner_for(task, seed=0, initial=None, **run):
     return SgdLearner(task, cfg, seed=seed, initial=initial)
 
 
+def update(learner, device, model, round_index):
+    """``local_update`` of ``device`` with the generator of key (device, round_index)."""
+    [rng] = learner.rng_for([device], [round_index])
+    return learner.local_update(device, model, rng)
+
+
 def server(dim=2, step_size=1.0):
     """A learner used only for its server step."""
     return learner_for(identity_quadratic(dim=dim), step_size=step_size)
@@ -52,7 +63,7 @@ def mean_of(updates):
 class TestLocalUpdate:
     def test_single_step_full_batch_identity_quadratic(self):
         learner = learner_for(identity_quadratic(), step_size=0.1, batch_size=4)
-        out = learner.local_update(1, np.array([2.0, 0.0]), 0)
+        out = update(learner, 1, np.array([2.0, 0.0]), 0)
         assert np.allclose(out, [2.0, 0.0], atol=1e-15)
 
     def test_single_sample_linear_model_matches_finite_difference(self):
@@ -63,7 +74,7 @@ class TestLocalUpdate:
             sample_offsets=(y * x)[None, None, :],
         )
         w = np.array([0.3, 0.9])
-        out = learner_for(task, seed=1, step_size=0.1).local_update(1, w, 0)
+        out = update(learner_for(task, seed=1, step_size=0.1), 1, w, 0)
         expect = (w @ x - y) * x
         assert relative_error(out, expect) < 1e-6
         numeric = central_difference(lambda v: 0.5 * (v @ x - y) ** 2, w)
@@ -75,7 +86,7 @@ class TestLocalUpdate:
         w0 = np.array([1.0, -2.0, 0.5])
         eta = 0.1
         learner = learner_for(task, seed=7, step_size=eta, batch_size=2, local_steps=2)
-        out = learner.local_update(2, w0, 3)
+        out = update(learner, 2, w0, 3)
         # Oracle: redo the two steps explicitly, redrawing the batches from
         # the (seed, device, round) stream.
         draw = np.random.default_rng([7, 2, 3])
@@ -97,8 +108,8 @@ class TestLocalUpdate:
             return drawn[-1]
 
         task.sample_batch = recording
-        learner_for(task, seed=9, step_size=0.05, batch_size=4,
-                    local_steps=3).local_update(1, np.ones(3), 0)
+        update(learner_for(task, seed=9, step_size=0.05, batch_size=4, local_steps=3),
+               1, np.ones(3), 0)
         assert len(drawn) == 3
         assert len({tuple(b) for b in drawn}) > 1
 
@@ -268,7 +279,7 @@ class TestPipelineEquivalences:
             staleness = idfl_staleness(k, cfg)
             assert staleness == min(k, g - 1)
             origin = k - staleness
-            ups = [learner.local_update(dev, history[origin], origin) for dev in chosen]
+            ups = [update(learner, dev, history[origin], origin) for dev in chosen]
             expect = history[k] - eta * np.mean(ups, axis=0)
             assert np.linalg.norm(history[k + 1] - expect) <= 1e-15
 
@@ -305,13 +316,47 @@ class TestPipelineEquivalences:
             models.append(models[k] - eta * (total / s))
         assert np.array_equal(result.final_model, models[-1])
 
+    @pytest.mark.parametrize("seed", [5, 2**40 + 3])  # one and two 32-bit seed words
+    @pytest.mark.parametrize("s", [1, 3])
+    @pytest.mark.parametrize("deferral", ["none", "optimal", "last"])
+    def test_final_model_matches_default_rng_seeded_updates(self, seed, s, deferral):
+        # With sample_noise > 0 the batches matter: each update of device dev
+        # from round j's model must draw them from default_rng([seed, dev, j]),
+        # over three seeding blocks of the run.
+        free = SystemConfig(12, s, compute_slots=4, horizon=10**6)
+        g, alpha_star = free.num_groups, optimal_intentional_delay(free)
+        assert 0 < alpha_star < g - 1
+        alpha = {"none": 0, "optimal": alpha_star, "last": g - 1}[deferral]
+        eta, b, h = 0.05, 2, 2
+        cfg = replace(free, local_steps=h, batch_size=b, step_size=eta, intentional_delay=alpha)
+        task = make_quadratic(12, 3, 1.0, np.random.default_rng(6),
+                              samples_per_device=8, sample_noise=0.5)
+        initial = task.w_star + 1.0
+        rounds = 2 * (SEED_BLOCK // s) + 7
+        result = run_timeline(cfg, SgdLearner(task, cfg, seed=seed, initial=initial),
+                              max_rounds=rounds, metrics_every=0)
+        assert result.completed_rounds == rounds
+
+        models = [initial]
+        for k in range(rounds):
+            j = k - min(k, g - 1 - alpha)
+            total = np.zeros(task.dim)
+            for dev in range(k % g * s + 1, (k % g + 1) * s + 1):
+                rng = np.random.default_rng([seed, dev, j])
+                w = models[j].copy()
+                for _ in range(h):
+                    w -= eta * task.grad(w, dev - 1, task.sample_batch(dev - 1, b, rng))
+                total += (models[j] - w) / eta
+            models.append(models[k] - eta * (total / s))
+        assert np.array_equal(result.final_model, models[-1])
+
     def test_seeded_updates_are_reproducible(self):
         task = make_quadratic(2, 3, 0.5, np.random.default_rng(11),
                               samples_per_device=9, sample_noise=0.2)
         learner = learner_for(task, seed=5, step_size=0.1, batch_size=3)
-        a = learner.local_update(1, np.ones(3), 4)
-        b = learner.local_update(1, np.ones(3), 4)
-        c = learner.local_update(1, np.ones(3), 5)
+        a = update(learner, 1, np.ones(3), 4)
+        b = update(learner, 1, np.ones(3), 4)
+        c = update(learner, 1, np.ones(3), 5)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -325,24 +370,64 @@ class TestBatchRng:
     def test_stream_is_default_rng_of_the_int_list(self, seed, device, round_index):
         learner = learner_for(identity_quadratic(), seed=seed)
         expect = np.random.default_rng([seed, device, round_index]).bit_generator.state
-        assert learner.rng_for(device, round_index).bit_generator.state == expect
+        assert next(learner.rng_for([device], [round_index])).bit_generator.state == expect
 
     def test_numpy_integer_ids_draw_the_same_stream(self):
         learner = learner_for(identity_quadratic(), seed=9)
-        expect = learner.rng_for(3, 2**32 - 1).bit_generator.state
-        assert learner.rng_for(np.int64(3), np.uint32(2**32 - 1)).bit_generator.state == expect
+        expect = next(learner.rng_for([3], [2**32 - 1])).bit_generator.state
+        assert next(learner.rng_for([np.int64(3)],
+                                    [np.uint32(2**32 - 1)])).bit_generator.state == expect
 
     @pytest.mark.parametrize("key", [(1, 2**32), (2**32, 0), (1, np.int64(2**32)),
                                      (np.int64(-1), 0)])
     def test_key_beyond_uint32_raises(self, key):
         with pytest.raises(OverflowError):
-            learner_for(identity_quadratic()).rng_for(*key)
+            learner_for(identity_quadratic()).rng_for([key[0]], [key[1]])
 
     def test_non_integer_id_is_rejected(self):
         with pytest.raises(TypeError):
-            learner_for(identity_quadratic()).rng_for(1.5, 0)
+            learner_for(identity_quadratic()).rng_for([1.5], [0])
+
+    def test_block_is_the_keys_one_by_one(self):
+        learner = learner_for(identity_quadratic(), seed=2**33 + 1)
+        devices, rounds = np.arange(1, 8), np.array([0, 0, 5, 9, 2**32 - 1, 3, 3])
+        block = [rng.bit_generator.state for rng in learner.rng_for(devices, rounds)]
+        assert block == [next(learner.rng_for([d], [j])).bit_generator.state
+                         for d, j in zip(devices.tolist(), rounds.tolist())]
+        assert list(learner.rng_for([], [])) == []
+
+    @pytest.mark.parametrize("ids", [np.array([2**32]), np.array([-1]),
+                                     np.array([2**63], dtype=np.uint64)])
+    def test_array_beyond_uint32_raises(self, ids):
+        learner = learner_for(identity_quadratic())
+        with pytest.raises(OverflowError):
+            learner.rng_for(ids, np.zeros(1, dtype=int))
+        with pytest.raises(OverflowError):
+            learner.rng_for(np.ones(1, dtype=int), ids)
+
+    @pytest.mark.parametrize("ids", [np.array([1.0]), np.array([True])])
+    def test_non_integer_array_is_rejected(self, ids):
+        with pytest.raises(TypeError):
+            learner_for(identity_quadratic()).rng_for(ids, np.zeros(1, dtype=int))
 
     @pytest.mark.parametrize("seed", [-1, True, 1.0, "3", None])
     def test_seed_is_checked_at_construction(self, seed):
         with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
             learner_for(identity_quadratic(), seed=seed)
+
+
+class TestSeedWords:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_words_are_the_seed_sequence_state(self, data):
+        # Entropy of 1 to 8 words: shorter than, equal to and longer than the
+        # 4-word pool (a seed up to 2**100 and two ids make 6).
+        length, keys = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 5))
+        word = st.integers(0, 2**32 - 1)
+        entropy = np.array(data.draw(st.lists(st.lists(word, min_size=keys, max_size=keys),
+                                              min_size=length, max_size=length)),
+                           dtype=np.uint32)
+        words = pcg64_seed_words(entropy)
+        assert words.dtype == np.uint64 and words.shape == (keys, 4)
+        for key, got in zip(entropy.T, words):
+            assert np.array_equal(got, np.random.SeedSequence(key).generate_state(4, np.uint64))

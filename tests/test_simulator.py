@@ -488,9 +488,9 @@ class CountingLearner(SgdLearner):
         super().__post_init__()
         self.calls = Counter()
 
-    def local_update(self, device_id, model, round_index):
+    def local_update(self, device_id, model, rng):
         self.calls["local_update"] += 1
-        return super().local_update(device_id, model, round_index)
+        return super().local_update(device_id, model, rng)
 
     def round_metrics(self, model):
         self.calls["round_metrics"] += 1
