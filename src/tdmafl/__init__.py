@@ -3,7 +3,8 @@
 Slot-exact scheduling simulation and its closed-form timing and staleness
 laws, stale-gradient SGD, heterogeneous data provisioning, and a CLI
 experiment runner, which also runs the rate trend of the convergence bound
-(``tdmafl.cli.rate_trend``).
+(``tdmafl.cli.rate_trend``) on the exact expected trajectory of a quadratic
+task (``tdmafl.simulator.expected_metrics``).
 """
 
 from .errors import (

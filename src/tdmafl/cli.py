@@ -11,9 +11,10 @@ share one build of the task, as the grid varies only the system.
 spec ``system`` block that gives a non-empty ``group_sizes`` list in place of
 ``group_size``, and an optional ``label``. ``rate-trend`` prints and writes
 the document of ``rate_trend``: the trend of the convergence bound in the
-group count G and the round budget K. Exit codes: 0 success, 2 configuration
-error (an artifact that cannot be written is one), 3 data error, 4 numerical
-failure.
+group count G and the round budget K, read off the exact expected trajectory
+of a quadratic task (``simulator.expected_metrics``), not sampled. Exit
+codes: 0 success, 2 configuration error (an artifact that cannot be written
+is one), 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import functools
 import io
 import itertools
 import json
@@ -45,7 +47,7 @@ from .data import (
 )
 from .errors import ConfigError, DataError, NumericsError
 from .learner import SgdLearner, check_batch_size
-from .simulator import round_count, run_timeline
+from .simulator import expected_metrics, round_count, run_timeline
 from .tasks import MlpTask, QuadraticTask, SoftmaxRegressionTask, make_quadratic
 from .timing import SystemConfig, optimal_intentional_delay, require_integer, require_real
 
@@ -654,11 +656,11 @@ def theorem_step_size(smoothness: float, num_devices: int, group_size: int,
     """Step size beta / sqrt(K+1), capped at the stability limit of its staleness.
 
     beta takes the noise scale M = 1, which is exact for the quadratic. The
-    rate trend runs undeferred, so every round applies updates of staleness
-    d = G - 1 (G = N/S). On a quadratic, each eigenmode then follows
-    x_{k+1} = x_k - eta*lambda*x_{k-d}, which is stable iff
-    0 < eta*lambda < 2*sin(pi/(4d + 2)) (Levin and May, 1976). So the cap is
-    2*sin(pi/(4(G - 1) + 2))/L: 2/L at G = 1, 1/L at G = 2.
+    rate trend reads the exact expected trajectory of an undeferred run, so
+    every round applies updates of staleness d = G - 1 (G = N/S). On a
+    quadratic, each eigenmode then follows x_{k+1} = x_k - eta*lambda*x_{k-d},
+    which is stable iff 0 < eta*lambda < 2*sin(pi/(4d + 2)) (Levin and May,
+    1976). So the cap is 2*sin(pi/(4(G - 1) + 2))/L: 2/L at G = 1, 1/L at G = 2.
     """
     beta = (group_size * batch_size / (2 * smoothness * num_devices)) * (
         math.sqrt(1 + 8 * num_devices / batch_size) - 1)
@@ -685,17 +687,17 @@ def rate_trend(
     task: QuadraticTask,
     group_counts: Sequence[int],
     rounds: int,
-    seeds: Sequence[int],
     *,
     batch_size: int = 4,
     initial: Optional[np.ndarray] = None,
 ) -> dict:
     """The ``rate_trend.json`` document: average squared gradient norm versus G.
 
-    Each group count G that divides N runs the full pipeline once per seed,
-    with the theorem's step size for the task's exact smoothness; the others
-    are listed as skipped, and if none is left, ConfigError. G = KSCALE_GROUP
-    reruns with KSCALE_FACTOR times the rounds to expose the budget scaling.
+    Each group count G that divides N is one point: the exact expectation
+    (``expected_metrics``) of the average over K rounds of |grad f(w_k)|^2, at
+    the theorem's step size for the task's exact smoothness. The others are
+    listed as skipped, and if none is left, ConfigError. G = KSCALE_GROUP is
+    also read at KSCALE_FACTOR times the rounds to expose the budget scaling.
     A task other than a QuadraticTask is a ConfigError. A non-finite float is
     written as null.
     """
@@ -703,48 +705,30 @@ def rate_trend(
         raise ConfigError("rate_trend needs a QuadraticTask, whose constants are exact")
     n, smoothness = task.num_devices, task.smoothness()
     groups, skipped = _dividing_groups(group_counts, n)
-    runs = {}  # (G, rounds) -> (eta, the per-seed average squared gradient norms)
 
-    def run_point(g: int, k: int) -> tuple[float, list[float]]:
-        if (g, k) not in runs:
-            cfg = SystemConfig(
-                num_devices=n, group_size=n // g, compute_slots=1,
-                horizon=max(1, k * (n + 2) * 2),
-                step_size=theorem_step_size(smoothness, n, n // g, batch_size, k),
-                batch_size=batch_size,
-            )
-            runs[g, k] = cfg.step_size, [
-                run_timeline(cfg, SgdLearner(task, cfg, seed=seed, initial=initial),
-                             max_rounds=k).metrics.avg_grad_norm_sq()
-                for seed in seeds
-            ]
-        return runs[g, k]
+    @functools.cache
+    def point(g: int, k: int) -> tuple[float, float]:
+        """(eta, exact mean over k rounds of E|grad f|^2) at G = g."""
+        cfg = SystemConfig(num_devices=n, group_size=n // g, compute_slots=1,
+                           step_size=theorem_step_size(smoothness, n, n // g, batch_size, k),
+                           batch_size=batch_size)
+        return cfg.step_size, float(expected_metrics(cfg, task, initial, k)[1].mean())
 
-    points = [run_point(g, rounds) for g in groups]
-    means = [float(np.mean(vals)) for _, vals in points]
-    ses = [float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else math.nan
-           for _, vals in points]
-    separations = []  # the gap between consecutive group counts in pooled SEs
-    for i in range(1, len(groups)):
-        pooled = math.sqrt(ses[i - 1] ** 2 + ses[i] ** 2)
-        separations.append((means[i] - means[i - 1]) / pooled if pooled > 0 else math.inf)
+    means = [point(g, rounds)[1] for g in groups]
     ratio = None
     if n % KSCALE_GROUP == 0:
-        short = run_point(KSCALE_GROUP, rounds)[1]
-        long = run_point(KSCALE_GROUP, rounds * KSCALE_FACTOR)[1]
-        ratio = float(np.mean(short) / np.mean(long))
+        ratio = float(np.divide(point(KSCALE_GROUP, rounds)[1],
+                                point(KSCALE_GROUP, rounds * KSCALE_FACTOR)[1]))
     return {
         "rounds": rounds,
         "skipped_groups": skipped,
         "monotone_in_groups": all(b >= a for a, b in zip(means, means[1:])),
-        "adjacent_separations": [_finite(x) for x in separations],
         "kscale_group": KSCALE_GROUP,
         "kscale_ratio": _finite(ratio),
         "points": [
-            {"num_groups": g, "group_size": n // g, "eta": eta,
-             "mean_avg_grad_norm_sq": _finite(mean), "std_error": _finite(se),
-             "per_seed": [_finite(x) for x in vals]}
-            for g, (eta, vals), mean, se in zip(groups, points, means, ses)
+            {"num_groups": g, "group_size": n // g, "eta": point(g, rounds)[0],
+             "mean_avg_grad_norm_sq": _finite(mean)}
+            for g, mean in zip(groups, means)
         ],
     }
 
@@ -842,14 +826,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_vt.add_argument("--config", type=Path, help="JSON list of scenarios, each a spec system "
                       "block with a group_sizes list in place of group_size and an optional label")
     p_vt.add_argument("--out", type=Path, help="output directory")
-    p_rt = sub.add_parser("rate-trend", help="avg squared gradient norm vs group count")
+    p_rt = sub.add_parser("rate-trend", help="exact expected avg squared gradient norm vs "
+                          "group count, on a quadratic task")
     p_rt.add_argument("--out", type=Path, help="output directory")
     p_rt.add_argument("--groups", default="1,2,5,10", help="comma-separated group counts G; "
                       "those that do not divide --num-devices are skipped (default: %(default)s)")
     p_rt.add_argument("--rounds", type=int, default=2000,
-                      help="rounds K per run (default: %(default)s)")
-    p_rt.add_argument("--num-seeds", type=int, default=10,
-                      help="runs per group count, seeds 0 to n-1 (default: %(default)s)")
+                      help="rounds K per point (default: %(default)s)")
     p_rt.add_argument("--num-devices", type=int, default=20,
                       help="devices N of the quadratic task (default: %(default)s)")
     p_rt.add_argument("--batch-size", type=int, default=4,
@@ -911,8 +894,7 @@ def _dispatch(args) -> int:
 
     if args.command == "rate-trend":
         groups = _parse_groups(args.groups)
-        for flag, value in (("--rounds", args.rounds), ("--num-seeds", args.num_seeds),
-                            ("--num-devices", args.num_devices),
+        for flag, value in (("--rounds", args.rounds), ("--num-devices", args.num_devices),
                             ("--batch-size", args.batch_size)):
             require_integer(flag, value, 1)
         rng = np.random.default_rng(5)
@@ -924,15 +906,11 @@ def _dispatch(args) -> int:
         _dividing_groups(groups, args.num_devices)  # rate_trend's own checks, before any output
         check_batch_size(task, args.batch_size)
         out = args.out and _make_out_dir(args.out)
-        doc = rate_trend(
-            task, groups, args.rounds, range(args.num_seeds),
-            batch_size=args.batch_size, initial=init,
-        )
+        doc = rate_trend(task, groups, args.rounds, batch_size=args.batch_size, initial=init)
         for p in doc["points"]:  # a null prints as nan
-            mean, se = (math.nan if x is None else x
-                        for x in (p["mean_avg_grad_norm_sq"], p["std_error"]))
+            mean = p["mean_avg_grad_norm_sq"]
             print(f"G={p['num_groups']:3d} S={p['group_size']:3d} eta={p['eta']:.5f} "
-                  f"avg|grad|^2={mean:.6f} (se {se:.2g})")
+                  f"E avg|grad|^2={math.nan if mean is None else mean:.6f}")
         print(f"monotone in G: {doc['monotone_in_groups']}")
         if doc["kscale_ratio"] is not None:
             print(f"K vs {KSCALE_FACTOR}K average ratio at G={KSCALE_GROUP}: "
@@ -955,7 +933,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericsError as exc:
+    except (NumericsError, np.linalg.LinAlgError) as exc:  # such as a singular hessian
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

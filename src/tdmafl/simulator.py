@@ -29,6 +29,9 @@ So ``run_timeline`` reads the round table off the law, with no per-round
 Python, and loops over the rounds only to drive a learner; every slot above
 follows from the table. The transmitter column is built on its first read,
 one ``select_transmitters`` call per round, and cached.
+
+On a QuadraticTask the recurrence is linear, so ``expected_metrics`` gives
+the exact expected loss and squared gradient norm of each round, unsampled.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigError
-from .learner import SgdLearner
+from .learner import SgdLearner, check_batch_size
+from .tasks import QuadraticTask
 from .timing import SystemConfig
 
 SEED_BLOCK = 512
@@ -237,3 +241,50 @@ def run_timeline(
         downlink_end_slots=downlink_ends,
         final_model=model,
     )
+
+
+def expected_metrics(cfg: SystemConfig, task: QuadraticTask, initial: Optional[np.ndarray],
+                     rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """E f(w_k) and E|grad f(w_k)|^2 for each k < ``rounds`` of a run of ``cfg``: exact.
+
+    On a QuadraticTask a batch gradient is A w - b, b the batch's mean offset,
+    so an H-step update is affine in its start model. With M = I - eta A and
+    d = G - alpha - 1, the run is w_{k+1} = w_k - (I - M^H) w_{k-d} +
+    c_{k mod G} + xi_k, w_j = w_0 for j < 0. Group g's drift c_g is
+    (eta/S) sum_{h<H} M^h times the sum of its devices' mean offsets. xi_k is
+    zero-mean: each (device, round) key draws independent batches, whose mean
+    has the shard's population covariance times (n - B) / ((n - 1) B). The
+    covariance is held as the lag blocks Cov(w_t, w_{t-j}), j <= d, of the
+    last d + 1 rounds (0 before the run, whose start is fixed); each round
+    computes only its own row, at O(d D^3). Then E f = f(E w) + tr(A Cov)/2
+    and E|grad f|^2 = |grad f(E w)|^2 + tr(A^2 Cov). ``initial`` None is the
+    zero model, as for ``SgdLearner``.
+    """
+    check_batch_size(task, cfg.batch_size)
+    g, s, eta, dim = cfg.num_groups, cfg.group_size, cfg.step_size, task.dim
+    d, b = g - 1 - cfg.intentional_delay, cfg.batch_size
+    powers = [np.eye(dim)]  # M^h for h <= H
+    for _ in range(cfg.local_steps):
+        powers.append(powers[-1] - eta * task.hessian @ powers[-1])
+    gain, powers = np.eye(dim) - powers.pop(), np.array(powers)
+    offsets = task.sample_offsets.reshape(g, s, -1, dim)  # group j holds devices jS .. jS + S - 1
+    n = offsets.shape[2]
+    centered = offsets - offsets.mean(axis=2, keepdims=True)
+    sigma = np.einsum("gsni,gsnj->gij", centered, centered) * ((n - b) / (max(n - 1, 1) * b * n))
+    drift = eta / s * offsets.mean(axis=2).sum(axis=1) @ powers.sum(axis=0)
+    noise = (eta / s) ** 2 * np.einsum("hij,gjk,hkl->gil", powers, sigma, powers)
+    means = np.empty((rounds + d, dim))  # means[t + d] = E w_t
+    means[:d + 1] = np.zeros(dim) if initial is None else initial
+    lags = np.zeros((d + 1, d + 1, dim, dim))  # lags[t % (d + 1), j] = Cov(w_t, w_{t-j})
+    var = np.zeros((rounds, dim, dim))
+    j = np.arange(d + 1)
+    for k in range(rounds - 1):
+        means[k + d + 1] = means[k + d] - gain @ means[k] + drift[k % g]
+        # row[j] = Cov(w_{k+1}, w_{k-j}) = Cov(w_k, w_{k-j}) - gain Cov(w_{k-d}, w_{k-j})
+        row = lags[k % (d + 1)] - gain @ lags[(k - j) % (d + 1), d - j].swapaxes(1, 2)
+        var[k + 1] = row[0] - row[d] @ gain + noise[k % g]
+        lags[(k + 1) % (d + 1)] = np.concatenate([var[k + 1, None], row[:d]])
+    pairs = [task.loss_and_grad(w) for w in means[d:]]
+    return (np.array([loss for loss, _ in pairs]) + np.einsum("ij,kji->k", task.hessian, var) / 2,
+            np.array([grad @ grad for _, grad in pairs])
+            + np.einsum("ij,kji->k", task.hessian @ task.hessian, var))

@@ -729,16 +729,15 @@ class TestExitCodes:
         (["--groups", "x"], "--groups"),
         (["--groups", "0"], "--groups"),
         (["--groups", "3"], "divides"),  # no group count divides 4 devices
-        (["--num-seeds", "0"], "--num-seeds"),
         (["--rounds", "0"], "--rounds"),
         (["--num-devices", "0"], "--num-devices"),
         (["--batch-size", "0"], "--batch-size"),
         (["--heterogeneity", "nan"], "heterogeneity"),
-    ], ids=["groups-string", "groups-zero", "groups-none-valid", "num-seeds-zero",
-            "rounds-zero", "num-devices-zero", "batch-size-zero", "heterogeneity-nan"])
+    ], ids=["groups-string", "groups-zero", "groups-none-valid", "rounds-zero",
+            "num-devices-zero", "batch-size-zero", "heterogeneity-nan"])
     def test_rate_trend_bad_flag(self, tmp_path, capsys, flags, named):
         out = tmp_path / "rt"
-        rc = main(["rate-trend", "--groups", "1,2", "--rounds", "5", "--num-seeds", "1",
+        rc = main(["rate-trend", "--groups", "1,2", "--rounds", "5",
                    "--num-devices", "4", "--out", str(out), *flags])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -748,7 +747,7 @@ class TestExitCodes:
 
     def test_rate_trend_batch_over_shard_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "rt"  # each shard holds 40 samples
-        rc = main(["rate-trend", "--groups", "1,2", "--rounds", "5", "--num-seeds", "1",
+        rc = main(["rate-trend", "--groups", "1,2", "--rounds", "5",
                    "--num-devices", "4", "--batch-size", "41", "--out", str(out)])
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
@@ -760,14 +759,14 @@ class TestExitCodes:
         # The path lies under a regular file, and no command may run before it fails.
         calls = []
         monkeypatch.setattr(cli, "run_timeline", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(cli, "expected_metrics", lambda *a, **k: calls.append(a))
         blocker = tmp_path / "file"
         blocker.write_text("")
         doc = quad_spec(horizon=40)
         doc["grid"] = {"group_size": [1, 2]}
         config = ["--config", str(write_spec(tmp_path, doc))]
         flags = {"run": config, "sweep": config, "validate-timing": [],
-                 "rate-trend": ["--groups", "1,2", "--rounds", "5", "--num-seeds", "1",
-                                "--num-devices", "4"]}[command]
+                 "rate-trend": ["--groups", "1,2", "--rounds", "5", "--num-devices", "4"]}[command]
         assert main([command, *flags, "--out", str(blocker / "x")]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("configuration error: cannot create output directory")
@@ -786,8 +785,7 @@ class TestExitCodes:
         doc["grid"] = {"group_size": [1, 2]}
         config = ["--config", str(write_spec(tmp_path, doc))]
         flags = {"run": config, "sweep": config, "validate-timing": [],
-                 "rate-trend": ["--groups", "1,2", "--rounds", "5", "--num-seeds", "1",
-                                "--num-devices", "4"]}[command]
+                 "rate-trend": ["--groups", "1,2", "--rounds", "5", "--num-devices", "4"]}[command]
         assert main([command, *flags, "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"configuration error: cannot write {out / artifact}: Is a directory\n"
@@ -1159,8 +1157,7 @@ class TestValidators:
         assert by_s[6]["tau_asyn"] == "9"
 
     def test_rate_trend_smoke(self, tmp_path, capsys):
-        rc = main(["rate-trend", "--groups", "1,2", "--rounds", "40",
-                   "--num-seeds", "2", "--num-devices", "4",
+        rc = main(["rate-trend", "--groups", "1,2", "--rounds", "40", "--num-devices", "4",
                    "--out", str(tmp_path / "rt")])
         assert rc == EXIT_OK
         doc = json.loads((tmp_path / "rt" / "rate_trend.json").read_text())
@@ -1189,8 +1186,8 @@ class TestStrictJson:
                                           "compute_slots": 2, "group_sizes": [1, 4]}]))
         assert main(["validate-timing", "--config", str(scenarios),
                      "--out", str(tmp_path / "timing")]) == EXIT_OK
-        assert main(["rate-trend", "--groups", "1,2", "--rounds", "20", "--num-seeds", "1",
-                     "--num-devices", "4", "--out", str(tmp_path / "rt")]) == EXIT_OK
+        assert main(["rate-trend", "--groups", "1,2", "--rounds", "20", "--num-devices", "4",
+                     "--out", str(tmp_path / "rt")]) == EXIT_OK
         for name in ["run/summary.json", "sweep/sweep.json", "timing/timing.json",
                      "rt/rate_trend.json"]:
             json.loads((tmp_path / name).read_text(), parse_constant=_reject_constant)
@@ -1339,6 +1336,12 @@ class TestExitCodeProperty:
     @pytest.mark.parametrize("name", sorted(VALID_DOCUMENTS))
     def test_valid_document_exits_ok(self, name):
         assert _main_on(*VALID_DOCUMENTS[name]) == (EXIT_OK, "")
+
+    def test_singular_hessian_is_a_numerical_failure(self):
+        # An eig_range bound and a data seed of 2**70 give a hessian that numpy cannot invert.
+        doc = copy.deepcopy(VALID_DOCUMENTS["run-quadratic"][1])
+        doc["task"].update(eig_range=[0.5, 2**70], data_seed=2**70)
+        assert _main_on("run", doc) == (EXIT_NUMERIC, "numerical failure: Singular matrix\n")
 
     # The CLI lets a numeric warning pass and then fails with exit 4; here too.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -26,7 +26,8 @@ from tdmafl import (
     run_timeline,
 )
 from tdmafl import simulator
-from tdmafl.simulator import RunMetrics, StalenessRecord
+from tdmafl.simulator import RunMetrics, StalenessRecord, expected_metrics
+from descent_probe import descent_lhs
 from util import divisors, slot_trace
 
 
@@ -589,3 +590,114 @@ class TestMeasuredStaleness:
         # The records cover exactly the ten simulated rounds, S = 2 each.
         assert [rec.round_index for rec in result.staleness_records] == \
             [k for k in range(10) for _ in range(2)]
+
+
+def small_quad(sample_noise: float):
+    """A 4-device, 3-dimensional heterogeneous quadratic with 8 samples per shard."""
+    return make_quadratic(4, 3, 1.5, np.random.default_rng(0), samples_per_device=8,
+                          sample_noise=sample_noise, eig_range=(0.5, 2.0))
+
+
+def small_config(group_size: int, local_steps: int = 1, alpha: int = 0) -> SystemConfig:
+    return SystemConfig(4, group_size, compute_slots=2, local_steps=local_steps, batch_size=3,
+                        step_size=0.1, horizon=10**6, intentional_delay=alpha)
+
+
+def companion_expected_metrics(cfg, task, initial, rounds):
+    """``expected_metrics`` in dense form: the stacked state (w_k, ..., w_{k-d}) times its
+    companion matrix F, its covariance propagated as F Cov F^T, one device and step at a time."""
+    g, s, eta, dim = cfg.num_groups, cfg.group_size, cfg.step_size, task.dim
+    d, h_steps = g - 1 - cfg.intentional_delay, cfg.local_steps
+    n, b = task.shard_sizes[0], cfg.batch_size
+    step = np.eye(dim) - eta * task.hessian
+    companion = np.zeros(((d + 1) * dim,) * 2)
+    companion[:dim, :dim] = np.eye(dim)
+    companion[:dim, d * dim:] -= np.eye(dim) - np.linalg.matrix_power(step, h_steps)
+    companion[dim:, :-dim] += np.eye(d * dim)
+    state, cov, out = np.tile(initial, d + 1), np.zeros_like(companion), []
+    for k in range(rounds):
+        loss, grad = task.loss_and_grad(state[:dim])
+        out.append((loss + np.trace(task.hessian @ cov[:dim, :dim]) / 2,
+                    grad @ grad + np.trace(task.hessian @ task.hessian @ cov[:dim, :dim])))
+        state, cov = companion @ state, companion @ cov @ companion.T
+        for dev in range(k % g * s, (k % g + 1) * s):
+            offsets = task.sample_offsets[dev]
+            spread = np.cov(offsets.T, bias=True) * (n - b) / ((n - 1) * b)
+            for h in range(h_steps):
+                power = eta / s * np.linalg.matrix_power(step, h)
+                state[:dim] += power @ offsets.mean(axis=0)
+                cov[:dim, :dim] += power @ spread @ power.T
+    return np.array(out).T
+
+
+class TestExpectedMetrics:
+    """``expected_metrics``, the exact expectation of a run on a quadratic, against the run.
+
+    Without sample noise a run is deterministic, so the expectations are its
+    metric columns. With noise, the first round is the descent probe's exact
+    one-round expectation, and the mean over seeds 0-199 of the final loss and
+    of avg_grad_norm_sq lies within 4 standard errors of the exact value; the
+    seeds and the bound were fixed before the test first ran.
+    """
+
+    @pytest.mark.parametrize("group_size,alpha", [(1, 1), (1, 2), (1, 3), (2, 1)])
+    def test_noise_free_expectation_is_the_run(self, group_size, alpha):
+        task = small_quad(0.0)
+        cfg = small_config(group_size, local_steps=2, alpha=alpha)
+        initial = task.w_star + 2.0
+        result = run_timeline(cfg, SgdLearner(task, cfg, initial=initial), max_rounds=40)
+        loss, grad_sq = expected_metrics(cfg, task, initial, 40)
+        np.testing.assert_allclose(grad_sq, result.metrics.grad_norm_sq, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(loss, result.metrics.loss, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("group_size,local_steps,alpha", [
+        (1, 1, 0), (1, 2, 2), (2, 3, 0), (4, 2, 0)])
+    def test_lag_blocks_are_the_dense_companion_form(self, group_size, local_steps, alpha):
+        task = small_quad(0.6)
+        cfg = small_config(group_size, local_steps, alpha)
+        initial = task.w_star + 2.0
+        np.testing.assert_allclose(expected_metrics(cfg, task, initial, 60),
+                                   companion_expected_metrics(cfg, task, initial, 60),
+                                   rtol=1e-12, atol=0)
+
+    def test_one_group_is_synchronous_local_sgd(self):
+        # S = N: each round averages every device's H-step update from the current model.
+        task, eta = small_quad(0.0), 0.1
+        w = task.w_star + 2.0
+        loss, _ = expected_metrics(small_config(4, local_steps=2), task, w, 30)
+        expect = []
+        for _ in range(30):
+            expect.append(task.loss(w))
+            ends = []
+            for dev in range(4):
+                v = w.copy()
+                for _ in range(2):
+                    v -= eta * task.grad(v, dev)
+                ends.append(v)
+            w = np.mean(ends, axis=0)
+        np.testing.assert_allclose(loss, expect, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("group_size", [1, 2, 4])
+    def test_first_round_is_the_descent_probe(self, group_size):
+        task = small_quad(0.6)
+        w0 = task.w_star + 2.0
+        loss, _ = expected_metrics(small_config(group_size), task, w0, 2)
+        assert loss[0] == task.loss(w0)
+        assert loss[1] == pytest.approx(
+            descent_lhs(task, 0.1, 3, w0, [w0] * group_size, range(group_size)), rel=1e-12)
+
+    @pytest.mark.parametrize("group_size,local_steps,alpha", [
+        (1, 1, 0), (1, 2, 2), (1, 1, 3), (2, 2, 0), (2, 1, 1)])
+    def test_mean_of_seeded_runs_is_within_four_standard_errors(
+            self, group_size, local_steps, alpha):
+        task = small_quad(0.6)
+        cfg = small_config(group_size, local_steps, alpha)
+        assert alpha in (0, optimal_intentional_delay(cfg), cfg.num_groups - 1)
+        initial, rounds, seeds = task.w_star + 2.0, 40, range(200)
+        loss, grad_sq = expected_metrics(cfg, task, initial, rounds + 1)
+        runs = [run_timeline(cfg, SgdLearner(task, cfg, seed=seed, initial=initial),
+                             max_rounds=rounds) for seed in seeds]
+        samples = np.array([[task.loss(r.final_model), r.metrics.avg_grad_norm_sq()]
+                            for r in runs])
+        error = samples.mean(axis=0) - [loss[rounds], grad_sq[:rounds].mean()]
+        assert np.all(np.abs(error) <= 4 * samples.std(axis=0, ddof=1) / np.sqrt(len(seeds)))
