@@ -18,9 +18,10 @@ over one (features, labels) pair cut into device shards, with one forward and
 one backward pass as a loop over layers; ``MlpTask`` adds a tanh hidden layer.
 They store their samples once, samples last, and every pass runs with
 activations of shape (width, samples): each numpy call then sweeps rows as
-long as the data, not one short row of 10 or 32 floats per sample. Both own
-reusable work buffers, because metrics evaluate all data every round and a
-fresh temporary would be faulted in again each time. So one task instance
+long as the data, not one short row of 10 or 32 floats per sample. Both keep
+one set of work buffers per sample count they pass (all data and the batch
+size, in a run), because metrics evaluate all data every round and a fresh
+temporary would be faulted in again each time. So one task instance
 must not be used from two threads at once (a sweep's job runs its points on
 one task in turn, and each job of a process-pool sweep builds its own).
 """
@@ -111,6 +112,8 @@ class QuadraticTask(Task):
             raise DataError("hessian shape does not match offset dimension")
         if not np.allclose(self.hessian, self.hessian.T):
             raise DataError("hessian must be symmetric")
+        if not (np.isfinite(self.hessian).all() and np.linalg.eigvalsh(self.hessian)[0] > 0):
+            raise DataError("hessian must be finite and positive definite")
         self._hinv = np.linalg.inv(self.hessian)
         self._device_offsets = self.sample_offsets.mean(axis=1)  # (N, m)
         self._global_offset = self._device_offsets.mean(axis=0)
@@ -177,6 +180,8 @@ def make_quadratic(
     unaffected) and rescaled so the largest deviation norm equals
     ``heterogeneity`` exactly. Per-sample offsets add zero-mean noise scaled
     so each device's mean squared sample deviation equals sample_noise**2.
+    The hessian's eigenvalues are evenly spaced over ``eig_range`` [lo, hi],
+    which needs hi / lo < 2**52: past that, lo is below the rounding of hi.
     """
     if dim < 1 or num_devices < 1:
         raise ConfigError("need dim >= 1 and num_devices >= 1")
@@ -185,6 +190,8 @@ def make_quadratic(
     lo, hi = eig_range
     if not 0 < lo <= hi:
         raise ConfigError(f"eig_range must satisfy 0 < lo <= hi, got {eig_range}")
+    if hi / lo >= 1 / np.finfo(float).eps:
+        raise ConfigError(f"eig_range must have hi / lo < 2**52, got {eig_range}")
 
     if dim == 1:
         basis = np.array([[1.0]])
@@ -237,11 +244,11 @@ class SoftmaxRegressionTask(Task):
     ``W @ inputs`` plus the bias broadcast over columns, and the softmax
     reduces along axis 0.
 
-    Every pass writes into work buffers sized to all data, as a fresh
-    (width, samples) temporary is faulted in again on every round. Each
-    buffer is flat, and a pass over k samples uses its first width*k floats
-    as one C-contiguous (width, k) array. Results never alias the buffers;
-    one instance must not be used from two threads.
+    Every pass writes into work buffers, as a fresh (width, samples)
+    temporary is faulted in again on every round: one set per sample count,
+    made on its first pass (a run uses two, all data and the batch size).
+    Results never alias the buffers; one instance must not be used from two
+    threads.
     """
 
     _hidden_widths: tuple[int, ...] = ()  # set by MlpTask before this constructor runs
@@ -275,31 +282,16 @@ class SoftmaxRegressionTask(Task):
             self._slices.append((at, bias_at, bias_at + fan_out, (fan_out, fan_in)))
             at = bias_at + fan_out
         self.dim = at
-        self._allocate(len(labels))
-
-    def _allocate(self, samples: int) -> None:
-        """Flat work buffers for ``samples`` columns: each layer's output, the
-        probs, then each hidden layer's back-propagated signal."""
-        hidden, c = self._hidden_widths, self.num_classes
-        self._widths = (*hidden, c, c, *hidden)
-        self._work = [np.empty(width * samples) for width in self._widths]
-        self._capacity = samples
-        self._views = {}
+        self._buffers: dict[int, list[np.ndarray]] = {}
 
     def _columns(self, n: int) -> list[np.ndarray]:
-        """C-contiguous (width, n) views of the work buffers.
-
-        Views are kept per sample count (all data, a batch size, a shard
-        size): making them on every pass made an 8-sample gradient about 10%
-        slower. Growing the buffers drops them.
-        """
-        views = self._views.get(n)
-        if views is None:
-            if n > self._capacity:  # a batch with repeats can outgrow all data
-                self._allocate(n)
-            views = self._views[n] = [buf[:width * n].reshape(width, n)
-                                      for buf, width in zip(self._work, self._widths)]
-        return views
+        """C-contiguous (width, n) work buffers for each layer's output, the
+        probs, then each hidden layer's back-propagated signal."""
+        work = self._buffers.get(n)
+        if work is None:
+            hidden, c = self._hidden_widths, self.num_classes
+            work = self._buffers[n] = [np.empty((width, n)) for width in (*hidden, c, c, *hidden)]
+        return work
 
     def _select(self, device, batch):
         """The selected samples as (d, k) columns, and their labels."""

@@ -151,7 +151,9 @@ class SystemConfig:
         downlink_ends). If T < tau_comp + tau_comm, round 0 ends past the
         horizon and no training round completes within it: a ConfigError.
         Otherwise K = 2 + q*m + min(m - 1, floor((T - tau_comp - q*P) / tau_comm) - 1)
-        with q = floor((T - tau_comp - tau_comm) / P).
+        with q = floor((T - tau_comp - tau_comm) / P). So every run completes
+        K >= 2 rounds, as E_0 = tau_comp + tau_comm <= T launches round 1, and
+        K = 2 at T = tau_comp + tau_comm.
         """
         m, _, period = self._rotation()
         tau_comp, tau_comm, horizon = self.compute_slots, self.tau_comm, self.horizon

@@ -342,16 +342,16 @@ class TestRunCommand:
         out = tmp_path / "out"
         rc = main(["run", "--config", str(write_spec(tmp_path, quad_spec())),
                    "--out", str(out), "--set", "system.group_size=4",
-                   "--seed", "0"])
+                   "--set", "seeds=[0]"])
         assert rc == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["system"]["group_size"] == 4
         assert len(summary["per_seed"]) == 1
 
-    def test_seed_flag_replaces_the_spec_seeds(self, tmp_path):
+    def test_set_seeds_replaces_the_spec_seeds(self, tmp_path):
         out = tmp_path / "out"
         rc = main(["run", "--config", str(write_spec(tmp_path, quad_spec(horizon=40))),
-                   "--out", str(out), "--seed", "7"])
+                   "--out", str(out), "--set", "seeds=[7]"])
         assert rc == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["seeds"] == [7]  # the echo is the spec that ran
@@ -884,12 +884,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
 
-    def test_negative_seed_flag(self, tmp_path, capsys):
+    def test_negative_seed_set(self, tmp_path, capsys):
         rc = main(["run", "--config", str(write_spec(tmp_path, quad_spec(horizon=40))),
-                   "--out", str(tmp_path / "out"), "--seed", "-1"])
+                   "--out", str(tmp_path / "out"), "--set", "seeds=[-1]"])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert err == "configuration error: each seed must be an integer >= 0, got -1\n"
 
 
 class TestSweep:
@@ -939,12 +939,12 @@ class TestSweep:
         assert made == {"a", "a/sweep", point, f"{point}/seed0"}
         assert (tmp_path / point / "summary.json").exists()
 
-    def test_seed_flag_reaches_every_point(self, tmp_path):
+    def test_set_seeds_reaches_every_point(self, tmp_path):
         doc = quad_spec(horizon=40)  # seeds [0, 1]
         doc["grid"] = {"group_size": [1, 2]}
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(write_spec(tmp_path, doc)),
-                     "--out", str(out), "--seed", "7"]) == EXIT_OK
+                     "--out", str(out), "--set", "seeds=[7]"]) == EXIT_OK
         seed_dirs = {p.relative_to(out).as_posix() for p in out.glob("*/seed*")}
         assert seed_dirs == {"group_size-1/seed7", "group_size-2/seed7"}
         for point in ("group_size-1", "group_size-2"):
@@ -1277,6 +1277,7 @@ MLP_SPEC = {
              "num_classes": 2, "feature_dim": 3, "samples_per_class": 20, "spread": 3.0,
              "noise": 1.0, "hidden": 3, "data_seed": 1},
 }
+EIG_RANGE_ERROR = "eig_range must have hi / lo < 2**52, got (0.5, 1.1805916207174113e+21)"
 VALID_DOCUMENTS = {  # id: (command, document)
     "run-quadratic": ("run", quad_spec(horizon=60)),
     "run-mlp": ("run", MLP_SPEC),
@@ -1337,11 +1338,22 @@ class TestExitCodeProperty:
     def test_valid_document_exits_ok(self, name):
         assert _main_on(*VALID_DOCUMENTS[name]) == (EXIT_OK, "")
 
-    def test_singular_hessian_is_a_numerical_failure(self):
-        # An eig_range bound and a data seed of 2**70 give a hessian that numpy cannot invert.
+    # Past float64 precision, this range built an indefinite hessian at data seed 0
+    # and one that numpy could not invert at 2**70.
+    @pytest.mark.parametrize("data_seed", [0, 2**70])
+    def test_eig_range_past_float_precision_is_a_config_error(self, data_seed):
         doc = copy.deepcopy(VALID_DOCUMENTS["run-quadratic"][1])
-        doc["task"].update(eig_range=[0.5, 2**70], data_seed=2**70)
-        assert _main_on("run", doc) == (EXIT_NUMERIC, "numerical failure: Singular matrix\n")
+        doc["task"].update(eig_range=[0.5, 2**70], data_seed=data_seed)
+        assert _main_on("run", doc) == (EXIT_CONFIG, f"configuration error: {EIG_RANGE_ERROR}\n")
+
+    def test_eig_range_past_float_precision_fails_each_sweep_point(self, tmp_path):
+        doc = copy.deepcopy(VALID_DOCUMENTS["sweep"][1])
+        doc["task"]["eig_range"] = [0.5, 2**70]
+        from tdmafl import ConfigError
+        with pytest.raises(ConfigError, match="all 4 sweep points failed"):
+            run_sweep(ExperimentSpec.from_dict(doc), tmp_path)
+        rows = json.loads((tmp_path / "sweep.json").read_text())
+        assert {row["error"] for row in rows} == {f"ConfigError: {EIG_RANGE_ERROR}"}
 
     # The CLI lets a numeric warning pass and then fails with exit 4; here too.
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -140,6 +140,9 @@ class TestQuadratic:
                 make_quadratic(2, 3, 1.0, rng, sample_noise=bad)
         with pytest.raises(ConfigError):
             make_quadratic(2, 3, 1.0, rng, eig_range=(2.0, 1.0))
+        for hi in (2.0**52, 2.0**70):  # lo = 1 is at or below the rounding of hi
+            with pytest.raises(ConfigError, match="eig_range must have hi / lo < 2"):
+                make_quadratic(2, 3, 1.0, rng, eig_range=(1.0, hi))
 
 
 class TestGradientChecks:
@@ -244,6 +247,16 @@ def test_mismatched_samples_and_sizes_are_rejected(cls, features, labels, sizes,
 def test_empty_quadratic_shard_is_rejected(build):
     with pytest.raises(DataError, match="at least one sample"):
         build()
+
+
+@pytest.mark.parametrize("hessian", [
+    [[1.0, 2.0], [2.0, 1.0]],  # eigenvalues -1 and 3
+    [[1.0, 0.0], [0.0, 0.0]],
+    [[np.inf, 0.0], [0.0, 1.0]],
+], ids=["indefinite", "singular", "infinite"])
+def test_a_hessian_that_is_not_positive_definite_is_rejected(hessian):
+    with pytest.raises(DataError, match="finite and positive definite"):
+        QuadraticTask(hessian=np.array(hessian), sample_offsets=np.zeros((2, 1, 2)))
 
 
 def uneven_task(kind):

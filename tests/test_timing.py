@@ -104,6 +104,23 @@ class TestRoundsClosedForm:
             replace(cfg, intentional_delay=3).rounds_closed_form()
 
 
+class TestRoundsExact:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.data(), st.integers(1, 200), st.integers(1, 8),
+           st.integers(1, 2000))
+    def test_every_run_completes_at_least_two_rounds(self, n, data, comp, r, horizon):
+        """K >= 2 wherever rounds_exact does not raise, at every alpha; K = 2 at the shortest T."""
+        s = data.draw(st.sampled_from(divisors(n)))
+        for alpha in range(n // s):
+            cfg = SystemConfig(n, s, comp, r, horizon=horizon, intentional_delay=alpha)
+            if horizon < comp + cfg.tau_comm:
+                with pytest.raises(ConfigError, match="no training round completes"):
+                    cfg.rounds_exact()
+            else:
+                assert cfg.rounds_exact() >= 2
+            assert replace(cfg, horizon=comp + cfg.tau_comm).rounds_exact() == 2
+
+
 class TestStalenessLaw:
     def test_first_round_is_fresh(self):
         cfg = SystemConfig(num_devices=6, group_size=2, compute_slots=1)
