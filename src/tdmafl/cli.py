@@ -7,15 +7,15 @@ the one seed N. Each run writes per-seed CSV metrics and a strict-JSON
 summary echoing the configuration, with the ``timing_report`` of its
 system. A sweep runs each point of its grid as one run; at any worker
 count, the points with one N that a worker runs in turn share one build of
-the task, as the grid varies only the system.
-``validate-timing`` prints that report for a JSON list of scenarios, each a
-spec ``system`` block that gives a non-empty ``group_sizes`` list in place of
-``group_size``, and an optional ``label``. ``rate-trend`` prints and writes
-the document of ``rate_trend``: the trend of the convergence bound in the
-group count G and the round budget K, read off the exact expected trajectory
-of a quadratic task (``simulator.expected_metrics``), not sampled. Exit
-codes: 0 success, 2 configuration error (an artifact that cannot be written
-is one), 3 data error, 4 numerical failure.
+the task, as the grid varies only the system. ``validate-timing`` reads the
+same document and prints that report for each point of its grid (for the
+system alone without one): the timing block of each summary that ``sweep``
+would write, with no task built and nothing run. ``rate-trend`` prints and
+writes the document of ``rate_trend``: the trend of the convergence bound in
+the group count G and the round budget K, read off the exact expected
+trajectory of a quadratic task (``simulator.expected_metrics``), not sampled.
+Exit codes: 0 success, 2 configuration error (an artifact that cannot be
+written is one), 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 from urllib.parse import quote
 
 import numpy as np
@@ -79,7 +79,7 @@ def _read_json_config(path):
 
 @dataclass
 class ExperimentSpec:
-    """One experiment document, as read by ``run`` and ``sweep``.
+    """One experiment document, as read by ``run``, ``sweep`` and ``validate-timing``.
 
     Top-level fields:
         name: required non-empty string; the default output directory is
@@ -93,9 +93,10 @@ class ExperimentSpec:
             checked but not acted on: the subcommand decides what runs.
         out_dir: output directory (a string or null), used when --out is not
             given.
-        grid: sweep only; an object that maps system fields to a value or a
-            list of values, and every combination runs as one point with its
-            own output directory.
+        grid: an object that maps system fields to a value or a list of
+            values; a sweep runs every combination as one point with its own
+            output directory, ``validate-timing`` prints one row per
+            combination, and ``run`` ignores it.
 
     The document is strict JSON: a NaN or an infinity anywhere in it is a
     ConfigError. A run's summary echoes every field but mode, out_dir and grid,
@@ -109,8 +110,7 @@ class ExperimentSpec:
     ``compute_slots``: it sets compute_slots = ceil(H*B/q), the slots one
     local update of H steps of B samples takes; without either, q = 1.
     ``intentional_delay`` may be the string "optimal" for the largest deferral
-    that keeps the round length unchanged. A ``validate-timing`` scenario is
-    this block with a ``group_sizes`` list in place of ``group_size``.
+    that keeps the round length unchanged.
 
     Task kinds and their fields (all optional):
         none: timing only, no model is trained; it takes no other field.
@@ -178,24 +178,18 @@ class ExperimentSpec:
         )
 
 
-RationalLike = Union[int, float, str]
+def as_fraction(name: str, value) -> Fraction:
+    """Convert a user-supplied rate to an exact Fraction, parsed from its text.
 
-
-def as_fraction(name: str, value: RationalLike) -> Fraction:
-    """Convert a user-supplied rate to an exact Fraction.
-
-    Floats go through their shortest decimal repr so that an input such as
-    6.4 means 32/5, not the nearest binary double. NaN, an infinity, a bool
-    or an unparseable string is a ConfigError that names the field ``name``.
+    A float's text is its shortest decimal repr, so an input such as 6.4
+    means 32/5, not the nearest binary double. The text of a bool, null, NaN
+    or an infinity does not parse, nor does "abc" or "1/0": each is a
+    ConfigError that names the field ``name``.
     """
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, (float, str)):
-        try:
-            return Fraction(str(value))
-        except (ValueError, ZeroDivisionError):
-            pass  # NaN, an infinity, or text such as "abc" or "1/0"
-    raise ConfigError(f"{name} must be a finite rational number, got {value!r}")
+    try:
+        return Fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{name} must be a finite rational number, got {value!r}") from None
 
 
 def build_system_config(system: dict) -> SystemConfig:
@@ -646,24 +640,30 @@ def _print_delay_deltas(rows: list[dict], axes: list[str]) -> None:
 # rate_trend reruns this group count with this many times the round budget.
 KSCALE_GROUP = 2
 KSCALE_FACTOR = 4
+# The share of the stability bound that caps the theorem's step. At the bound
+# itself the top mode's delayed recurrence has spectral radius 1, so it never
+# contracts; below it every mode does.
+STABILITY_MARGIN = 0.9
 
 
 def theorem_step_size(smoothness: float, num_devices: int, group_size: int,
                       batch_size: int, rounds: int) -> float:
-    """Step size beta / sqrt(K+1), capped at the stability limit of its staleness.
+    """Step size beta / sqrt(K+1), capped below the stability limit of its staleness.
 
     beta takes the noise scale M = 1, which is exact for the quadratic. The
     rate trend reads the exact expected trajectory of an undeferred run, so
     every round applies updates of staleness d = G - 1 (G = N/S). On a
     quadratic, each eigenmode then follows x_{k+1} = x_k - eta*lambda*x_{k-d},
     which is stable iff 0 < eta*lambda < 2*sin(pi/(4d + 2)) (Levin and May,
-    1976). So the cap is 2*sin(pi/(4(G - 1) + 2))/L: 2/L at G = 1, 1/L at G = 2.
+    1976). The cap is STABILITY_MARGIN times that bound at lambda = L, so the
+    top mode contracts too: 0.9 * 2*sin(pi/(4(G - 1) + 2))/L, which is 1.8/L at
+    G = 1 and 0.9/L at G = 2.
     """
     beta = (group_size * batch_size / (2 * smoothness * num_devices)) * (
         math.sqrt(1 + 8 * num_devices / batch_size) - 1)
     eta = beta / math.sqrt(rounds + 1)
     staleness = num_devices // group_size - 1
-    cap = 2.0 * math.sin(math.pi / (4 * staleness + 2)) / smoothness
+    cap = STABILITY_MARGIN * 2.0 * math.sin(math.pi / (4 * staleness + 2)) / smoothness
     if eta > cap:
         warnings.warn(f"schedule step size {eta:.3g} exceeds stability cap {cap:.3g}; capping",
                       stacklevel=2)
@@ -734,39 +734,29 @@ def rate_trend(
 # validation commands
 # ---------------------------------------------------------------------------
 
-TIMING_SCENARIOS = [
-    {"label": "N100_T50000_comp50", "num_devices": 100, "horizon": 50000,
-     "compute_slots": 50, "slots_per_transfer": 1,
-     "group_sizes": [1, 5, 10, 25, 50, 100]},
-    {"label": "N20_T100000_comp4", "num_devices": 20, "horizon": 100000,
-     "compute_slots": 4, "slots_per_transfer": 1,
-     "group_sizes": [1, 2, 5, 10, 20]},
-    # Proposition 1's other worked examples: (alpha*, d*) = (94, 5) and (98, 1).
-    {"label": "N100_T50000_comp10", "num_devices": 100, "horizon": 50000,
-     "compute_slots": 10, "slots_per_transfer": 1, "group_sizes": [1]},
-    {"label": "N100_T50000_comp2", "num_devices": 100, "horizon": 50000,
-     "compute_slots": 2, "slots_per_transfer": 1, "group_sizes": [1]},
+# Proposition 1's worked examples: (alpha*, d*) = (74, 25), (94, 5) and (98, 1) at S = 1.
+TIMING_SPECS = [
+    {"name": f"N{n}_T{t}_comp{c}", "grid": {"group_size": sizes},
+     "system": {"num_devices": n, "horizon": t, "compute_slots": c, "slots_per_transfer": 1}}
+    for n, t, c, sizes in [(100, 50000, 50, [1, 5, 10, 25, 50, 100]),
+                           (20, 100000, 4, [1, 2, 5, 10, 20]),
+                           (100, 50000, 10, [1]), (100, 50000, 2, [1])]
 ]
 
 
-def validate_timing(scenarios=None) -> list[dict]:
-    """One row per scenario and group size: label, S and timing_report (see the module)."""
-    scenarios = TIMING_SCENARIOS if scenarios is None else scenarios
-    if not isinstance(scenarios, list) or not scenarios or not all(
-            isinstance(sc, dict) for sc in scenarios):
-        raise ConfigError("timing scenarios must be a non-empty JSON list of objects")
+def validate_timing(specs=None) -> list[dict]:
+    """One row per experiment document and point of its grid (one without a grid).
+
+    A row is the document's name as ``scenario``, the point's fields, then
+    the ``timing_report`` of the system at that point, whose resolved
+    ``intentional_delay`` replaces a point's "optimal".
+    """
     rows = []
-    for sc in scenarios:
-        system = dict(sc)
-        label, sizes = system.pop("label", "custom"), system.pop("group_sizes", None)
-        if "group_size" in system:
-            raise ConfigError("a timing scenario gives group_sizes, not group_size")
-        if not isinstance(sizes, list) or not sizes or not isinstance(label, str):
-            raise ConfigError("a timing scenario needs a non-empty group_sizes list and a "
-                              f"string label, got {sizes!r} and {label!r}")
-        for s in sizes:
-            cfg = build_system_config({**system, "group_size": s})
-            rows.append({"scenario": label, "group_size": s, **timing_report(cfg)})
+    for doc in TIMING_SPECS if specs is None else specs:
+        spec = ExperimentSpec.from_dict(doc)
+        for _, point in _grid_points(spec.grid or {}):
+            cfg = build_system_config({**spec.system, **point})
+            rows.append({"scenario": spec.name, **point, **timing_report(cfg)})
     return rows
 
 
@@ -818,10 +808,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="parallel sweep points; each worker runs numpy's default BLAS "
                               "thread count, so set OPENBLAS_NUM_THREADS=1 for a classifier "
                               "sweep with more than one")
-    p_vt = sub.add_parser("validate-timing", help="the run summary's timing block per group "
-                          "size: closed forms, exact schedule law and alpha*")
-    p_vt.add_argument("--config", type=Path, help="JSON list of scenarios, each a spec system "
-                      "block with a group_sizes list in place of group_size and an optional label")
+    p_vt = sub.add_parser("validate-timing", help="the run summary's timing block per grid "
+                          "point: closed forms, exact schedule law and alpha*")
+    p_vt.add_argument("--config", type=Path, help="experiment JSON document, as run and sweep "
+                      "read; one row per point of its grid (default: built-in examples)")
     p_vt.add_argument("--out", type=Path, help="output directory")
     p_rt = sub.add_parser("rate-trend", help="exact expected avg squared gradient norm vs "
                           "group count, on a quadratic task")
@@ -878,7 +868,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "validate-timing":
-        rows = validate_timing(None if args.config is None else _read_json_config(args.config))
+        rows = validate_timing(None if args.config is None else [_read_json_config(args.config)])
         out = args.out and _make_out_dir(args.out)
         _print_table(rows, list(dict.fromkeys(k for row in rows for k in row)))
         if out:

@@ -198,16 +198,14 @@ def make_quadratic(
     else:
         basis, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
     hessian = basis @ np.diag(np.linspace(lo, hi, dim)) @ basis.T
-    hessian = 0.5 * (hessian + hessian.T)
+    # Halved before the sum, so a top eigenvalue near the float64 maximum stays finite.
+    hessian = 0.5 * hessian + 0.5 * hessian.T
 
     center = rng.normal(size=dim)
     if heterogeneity > 0 and num_devices > 1:
         offsets = rng.normal(size=(num_devices, dim))
         offsets -= offsets.mean(axis=0)
-        norms = np.linalg.norm(offsets, axis=1)
-        if norms.max() == 0:
-            raise ConfigError("degenerate offsets; try another rng state")
-        offsets *= heterogeneity / norms.max()
+        offsets *= heterogeneity / np.linalg.norm(offsets, axis=1).max()
     else:
         offsets = np.zeros((num_devices, dim))
 

@@ -171,8 +171,18 @@ class TestRateTrend:
         assert eta == pytest.approx(expect / np.sqrt(2001))
         with pytest.warns(UserWarning, match="stability cap"):
             capped = theorem_step_size(smoothness, 20, 10, 4, rounds=0)
-            # G = 2, so staleness 1: the delayed recurrence is stable below eta*L = 1.
-            assert capped == pytest.approx(1.0 / smoothness)
+            # G = 2, so staleness 1: the delayed recurrence is stable below eta*L = 1,
+            # and the cap is 0.9 of that.
+            assert capped == pytest.approx(0.9 / smoothness)
+
+    @pytest.mark.parametrize("groups", [2, 5, 10, 20])
+    def test_a_capped_step_contracts_the_top_mode(self, groups):
+        # At K = 0 the theorem's step exceeds the bound at each G, so it is capped;
+        # at the bound itself the top mode's spectral radius would be 1.
+        smoothness = 2.0
+        with pytest.warns(UserWarning, match="stability cap"):
+            eta = theorem_step_size(smoothness, 20, 20 // groups, 4, rounds=0)
+        assert delayed_spectral_radius(eta * smoothness, groups - 1) < 0.999
 
     def test_smoke_report_structure(self, hetero_quad):
         # 4-device task: G in {1, 2, 4}; G=3 must be skipped with a notice.

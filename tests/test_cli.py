@@ -828,12 +828,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["run", "validate-timing"])
     def test_horizon_shorter_than_one_round(self, tmp_path, capsys, command):
         # 6 compute slots and 3 channel slots: round 0 ends at slot 8 >= T = 8.
-        if command == "run":
-            path = write_spec(tmp_path, quad_spec(horizon=8))
-        else:
-            path = tmp_path / "scen.json"
-            path.write_text(json.dumps([{"num_devices": 4, "horizon": 8, "compute_slots": 6,
-                                         "group_sizes": [2]}]))
+        path = write_spec(tmp_path, quad_spec(horizon=8))
         rc = main([command, "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -843,12 +838,9 @@ class TestExitCodes:
     def test_round_count_beyond_any_list(self, tmp_path, capsys):
         # About 3.3e29 rounds: the timing report gives the count, and a run,
         # which lists its rounds, is a configuration error.
-        scenario = {"num_devices": 4, "compute_slots": 2, "horizon": 10**30, "group_sizes": [2]}
-        path = tmp_path / "scen.json"
-        path.write_text(json.dumps([scenario]))
-        assert main(["validate-timing", "--config", str(path)]) == EXIT_OK
         system = {"num_devices": 4, "group_size": 2, "compute_slots": 2, "horizon": 10**30}
         spec = write_spec(tmp_path, {"name": "long", "system": system})
+        assert main(["validate-timing", "--config", str(spec)]) == EXIT_OK
         rc = main(["run", "--config", str(spec), "--out", str(tmp_path / "out")])
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
@@ -1114,40 +1106,38 @@ class TestValidators:
                  if r["num_groups"] == 100]
         assert prop1 == [(50, 74, 25), (10, 94, 5), (2, 98, 1)]
 
-    def test_scenario_is_a_system_block(self, tmp_path):
-        # Four singleton groups with 2-slot compute: alpha* = 2, tau_asyn = 2.
-        base = {"num_devices": 4, "horizon": 400, "group_sizes": [1]}
-        scenarios = [{**base, "label": "late", "compute_slots": 2, "intentional_delay": 3},
-                     {**base, "label": "opt", "compute_slots": 2, "intentional_delay": "optimal"},
-                     {**base, "label": "rate", "samples_per_slot": "1/2"}]
-        path = tmp_path / "scen.json"
-        path.write_text(json.dumps(scenarios))
+    def test_each_row_is_the_timing_block_of_a_sweep_point(self, tmp_path, capsys):
+        # Four singleton groups with 2-slot compute (q = 1/2): alpha* = 2, tau_asyn = 2.
+        doc = {"name": "tiny", "grid": {"intentional_delay": [0, 3, "optimal"]},
+               "system": {"num_devices": 4, "group_size": 1, "horizon": 400,
+                          "samples_per_slot": "1/2"}}
+        path = write_spec(tmp_path, doc)
         assert main(["validate-timing", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == EXIT_OK
+        # The table's columns are the name, the point's fields, then the report.
+        assert capsys.readouterr().out.split()[:3] == ["scenario", "intentional_delay",
+                                                       "num_groups"]
         rows = json.loads((tmp_path / "out" / "timing.json").read_text())
-        rows = {r["scenario"]: r for r in rows}
-        late, opt = rows["late"], rows["opt"]
+        plain, late, opt = rows
+        assert plain["tau_comp"] == 2  # ceil(H * B / q) with q = 1/2
         assert late["tau_asyn"] is None and late["rounds_closed_form"] is None
         assert "alpha* = 2" in late["closed_form_note"]
         assert (late["intentional_delay"], late["rounds_exact"]) == (3, 101)
         assert opt["intentional_delay"] == opt["alpha_star"] == 2 and opt["d_star"] == 1
         assert (opt["tau_asyn"], opt["rounds_closed_form"], opt["rounds_exact"]) == ("2", 200, 200)
         assert "closed_form_note" not in opt
-        assert rows["rate"]["tau_comp"] == 2  # ceil(H * B / q) with q = 1/2
-        for sc in scenarios:  # each row is what a run with that system writes
-            system = {k: v for k, v in sc.items() if k not in ("label", "group_sizes")}
-            spec = ExperimentSpec.from_dict({"name": "x", "system": {**system, "group_size": 1}})
-            timing = run_experiment(spec, tmp_path / sc["label"])["timing"]
-            assert {"scenario": sc["label"], "group_size": 1, **timing} == rows[sc["label"]]
-            assert timing == timing_report(build_system_config(spec.system))
+        # Each row is the timing block that a sweep of the same file writes for its point.
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        for row, point in zip(rows, ["0", "3", "optimal"]):
+            summary = tmp_path / "sweep" / f"intentional_delay-{point}" / "summary.json"
+            timing = json.loads(summary.read_text())["timing"]
+            assert row == {"scenario": "tiny", **timing}
 
     def test_timing_table_small_config(self, tmp_path, capsys):
-        scenarios = [{"label": "tiny", "num_devices": 6, "horizon": 600,
-                      "compute_slots": 2, "slots_per_transfer": 1,
-                      "group_sizes": [2, 6]}]
-        path = tmp_path / "scen.json"
-        path.write_text(json.dumps(scenarios))
-        rc = main(["validate-timing", "--config", str(path),
+        doc = {"name": "tiny", "grid": {"group_size": [2, 6]},
+               "system": {"num_devices": 6, "horizon": 600, "compute_slots": 2,
+                          "slots_per_transfer": 1}}
+        rc = main(["validate-timing", "--config", str(write_spec(tmp_path, doc)),
                    "--out", str(tmp_path / "out")])
         assert rc == EXIT_OK
         rows = json.loads((tmp_path / "out" / "timing.json").read_text())
@@ -1155,6 +1145,35 @@ class TestValidators:
         assert by_s[2]["rounds_exact"] == 200  # 600 slots / 3 per round
         assert by_s[6]["rounds_exact"] == 67  # 2 + 7 slots per round, the last one ends past T
         assert by_s[6]["tau_asyn"] == "9"
+
+    def test_a_spec_without_a_grid_is_one_row(self, tmp_path, capsys):
+        doc = quad_spec(horizon=40)
+        assert main(["validate-timing", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        rows = json.loads((tmp_path / "out" / "timing.json").read_text())
+        assert rows == [{"scenario": "quad_smoke",
+                         **timing_report(build_system_config(doc["system"]))}]
+        assert capsys.readouterr().out.splitlines()[0].split()[:2] == ["scenario", "num_groups"]
+
+    @pytest.mark.parametrize("doc, message", [
+        ([{"label": "old", "num_devices": 4, "horizon": 60, "group_sizes": [1]}],
+         "experiment spec must be a JSON object"),
+        ({"system": {"num_devices": 4, "horizon": 60}, "grid": {"group_size": [1]}},
+         "name must be a non-empty string, got None"),
+        ({"name": "x", "system": {"num_devices": 4, "horizon": 60},
+          "grid": {"group_size": []}}, "grid axes ['group_size'] are empty lists"),
+        ({"name": "x", "system": {"num_devices": 4, "horizon": 60},
+          "grid": {"group_size": [2, "2"]}}, "grid repeats the point group_size-2"),
+        ({"name": "x", "system": {"num_devices": 4, "horizon": 60, "group_sizes": [1]}},
+         "unknown system fields: ['group_sizes']"),
+    ], ids=["scenario-list", "no-name", "empty-axis", "repeated-point", "group-sizes"])
+    def test_a_bad_spec_writes_nothing(self, tmp_path, capsys, doc, message):
+        out = tmp_path / "out"
+        assert main(["validate-timing", "--config", str(write_spec(tmp_path, doc)),
+                     "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n" and captured.out == ""
+        assert not out.exists()
 
     def test_rate_trend_smoke(self, tmp_path, capsys):
         rc = main(["rate-trend", "--groups", "1,2", "--rounds", "40", "--num-devices", "4",
@@ -1181,10 +1200,7 @@ class TestStrictJson:
         doc["grid"] = {"group_size": [1, 2]}
         assert main(["sweep", "--config", str(write_spec(tmp_path, doc)),
                      "--out", str(tmp_path / "sweep")]) == EXIT_OK
-        scenarios = tmp_path / "scen.json"
-        scenarios.write_text(json.dumps([{"num_devices": 4, "horizon": 60,
-                                          "compute_slots": 2, "group_sizes": [1, 4]}]))
-        assert main(["validate-timing", "--config", str(scenarios),
+        assert main(["validate-timing", "--config", str(write_spec(tmp_path, doc)),
                      "--out", str(tmp_path / "timing")]) == EXIT_OK
         assert main(["rate-trend", "--groups", "1,2", "--rounds", "20", "--num-devices", "4",
                      "--out", str(tmp_path / "rt")]) == EXIT_OK
@@ -1234,6 +1250,12 @@ class TestSpecParsing:
         from tdmafl import ConfigError
         with pytest.raises(ConfigError):
             ExperimentSpec.from_dict({**quad_spec(), "bogus": 1})
+
+    @pytest.mark.parametrize("doc", [[quad_spec()], [], "spec", None, 5])
+    def test_a_document_that_is_not_an_object_is_rejected(self, doc):
+        from tdmafl import ConfigError
+        with pytest.raises(ConfigError, match="^experiment spec must be a JSON object$"):
+            ExperimentSpec.from_dict(doc)
 
     def test_unknown_system_field_rejected(self):
         from tdmafl import ConfigError
@@ -1286,12 +1308,10 @@ VALID_DOCUMENTS = {  # id: (command, document)
     "run-single-label-full": ("run", full_shards_spec(11)),
     "sweep": ("sweep", {**quad_spec(horizon=60), "seeds": [0], "grid": {
         "group_size": [1, 2], "intentional_delay": [0, "optimal"]}}),
-    "validate-timing": ("validate-timing", [
-        {"label": "a", "num_devices": 4, "horizon": 60, "compute_slots": 2,
-         "slots_per_transfer": 1, "intentional_delay": 1, "group_sizes": [1, 2]},
-        {"num_devices": 6, "horizon": 60, "samples_per_slot": "1/2", "local_steps": 2,
-         "group_sizes": [3]},
-    ]),
+    "validate-timing": ("validate-timing", {
+        "name": "a", "grid": {"group_size": [1, 2], "intentional_delay": [1, "optimal"]},
+        "system": {"num_devices": 4, "horizon": 60, "samples_per_slot": "1/2",
+                   "local_steps": 2, "slots_per_transfer": 1}}),
 }
 
 

@@ -328,10 +328,25 @@ class TestIidPartition:
             partition_iid(small, num_devices, per_device, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("num_classes, dim, per_class", [(1, 2, 3), (2, 0, 3), (2, 2, 0)],
+                         ids=["one-class", "no-features", "no-samples"])
+def test_clustered_dataset_rejects_bad_arguments(num_classes, dim, per_class):
+    with pytest.raises(DataError, match="need num_classes >= 2, per_class >= 1, dim >= 1"):
+        make_clustered_dataset(num_classes, dim, per_class, np.random.default_rng(0))
+
+
 class TestLabeledDataset:
     def test_count_mismatch(self):
         with pytest.raises(DataError, match="count mismatch"):
             LabeledDataset(np.zeros((3, 2)), np.zeros(4, dtype=int))
+
+    @pytest.mark.parametrize("features, labels", [
+        (np.zeros(3), np.zeros(3, dtype=int)),
+        (np.zeros((3, 2)), np.zeros((3, 1), dtype=int)),
+    ], ids=["flat-features", "2d-labels"])
+    def test_shape_mismatch(self, features, labels):
+        with pytest.raises(DataError, match=r"features must be \(D, d\) and labels \(D,\)"):
+            LabeledDataset(features, labels)
 
     def test_num_classes(self, dataset):
         assert dataset.num_classes == 10

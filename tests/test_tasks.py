@@ -128,6 +128,8 @@ class TestQuadratic:
             quad.grad(w, 9)
         with pytest.raises(SamplingError):
             quad.sample_batch(0, 1000, np.random.default_rng(0))
+        with pytest.raises(DataError, match="batches address a device shard"):
+            quad.grad(w, None, np.array([0]))
 
     def test_rejects_bad_construction(self):
         rng = np.random.default_rng(0)
@@ -143,6 +145,17 @@ class TestQuadratic:
         for hi in (2.0**52, 2.0**70):  # lo = 1 is at or below the rounding of hi
             with pytest.raises(ConfigError, match="eig_range must have hi / lo < 2"):
                 make_quadratic(2, 3, 1.0, rng, eig_range=(1.0, hi))
+        for num_devices, dim in ((2, 0), (0, 3)):
+            with pytest.raises(ConfigError, match="need dim >= 1 and num_devices >= 1"):
+                make_quadratic(num_devices, dim, 1.0, rng)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_top_eigenvalue_near_the_float_max_builds(self, seed):
+        # Summing the hessian with its transpose before halving overflowed here.
+        task = make_quadratic(2, 4, 1.0, np.random.default_rng(seed),
+                              eig_range=(1.66e300, 1.22e308))
+        assert np.isfinite(task.hessian).all()
+        assert np.array_equal(task.hessian, task.hessian.T)
 
 
 class TestGradientChecks:
@@ -257,6 +270,16 @@ def test_empty_quadratic_shard_is_rejected(build):
 def test_a_hessian_that_is_not_positive_definite_is_rejected(hessian):
     with pytest.raises(DataError, match="finite and positive definite"):
         QuadraticTask(hessian=np.array(hessian), sample_offsets=np.zeros((2, 1, 2)))
+
+
+@pytest.mark.parametrize("hessian, offsets, match", [
+    (np.eye(2), np.zeros((2, 2)), "sample_offsets must have shape"),
+    (np.eye(3), np.zeros((2, 1, 2)), "hessian shape does not match"),
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros((2, 1, 2)), "hessian must be symmetric"),
+], ids=["offsets-2d", "hessian-shape", "asymmetric"])
+def test_a_malformed_quadratic_is_rejected(hessian, offsets, match):
+    with pytest.raises(DataError, match=match):
+        QuadraticTask(hessian=hessian, sample_offsets=offsets)
 
 
 def uneven_task(kind):

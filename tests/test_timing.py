@@ -31,6 +31,14 @@ class TestTauComp:
     def test_float_rate_is_exact(self):
         assert as_fraction("samples_per_slot", 6.4) == Fraction(32, 5)
 
+    @pytest.mark.parametrize("value", [True, False, math.nan, math.inf, -math.inf, "abc", "1/0",
+                                       None, [], {}])
+    def test_a_value_that_is_not_a_finite_rational_is_one_error(self, value):
+        with pytest.raises(ConfigError) as info:
+            as_fraction("samples_per_slot", value)
+        message = f"samples_per_slot must be a finite rational number, got {value!r}"
+        assert str(info.value) == message
+
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 20), st.integers(1, 200), st.integers(1, 10**6), st.integers(1, 10**6))
     def test_rate_is_the_ceiling_of_work_over_rate(self, h, b, p, d):
