@@ -33,7 +33,6 @@ from .tasks import (
     make_quadratic,
 )
 from .data import (
-    LabeledDataset,
     load_cifar10_batches,
     load_idx_dataset,
     load_idx_images,

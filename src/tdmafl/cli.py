@@ -260,7 +260,7 @@ def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int)
         partition = params.pop("partition", "single_label")
         dataset_name = params.pop("dataset", "clusters")
         if dataset_name == "clusters":
-            dataset = make_clustered_dataset(
+            features, labels = make_clustered_dataset(
                 num_classes=_pop_integer(params, "num_classes", 10, minimum=2),
                 dim=_pop_integer(params, "feature_dim", 16),
                 per_class=_pop_integer(params, "samples_per_class", 400),
@@ -269,26 +269,27 @@ def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int)
                 noise=_pop_real(params, "noise", 1.0),
             )
         elif dataset_name == "mnist":
-            dataset = _load_mnist(dataset_dir)
+            features, labels = _load_mnist(dataset_dir)
         elif dataset_name == "cifar10":
-            dataset = _load_cifar(dataset_dir)
+            features, labels = _load_cifar(dataset_dir)
         else:
             raise ConfigError(f"unknown dataset {dataset_name!r}")
         if partition == "single_label":
-            take = partition_single_label(dataset, num_devices, per_device, rng)
+            take = partition_single_label(labels, num_devices, per_device, rng)
         elif partition == "iid":
-            take = partition_iid(dataset, num_devices, per_device, rng)
+            take = partition_iid(labels, num_devices, per_device, rng)
         else:
             raise ConfigError(f"unknown partition {partition!r}")
-        feats, labels = dataset.features[take], dataset.labels[take]
-        num_classes, shard_sizes = dataset.num_classes, (per_device,) * num_devices
-        del dataset, take  # the gather is a copy; the build holds two copies at most, not three
+        # The classes of the whole dataset, not of the shards; an empty one failed above.
+        num_classes, shard_sizes = int(labels.max()) + 1, (per_device,) * num_devices
+        # The gather is a copy; the build holds two copies at most, not three.
+        features, labels = features[take], labels[take]
         if kind == "logistic":
             _reject_unknown(kind, params)
-            return SoftmaxRegressionTask(feats, labels, shard_sizes, num_classes), None
+            return SoftmaxRegressionTask(features, labels, shard_sizes, num_classes), None
         hidden = _pop_integer(params, "hidden", 32)
         _reject_unknown(kind, params)
-        task = MlpTask(feats, labels, shard_sizes, num_classes, hidden=hidden)
+        task = MlpTask(features, labels, shard_sizes, num_classes, hidden=hidden)
         return task, task.init_params(np.random.default_rng([data_seed, 0x1417]))
 
     raise ConfigError(f"unknown task kind {kind!r}")
@@ -671,15 +672,6 @@ def theorem_step_size(smoothness: float, num_devices: int, group_size: int,
     return eta
 
 
-def _dividing_groups(group_counts: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """The group counts that divide n devices, sorted, and the others; ConfigError if none."""
-    skipped = [g for g in group_counts if g < 1 or n % g != 0]
-    groups = sorted(g for g in group_counts if g not in skipped)
-    if not groups:
-        raise ConfigError(f"no group count in {list(group_counts)} divides {n} devices")
-    return groups, skipped
-
-
 def rate_trend(
     task: QuadraticTask,
     group_counts: Sequence[int],
@@ -695,13 +687,17 @@ def rate_trend(
     the theorem's step size for the task's exact smoothness. The others are
     listed as skipped, and if none is left, ConfigError. G = KSCALE_GROUP is
     also read at KSCALE_FACTOR times the rounds to expose the budget scaling.
-    A task other than a QuadraticTask is a ConfigError. A non-finite float is
-    written as null.
+    A task other than a QuadraticTask is a ConfigError, and a batch_size over
+    its shards a SamplingError. A non-finite float is written as null.
     """
     if not isinstance(task, QuadraticTask):
         raise ConfigError("rate_trend needs a QuadraticTask, whose constants are exact")
     n, smoothness = task.num_devices, task.smoothness()
-    groups, skipped = _dividing_groups(group_counts, n)
+    skipped = [g for g in group_counts if g < 1 or n % g != 0]
+    groups = sorted(g for g in group_counts if g not in skipped)
+    if not groups:
+        raise ConfigError(f"no group count in {list(group_counts)} divides {n} devices")
+    check_batch_size(task, batch_size)  # before a step size is capped, with a warning
 
     @functools.cache
     def point(g: int, k: int) -> tuple[float, float]:
@@ -749,14 +745,22 @@ def validate_timing(specs=None) -> list[dict]:
 
     A row is the document's name as ``scenario``, the point's fields, then
     the ``timing_report`` of the system at that point, whose resolved
-    ``intentional_delay`` replaces a point's "optimal".
+    ``intentional_delay`` replaces a point's "optimal". A point whose system
+    is invalid is a row with an ``error`` instead, as in a sweep; if every
+    point is, the first one's ConfigError is raised.
     """
-    rows = []
+    rows, failures = [], []
     for doc in TIMING_SPECS if specs is None else specs:
         spec = ExperimentSpec.from_dict(doc)
         for _, point in _grid_points(spec.grid or {}):
-            cfg = build_system_config({**spec.system, **point})
-            rows.append({"scenario": spec.name, **point, **timing_report(cfg)})
+            try:
+                report = timing_report(build_system_config({**spec.system, **point}))
+            except ConfigError as exc:
+                failures.append(exc)
+                report = {"error": f"{type(exc).__name__}: {exc}"}
+            rows.append({"scenario": spec.name, **point, **report})
+    if failures and len(failures) == len(rows):
+        raise failures[0]
     return rows
 
 
@@ -886,10 +890,8 @@ def _dispatch(args) -> int:
         samples_per_device=40, sample_noise=0.5, eig_range=(0.5, 2.0),
     )
     init = task.w_star + 4.0 * np.ones(task.dim) / np.sqrt(task.dim)
-    _dividing_groups(groups, args.num_devices)  # rate_trend's own checks, before any output
-    check_batch_size(task, args.batch_size)
-    out = args.out and _make_out_dir(args.out)
     doc = rate_trend(task, groups, args.rounds, batch_size=args.batch_size, initial=init)
+    out = args.out and _make_out_dir(args.out)  # after rate_trend's checks, before any output
     for p in doc["points"]:  # a null prints as nan
         mean = p["mean_avg_grad_norm_sq"]
         print(f"G={p['num_groups']:3d} S={p['group_size']:3d} eta={p['eta']:.5f} "

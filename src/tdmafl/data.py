@@ -3,11 +3,14 @@
 Covers the IDX binary image/label format (gzip transparently supported), the
 CIFAR-10 binary batch format, a synthetic clustered-label generator for desk
 scale runs, and the heterogeneous single-label partitioning used by the
-non-IID experiments. A partition is one index array into the dataset, in
-device order and ``per_device`` entries per device, so one gather gives the
-(features, labels) pair a classifier task takes. A single-label partition
-draws each device's label from those that can still fill a shard, so it fails
-only when the dataset or its labels are too small for every device.
+non-IID experiments. A dataset is the (features, labels) pair a classifier
+task takes: a (D, d) float64 array and a (D,) int64 array; the task checks
+their shapes and label range. A partition reads only the labels and returns
+one index array into them, in device order and ``per_device`` entries per
+device, so one gather of each array gives the task's pair. A single-label
+partition draws each device's label from those that can still fill a shard,
+so it fails only when the dataset or its labels are too small for every
+device.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import gzip
 import math
 import struct
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -25,32 +27,6 @@ import numpy as np
 from .errors import DataError, IdxParseError
 
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixels
-
-
-@dataclass
-class LabeledDataset:
-    """Flat feature vectors with integer labels."""
-
-    features: np.ndarray  # (D, d) float64
-    labels: np.ndarray    # (D,) int64
-
-    def __post_init__(self) -> None:
-        self.features = np.asarray(self.features, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.features.ndim != 2 or self.labels.ndim != 1:
-            raise DataError("features must be (D, d) and labels (D,)")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise DataError(
-                f"count mismatch: {self.features.shape[0]} feature rows vs "
-                f"{self.labels.shape[0]} labels"
-            )
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1 if len(self) else 0
 
 
 def _open_maybe_gzip(path):
@@ -106,8 +82,8 @@ def load_idx_labels(path) -> np.ndarray:
     return _read_idx(path, 1, "label").copy()
 
 
-def load_idx_dataset(images_path, labels_path) -> LabeledDataset:
-    """Load paired IDX files; pixels are flattened and scaled to [0, 1]."""
+def load_idx_dataset(images_path, labels_path) -> tuple[np.ndarray, np.ndarray]:
+    """Load paired IDX files as (features, labels); pixels are flattened and scaled to [0, 1]."""
     images = load_idx_images(images_path)
     labels = load_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
@@ -115,9 +91,10 @@ def load_idx_dataset(images_path, labels_path) -> LabeledDataset:
             f"count mismatch between files: {images.shape[0]} images vs "
             f"{labels.shape[0]} labels"
         )
-    flat = images.reshape(images.shape[0], -1).astype(float)
+    count, rows, cols = images.shape
+    flat = images.reshape(count, rows * cols).astype(float)  # -1 cannot size zero images
     flat /= 255.0  # in place: one float64 copy of the pixels, not two
-    return LabeledDataset(features=flat, labels=labels.astype(np.int64))
+    return flat, labels.astype(np.int64)
 
 
 def _read_cifar_batch(path) -> np.ndarray:
@@ -131,8 +108,8 @@ def _read_cifar_batch(path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
 
 
-def load_cifar10_batches(paths: Sequence) -> LabeledDataset:
-    """Load CIFAR-10 binary batches; pixels are flattened and scaled to [0, 1].
+def load_cifar10_batches(paths: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Load CIFAR-10 binary batches as (features, labels); pixels are scaled to [0, 1].
 
     The batches are joined as bytes and the one float64 copy is scaled in
     place, so the peak is that copy and an eighth more, the joined bytes.
@@ -143,7 +120,7 @@ def load_cifar10_batches(paths: Sequence) -> LabeledDataset:
     records = np.concatenate(records)  # the file bytes are released here
     feats = records[:, 1:].astype(float)
     feats /= 255.0
-    return LabeledDataset(feats, records[:, 0].astype(np.int64))
+    return feats, records[:, 0].astype(np.int64)
 
 
 def make_clustered_dataset(
@@ -154,8 +131,8 @@ def make_clustered_dataset(
     *,
     spread: float = 3.0,
     noise: float = 1.0,
-) -> LabeledDataset:
-    """Gaussian blobs, one per class; a quick stand-in for real image data."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian blobs, one per class, as (features, labels); a stand-in for real image data."""
     if num_classes < 2 or per_class < 1 or dim < 1:
         raise DataError("need num_classes >= 2, per_class >= 1, dim >= 1")
     centers = rng.normal(size=(num_classes, dim))
@@ -166,19 +143,19 @@ def make_clustered_dataset(
         rows *= noise
         rows += center
     labels = np.repeat(np.arange(num_classes), per_class)
-    return LabeledDataset(feats, labels)
+    return feats, labels
 
 
-def _check_shard_sizes(dataset: LabeledDataset, num_devices: int, per_device: int) -> None:
-    """Raise DataError unless both sizes are >= 1 and the dataset holds their product."""
+def _check_shard_sizes(samples: int, num_devices: int, per_device: int) -> None:
+    """Raise DataError unless both sizes are >= 1 and ``samples`` covers their product."""
     if min(num_devices, per_device) < 1:
         raise DataError(f"num_devices and per_device must be >= 1, got {num_devices}, {per_device}")
-    if len(dataset) < num_devices * per_device:
-        raise DataError(f"dataset has {len(dataset)} samples, need {num_devices * per_device}")
+    if samples < num_devices * per_device:
+        raise DataError(f"dataset has {samples} samples, need {num_devices * per_device}")
 
 
 def partition_single_label(
-    dataset: LabeledDataset,
+    labels: np.ndarray,
     num_devices: int,
     per_device: int,
     rng: np.random.Generator,
@@ -190,16 +167,16 @@ def partition_single_label(
     across the whole partition. A label holds floor(samples / per_device)
     shards, so the partition fails only if the dataset is too small or its
     labels hold fewer than ``num_devices`` shards.
-    Returns the dataset indices in device order, ``per_device`` per device.
+    Returns the indices into ``labels`` in device order, ``per_device`` per device.
     """
-    _check_shard_sizes(dataset, num_devices, per_device)
-    label_values, counts = np.unique(dataset.labels, return_counts=True)
+    _check_shard_sizes(len(labels), num_devices, per_device)
+    label_values, counts = np.unique(labels, return_counts=True)
     held = int((counts // per_device).sum())
     if held < num_devices:
         raise DataError(f"labels hold {held} shards of {per_device} samples, need {num_devices}")
     pools = {}  # per label, the unused indices; a device takes the last ones, last first
     for lab in label_values:
-        idx = np.flatnonzero(dataset.labels == lab)
+        idx = np.flatnonzero(labels == lab)
         pools[int(lab)] = rng.permutation(idx)
 
     eligible = label_values[counts >= per_device]  # the labels that can still fill a shard
@@ -215,11 +192,11 @@ def partition_single_label(
 
 
 def partition_iid(
-    dataset: LabeledDataset,
+    labels: np.ndarray,
     num_devices: int,
     per_device: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Disjoint uniform shards, label-agnostic: the dataset indices in device order."""
-    _check_shard_sizes(dataset, num_devices, per_device)
-    return rng.permutation(len(dataset))[:num_devices * per_device]
+    """Disjoint uniform shards of the samples, label-agnostic: the indices in device order."""
+    _check_shard_sizes(len(labels), num_devices, per_device)
+    return rng.permutation(len(labels))[:num_devices * per_device]

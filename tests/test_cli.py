@@ -476,9 +476,9 @@ class TestRealFormatBuilds:
         root = tmp_path / "data"
         root.mkdir()
         if fmt == "cifar10":
-            loaded = load_cifar10_batches(write_cifar(root))
+            features, labels = load_cifar10_batches(write_cifar(root))
         else:
-            loaded = load_idx_dataset(*write_mnist(root, gz=fmt == "idx.gz"))
+            features, labels = load_idx_dataset(*write_mnist(root, gz=fmt == "idx.gz"))
         takes, tasks = [], []
         for name in ("partition_single_label", "partition_iid"):
             monkeypatch.setattr(cli, name, recording(takes, getattr(cli, name)))
@@ -496,10 +496,21 @@ class TestRealFormatBuilds:
         assert task.num_devices == 4 and len(take) == 20
         for device in range(4):
             rows = take[5 * device: 5 * (device + 1)]
-            assert np.array_equal(task.features[device], loaded.features[rows])
-            assert np.array_equal(task.labels[device], loaded.labels[rows])
+            assert np.array_equal(task.features[device], features[rows])
+            assert np.array_equal(task.labels[device], labels[rows])
             if partition == "single_label":
                 assert len(set(task.labels[device].tolist())) == 1
+
+    def test_classes_are_those_of_the_whole_dataset(self, tmp_path):
+        # Label 2 has 4 samples, too few for a shard of 5, so the devices draw
+        # only labels 0 and 1; the classifier still has the dataset's 3 classes.
+        write_mnist(tmp_path, gz=False)
+        write_idx_labels(tmp_path / "train-labels-idx1-ubyte",
+                         np.repeat(np.arange(3, dtype=np.uint8), [10, 10, 4]))
+        spec = classifier_spec("logistic", "mnist", "single_label")["task"]
+        task, _ = cli.build_task(spec, str(tmp_path), num_devices=4)
+        assert set(np.concatenate(task.labels).tolist()) == {0, 1}
+        assert task.num_classes == 3 and task.dim == 3 * (4 * 3 + 1)
 
 
 class TestExitCodes:
@@ -532,6 +543,17 @@ class TestExitCodes:
                      "--dataset-dir", str(root)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: truncated pixel data") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_idx_files_of_zero_images(self, tmp_path, capsys):
+        root = tmp_path / "data"
+        root.mkdir()
+        write_mnist(root, gz=False, count=0)
+        doc = classifier_spec("logistic", "mnist", "iid")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(out),
+                     "--dataset-dir", str(root)]) == EXIT_DATA
+        assert capsys.readouterr().err == "data error: dataset has 0 samples, need 20\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("data_seed", [11, 15, 16])
@@ -754,12 +776,18 @@ class TestExitCodes:
         assert err.startswith("data error: batch_size 41 exceeds") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_rate_trend_checks_the_batch_before_the_step_size(self, tmp_path, recwarn):
+        # A batch over the shard would first cap the step size of G = 1, with a warning.
+        rc = main(["rate-trend", "--groups", "1,2", "--rounds", "5",
+                   "--num-devices", "4", "--batch-size", "41", "--out", str(tmp_path / "rt")])
+        assert rc == EXIT_DATA and [str(w.message) for w in recwarn] == []
+
     @pytest.mark.parametrize("command", ["run", "sweep", "validate-timing", "rate-trend"])
     def test_output_directory_that_cannot_be_made(self, tmp_path, capsys, monkeypatch, command):
-        # The path lies under a regular file, and no command may run before it fails.
+        # The path lies under a regular file, and no run may start before it fails.
+        # rate-trend computes its document first, and fails before it prints any of it.
         calls = []
         monkeypatch.setattr(cli, "run_timeline", lambda *a, **k: calls.append(a))
-        monkeypatch.setattr(cli, "expected_metrics", lambda *a, **k: calls.append(a))
         blocker = tmp_path / "file"
         blocker.write_text("")
         doc = quad_spec(horizon=40)
@@ -768,10 +796,11 @@ class TestExitCodes:
         flags = {"run": config, "sweep": config, "validate-timing": [],
                  "rate-trend": ["--groups", "1,2", "--rounds", "5", "--num-devices", "4"]}[command]
         assert main([command, *flags, "--out", str(blocker / "x")]) == EXIT_CONFIG
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.startswith("configuration error: cannot create output directory")
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert calls == [] and blocker.read_text() == ""
+        assert calls == [] and blocker.read_text() == "" and captured.out == ""
 
     @pytest.mark.parametrize("command, artifact", [
         ("run", "summary.json"), ("run", "seed0/metrics.csv"), ("sweep", "sweep.csv"),
@@ -1166,7 +1195,11 @@ class TestValidators:
           "grid": {"group_size": [2, "2"]}}, "grid repeats the point group_size-2"),
         ({"name": "x", "system": {"num_devices": 4, "horizon": 60, "group_sizes": [1]}},
          "unknown system fields: ['group_sizes']"),
-    ], ids=["scenario-list", "no-name", "empty-axis", "repeated-point", "group-sizes"])
+        ({"name": "x", "system": {"num_devices": 4, "horizon": 60},
+          "grid": {"group_size": [3, 5]}}, "group_size must divide num_devices (TDMA groups "
+                                           "are equal), got group_size=3 with num_devices=4"),
+    ], ids=["scenario-list", "no-name", "empty-axis", "repeated-point", "group-sizes",
+            "every-point-bad"])
     def test_a_bad_spec_writes_nothing(self, tmp_path, capsys, doc, message):
         out = tmp_path / "out"
         assert main(["validate-timing", "--config", str(write_spec(tmp_path, doc)),
@@ -1174,6 +1207,23 @@ class TestValidators:
         captured = capsys.readouterr()
         assert captured.err == f"configuration error: {message}\n" and captured.out == ""
         assert not out.exists()
+
+    def test_a_bad_point_is_an_error_row(self, tmp_path, capsys):
+        # group_size 3 does not divide 4 devices: that point is an error row, as in a sweep.
+        doc = {"name": "mixed", "grid": {"group_size": [2, 3]},
+               "system": {"num_devices": 4, "compute_slots": 2, "horizon": 60}}
+        path = write_spec(tmp_path, doc)
+        assert main(["validate-timing", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        good, bad = json.loads((tmp_path / "out" / "timing.json").read_text())
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "sweep")]) == EXIT_OK
+        summary = tmp_path / "sweep" / "group_size-2" / "summary.json"
+        assert good == {"scenario": "mixed", "group_size": 2,
+                        **json.loads(summary.read_text())["timing"]}
+        sweep_bad = json.loads((tmp_path / "sweep" / "sweep.json").read_text())[1]
+        assert bad == {"scenario": "mixed", "group_size": 3, "error": sweep_bad["error"]}
+        assert bad["error"].startswith("ConfigError: group_size must divide num_devices")
+        assert capsys.readouterr().err == ""
 
     def test_rate_trend_smoke(self, tmp_path, capsys):
         rc = main(["rate-trend", "--groups", "1,2", "--rounds", "40", "--num-devices", "4",

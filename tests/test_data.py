@@ -13,7 +13,6 @@ from scipy import stats
 from tdmafl import (
     DataError,
     IdxParseError,
-    LabeledDataset,
     load_cifar10_batches,
     load_idx_dataset,
     load_idx_images,
@@ -27,6 +26,7 @@ from util import write_idx_images, write_idx_labels
 
 @pytest.fixture()
 def dataset():
+    """A (features, labels) pair of ten classes."""
     rng = np.random.default_rng(0)
     return make_clustered_dataset(10, 8, 120, rng)
 
@@ -48,11 +48,19 @@ class TestIdxFormat:
         labels = np.array([3, 9], dtype=np.uint8)
         write_idx_images(tmp_path / "img", images)
         write_idx_labels(tmp_path / "lab", labels)
-        ds = load_idx_dataset(tmp_path / "img", tmp_path / "lab")
-        assert len(ds) == 2
-        assert np.allclose(ds.features[0], np.array([0, 128, 255, 7]) / 255.0)
-        assert np.allclose(ds.features[1], np.array([1, 2, 3, 4]) / 255.0)
-        assert list(ds.labels) == [3, 9]
+        features, got = load_idx_dataset(tmp_path / "img", tmp_path / "lab")
+        assert len(features) == len(got) == 2
+        assert features.dtype == np.float64 and got.dtype == np.int64
+        assert np.allclose(features[0], np.array([0, 128, 255, 7]) / 255.0)
+        assert np.allclose(features[1], np.array([1, 2, 3, 4]) / 255.0)
+        assert list(got) == [3, 9]
+
+    def test_zero_images(self, tmp_path):
+        # An IDX pair of no images of 4 x 3 pixels is an empty (0, 12) pair, not a reshape error.
+        write_idx_images(tmp_path / "img", np.zeros((0, 4, 3), dtype=np.uint8))
+        write_idx_labels(tmp_path / "lab", np.zeros(0, dtype=np.uint8))
+        features, labels = load_idx_dataset(tmp_path / "img", tmp_path / "lab")
+        assert features.shape == (0, 12) and labels.shape == (0,)
 
     def test_gzip_transparent(self, tmp_path):
         images = np.arange(24, dtype=np.uint8).reshape(2, 3, 4)
@@ -112,10 +120,11 @@ class TestCifarFormat:
         pixels = rng.integers(0, 256, size=(5, 3072), dtype=np.uint8)
         records = np.concatenate([labels[:, None], pixels], axis=1)
         (tmp_path / "data_batch_1.bin").write_bytes(records.tobytes())
-        ds = load_cifar10_batches([tmp_path / "data_batch_1.bin"])
-        assert len(ds) == 5
-        assert np.array_equal(ds.labels, labels)
-        assert np.allclose(ds.features, pixels / 255.0)
+        features, got = load_cifar10_batches([tmp_path / "data_batch_1.bin"])
+        assert len(features) == len(got) == 5
+        assert features.dtype == np.float64 and got.dtype == np.int64
+        assert np.array_equal(got, labels)
+        assert np.allclose(features, pixels / 255.0)
 
     def test_bad_size(self, tmp_path):
         (tmp_path / "data_batch_1.bin").write_bytes(b"\x00" * 100)
@@ -149,24 +158,25 @@ class TestLoaderMemory:
             paths.append(tmp_path / f"data_batch_{i + 1}.bin")
             paths[-1].write_bytes(records.tobytes())
             blobs.append(records)
-        ds, peak = _peak_bytes(lambda: load_cifar10_batches(paths))
+        (features, labels), peak = _peak_bytes(lambda: load_cifar10_batches(paths))
         old = np.concatenate([r[:, 1:].astype(float) / 255.0 for r in blobs])
-        assert ds.features.tobytes() == old.tobytes()
-        assert np.array_equal(ds.labels, np.concatenate([r[:, 0] for r in blobs]))
-        assert peak < 1.5 * ds.features.nbytes
+        assert features.tobytes() == old.tobytes()
+        assert np.array_equal(labels, np.concatenate([r[:, 0] for r in blobs]))
+        assert peak < 1.5 * features.nbytes
 
     def test_idx_images(self, tmp_path):
         rng = np.random.default_rng(8)
         images = rng.integers(0, 256, size=(600, 28, 28), dtype=np.uint8)
         write_idx_images(tmp_path / "img", images)
         write_idx_labels(tmp_path / "lab", rng.integers(0, 10, size=600, dtype=np.uint8))
-        ds, peak = _peak_bytes(lambda: load_idx_dataset(tmp_path / "img", tmp_path / "lab"))
+        (features, _), peak = _peak_bytes(
+            lambda: load_idx_dataset(tmp_path / "img", tmp_path / "lab"))
         old = images.reshape(600, -1).astype(float) / 255.0
-        assert ds.features.tobytes() == old.tobytes()
-        assert peak < 1.5 * ds.features.nbytes
+        assert features.tobytes() == old.tobytes()
+        assert peak < 1.5 * features.nbytes
 
 
-def pop_loop_partition(dataset, num_devices, per_device, rng):
+def pop_loop_partition(labels, num_devices, per_device, rng):
     """The partition as a loop that pops one boxed index at a time (the reference).
 
     Each device draws its label from a fresh list of the labels that hold at
@@ -174,8 +184,8 @@ def pop_loop_partition(dataset, num_devices, per_device, rng):
     no label can fill a shard, and the number of draws made from fewer than
     all the labels.
     """
-    label_values = np.unique(dataset.labels)
-    pools = {int(lab): list(rng.permutation(np.flatnonzero(dataset.labels == lab)))
+    label_values = np.unique(labels)
+    pools = {int(lab): list(rng.permutation(np.flatnonzero(labels == lab)))
              for lab in label_values}
     order, narrowed = [], 0
     for _ in range(num_devices):
@@ -189,14 +199,14 @@ def pop_loop_partition(dataset, num_devices, per_device, rng):
 
 
 def shards(dataset, take, num_devices):
-    """Per-device feature and label lists of a partition's index array."""
-    return (np.split(dataset.features[take], num_devices),
-            np.split(dataset.labels[take], num_devices))
+    """Per-device feature and label lists of a partition's index array into a pair."""
+    features, labels = dataset
+    return np.split(features[take], num_devices), np.split(labels[take], num_devices)
 
 
 class TestSingleLabelPartition:
     def test_shards_are_pure_disjoint_and_sized(self, dataset):
-        take = partition_single_label(dataset, 10, 25, np.random.default_rng(3))
+        take = partition_single_label(dataset[1], 10, 25, np.random.default_rng(3))
         assert take.dtype == np.intp and take.shape == (250,)
         feats, labels = shards(dataset, take, 10)
         assert len(feats) == len(labels) == 10
@@ -210,41 +220,40 @@ class TestSingleLabelPartition:
         assert sum(x.shape[0] for x in feats) == 250
 
     def test_single_device(self, dataset):
-        take = partition_single_label(dataset, 1, 30, np.random.default_rng(4))
+        take = partition_single_label(dataset[1], 1, 30, np.random.default_rng(4))
         _, labels = shards(dataset, take, 1)
         assert len(labels) == 1 and len(set(labels[0].tolist())) == 1
 
     def test_insufficient_data(self, dataset):
         with pytest.raises(DataError):
-            partition_single_label(dataset, 200, 100, np.random.default_rng(5))
+            partition_single_label(dataset[1], 200, 100, np.random.default_rng(5))
 
     def test_exhausted_label_falls_back_then_errors(self):
         # Two labels, one too small to ever serve a device: it is never drawn,
         # every device falls back to the big label, and once the big label's
         # three shards are taken the partition fails up front, naming both counts.
-        feats = np.arange(80, dtype=float).reshape(40, 2)
         labels = np.array([0] * 35 + [1] * 5)
-        ds = LabeledDataset(feats, labels)
         for seed in range(20):
-            take = partition_single_label(ds, 3, 10, np.random.default_rng(seed))
+            take = partition_single_label(labels, 3, 10, np.random.default_rng(seed))
             assert (labels[take] == 0).all() and len(set(take.tolist())) == 30
         rng = np.random.default_rng(6)
         state = rng.bit_generator.state
         with pytest.raises(DataError, match=r"^labels hold 3 shards of 10 samples, need 4$"):
-            partition_single_label(ds, 4, 10, rng)
+            partition_single_label(labels, 4, 10, rng)
         assert rng.bit_generator.state == state  # it fails before any draw
 
     def test_shards_match_the_pop_loop(self):
         # Five labels of 12 samples hold exactly ten shards of 5: labels run
         # short, so most seeds draw from fewer than five labels, and none fails.
         feats = np.arange(120, dtype=float).reshape(60, 2)
-        ds = LabeledDataset(feats, np.repeat(np.arange(5), 12))
+        labels = np.repeat(np.arange(5), 12)
+        ds = feats, labels
         total_narrowed = 0
         for seed in range(150):
-            want, narrowed = pop_loop_partition(ds, 10, 5, np.random.default_rng(seed))
+            want, narrowed = pop_loop_partition(labels, 10, 5, np.random.default_rng(seed))
             total_narrowed += narrowed
             assert want is not None  # no seed fails
-            got = partition_single_label(ds, 10, 5, np.random.default_rng(seed))
+            got = partition_single_label(labels, 10, 5, np.random.default_rng(seed))
             assert got.shape == want.shape == (50,)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             for got_part, want_part in zip(shards(ds, got, 10), shards(ds, want, 10)):
@@ -258,9 +267,8 @@ class TestSingleLabelPartition:
         # label 5, 11 of label 1, 10 of each other), so every shard is used.
         counts = [5923, 6742, 5958, 6131, 5842, 5421, 5918, 6265, 5851, 5949]
         labels = np.repeat(np.arange(10), counts)
-        ds = LabeledDataset(np.zeros((len(labels), 1)), labels)
         for seed in range(20):
-            take = partition_single_label(ds, 100, 580, np.random.default_rng(seed))
+            take = partition_single_label(labels, 100, 580, np.random.default_rng(seed))
             assert take.shape == (58_000,) and len(np.unique(take)) == 58_000
             per_device = labels[take].reshape(100, 580)
             assert (per_device == per_device[:, :1]).all()
@@ -268,7 +276,7 @@ class TestSingleLabelPartition:
     @pytest.mark.parametrize("num_devices, per_device", [(4, 0), (4, -2), (0, 5), (-1, 5)])
     def test_non_positive_sizes_are_a_data_error(self, dataset, num_devices, per_device):
         with pytest.raises(DataError, match="must be >= 1"):
-            partition_single_label(dataset, num_devices, per_device, np.random.default_rng(0))
+            partition_single_label(dataset[1], num_devices, per_device, np.random.default_rng(0))
 
     @settings(max_examples=200, deadline=None)
     @given(counts=st.lists(st.integers(1, 12), min_size=1, max_size=5),
@@ -277,20 +285,24 @@ class TestSingleLabelPartition:
     def test_succeeds_exactly_when_the_labels_hold_every_shard(self, counts, num_devices,
                                                                per_device, seed):
         labels = np.repeat(np.arange(len(counts)), counts)
-        ds = LabeledDataset(np.zeros((len(labels), 1)), labels)
+        ds = np.zeros((len(labels), 1)), labels
         held = sum(c // per_device for c in counts)
         big_enough = len(labels) >= num_devices * per_device
-        want, _ = pop_loop_partition(ds, num_devices, per_device, np.random.default_rng(seed))
+        want, _ = pop_loop_partition(labels, num_devices, per_device,
+                                     np.random.default_rng(seed))
         assert (want is not None) == (held >= num_devices)
         if not big_enough:
             with pytest.raises(DataError, match="^dataset has"):
-                partition_single_label(ds, num_devices, per_device, np.random.default_rng(seed))
+                partition_single_label(labels, num_devices, per_device,
+                                       np.random.default_rng(seed))
         elif held < num_devices:
             with pytest.raises(DataError, match=f"^labels hold {held} shards of {per_device} "
                                                 f"samples, need {num_devices}$"):
-                partition_single_label(ds, num_devices, per_device, np.random.default_rng(seed))
+                partition_single_label(labels, num_devices, per_device,
+                                       np.random.default_rng(seed))
         else:
-            got = partition_single_label(ds, num_devices, per_device, np.random.default_rng(seed))
+            got = partition_single_label(labels, num_devices, per_device,
+                                         np.random.default_rng(seed))
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert len(set(got.tolist())) == num_devices * per_device
             assert all(len(set(y.tolist())) == 1 for y in shards(ds, got, num_devices)[1])
@@ -300,7 +312,7 @@ class TestSingleLabelPartition:
         # ten classes; chi-square should not reject at the 1% level.
         counts = np.zeros(10)
         for seed in range(100):
-            take = partition_single_label(dataset, 8, 10, np.random.default_rng(seed))
+            take = partition_single_label(dataset[1], 8, 10, np.random.default_rng(seed))
             _, labels = shards(dataset, take, 8)
             for y in labels:
                 counts[y[0]] += 1
@@ -310,7 +322,7 @@ class TestSingleLabelPartition:
 
 class TestIidPartition:
     def test_disjoint_and_sized(self, dataset):
-        take = partition_iid(dataset, 6, 40, np.random.default_rng(7))
+        take = partition_iid(dataset[1], 6, 40, np.random.default_rng(7))
         assert take.dtype == np.intp and len(set(take.tolist())) == 240
         all_rows = np.concatenate(shards(dataset, take, 6)[0])
         assert all_rows.shape[0] == 240
@@ -318,14 +330,14 @@ class TestIidPartition:
 
     def test_insufficient(self, dataset):
         with pytest.raises(DataError):
-            partition_iid(dataset, 100, 100, np.random.default_rng(8))
+            partition_iid(dataset[1], 100, 100, np.random.default_rng(8))
 
     @pytest.mark.parametrize("num_devices, per_device", [(-1, 5), (4, 0), (0, 5), (4, -2)])
     def test_non_positive_sizes_are_a_data_error(self, num_devices, per_device):
         # On 30 samples the first case took rng.permutation(30)[:-5], 25 indices.
-        small = LabeledDataset(np.zeros((30, 1)), np.zeros(30, dtype=int))
         with pytest.raises(DataError, match="must be >= 1"):
-            partition_iid(small, num_devices, per_device, np.random.default_rng(0))
+            partition_iid(np.zeros(30, dtype=int), num_devices, per_device,
+                          np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("num_classes, dim, per_class", [(1, 2, 3), (2, 0, 3), (2, 2, 0)],
@@ -334,19 +346,3 @@ def test_clustered_dataset_rejects_bad_arguments(num_classes, dim, per_class):
     with pytest.raises(DataError, match="need num_classes >= 2, per_class >= 1, dim >= 1"):
         make_clustered_dataset(num_classes, dim, per_class, np.random.default_rng(0))
 
-
-class TestLabeledDataset:
-    def test_count_mismatch(self):
-        with pytest.raises(DataError, match="count mismatch"):
-            LabeledDataset(np.zeros((3, 2)), np.zeros(4, dtype=int))
-
-    @pytest.mark.parametrize("features, labels", [
-        (np.zeros(3), np.zeros(3, dtype=int)),
-        (np.zeros((3, 2)), np.zeros((3, 1), dtype=int)),
-    ], ids=["flat-features", "2d-labels"])
-    def test_shape_mismatch(self, features, labels):
-        with pytest.raises(DataError, match=r"features must be \(D, d\) and labels \(D,\)"):
-            LabeledDataset(features, labels)
-
-    def test_num_classes(self, dataset):
-        assert dataset.num_classes == 10

@@ -199,9 +199,9 @@ def metrics_task(kind):
         task = make_quadratic(4, 3, 1.0, np.random.default_rng(12),
                               samples_per_device=6, sample_noise=0.2)
         return task, np.random.default_rng(13).normal(size=task.dim)
-    data = make_clustered_dataset(3, 5, 20, np.random.default_rng(14))
-    take = partition_iid(data, 4, 10, np.random.default_rng(15))
-    task = MlpTask(data.features[take], data.labels[take], (10,) * 4, num_classes=3, hidden=6)
+    features, labels = make_clustered_dataset(3, 5, 20, np.random.default_rng(14))
+    take = partition_iid(labels, 4, 10, np.random.default_rng(15))
+    task = MlpTask(features[take], labels[take], (10,) * 4, num_classes=3, hidden=6)
     return task, task.init_params(np.random.default_rng(16))
 
 

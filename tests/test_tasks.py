@@ -29,9 +29,9 @@ def quad():
 
 @pytest.fixture()
 def softmax_task():
-    data = make_clustered_dataset(3, 6, 40, np.random.default_rng(1))
-    take = partition_iid(data, 4, 25, np.random.default_rng(2))
-    return SoftmaxRegressionTask(data.features[take], data.labels[take], (25,) * 4,
+    features, labels = make_clustered_dataset(3, 6, 40, np.random.default_rng(1))
+    take = partition_iid(labels, 4, 25, np.random.default_rng(2))
+    return SoftmaxRegressionTask(features[take], labels[take], (25,) * 4,
                                  num_classes=3)
 
 
@@ -45,9 +45,9 @@ def softmax_accuracy(task, w):
 
 @pytest.fixture()
 def mlp_task():
-    data = make_clustered_dataset(3, 6, 40, np.random.default_rng(3))
-    take = partition_iid(data, 4, 25, np.random.default_rng(4))
-    return MlpTask(data.features[take], data.labels[take], (25,) * 4, num_classes=3, hidden=7)
+    features, labels = make_clustered_dataset(3, 6, 40, np.random.default_rng(3))
+    take = partition_iid(labels, 4, 25, np.random.default_rng(4))
+    return MlpTask(features[take], labels[take], (25,) * 4, num_classes=3, hidden=7)
 
 
 class TestQuadratic:
@@ -244,10 +244,12 @@ def test_empty_shard_is_rejected(cls):
 @pytest.mark.parametrize("features, labels, sizes, match", [
     (np.ones((4, 3)), np.zeros(3, dtype=int), [4], "features must be"),
     (np.ones(4), np.zeros(4, dtype=int), [4], "features must be"),
+    (np.ones((4, 3)), np.zeros((4, 1), dtype=int), [4], "features must be"),
     (np.ones((4, 3)), np.zeros(4, dtype=int), [2, 1], "adding up to the samples"),
     (np.ones((4, 3)), np.zeros(4, dtype=int), [], "one count per device"),
     (np.ones((4, 3)), np.zeros(4, dtype=int), [[2, 2]], "one count per device"),
-], ids=["label-count", "flat-features", "short-sizes", "no-devices", "nested-sizes"])
+], ids=["label-count", "flat-features", "2d-labels", "short-sizes", "no-devices",
+        "nested-sizes"])
 def test_mismatched_samples_and_sizes_are_rejected(cls, features, labels, sizes, match):
     with pytest.raises(DataError, match=match):
         cls(features, labels, sizes, num_classes=2)
@@ -348,9 +350,9 @@ class TestMlpWorkBuffers:
     """Every classifier pass runs in reused buffers; no result may depend on that."""
 
     def test_full_data_pass_allocates_less_than_one_activation(self, cls):
-        data = make_clustered_dataset(10, 16, 100, np.random.default_rng(70))
-        take = partition_iid(data, 20, 50, np.random.default_rng(71))
-        task = make_classifier(cls, data.features[take], data.labels[take], (50,) * 20, 10,
+        features, labels = make_clustered_dataset(10, 16, 100, np.random.default_rng(70))
+        take = partition_iid(labels, 20, 50, np.random.default_rng(71))
+        task = make_classifier(cls, features[take], labels[take], (50,) * 20, 10,
                                hidden=32)
         w = np.random.default_rng(72).normal(scale=0.3, size=task.dim)
         task.loss_and_grad(w)  # warm-up
