@@ -350,33 +350,33 @@ def write_metrics_csv(path, metrics) -> None:
     """Write the metrics table, formatted as one string.
 
     The bytes are those of ``csv.writer``: ints and float reprs never need
-    quoting, and every line ends in CRLF. Consecutive rows whose loss,
-    grad_norm_sq and staleness have the same 64-bit patterns share one
-    formatted tail, joined to each row's ``round,slot`` head. A float's repr
-    is a function of its bits, so this is exact; equal values would not be
-    (0.0 == -0.0 print differently, and nan != nan). A timing-only table is
-    m such runs, m being the groups in flight: its loss and gradient columns
-    are NaN, and its staleness is constant from round m - 1 on.
-    """
-    loss, grad, stale = metrics.loss, metrics.grad_norm_sq, metrics.staleness
-    starts = _bit_run_starts(loss, grad, stale)
-    heads = [f"{k},{s}" for k, s in zip(metrics.rounds, metrics.slots)]
+    quoting, and every line ends in CRLF. Slots are exact Python ints, floats
+    float64 arrays. Rows in a run of equal float bits share one tail, made of
+    the run's first ``.tolist()`` floats; each run's ``round,slot`` heads are
+    formatted as it is joined, so no list holds every row. A float's repr is a
+    function of its bits, so this is exact; equal values would not be (-0.0
+    and 0.0 print differently, and nan != nan). A timing-only table is m runs,
+    m the groups in flight: NaN losses beside the law's staleness vector."""
+    cols = [np.asarray(c, float) for c in (metrics.loss, metrics.grad_norm_sq, metrics.staleness)]
+    starts = _bit_run_starts(*cols)
+    tails = [",%r,%r,%r\r\n" % row for row in zip(*(c[starts].tolist() for c in cols))]
+    rows = zip(metrics.rounds, metrics.slots)
     parts = [",".join(CSV_HEADER) + "\r\n"]
-    for a, b in zip(starts, starts[1:]):
-        tail = f",{loss[a]!r},{grad[a]!r},{stale[a]!r}\r\n"
-        parts += (tail.join(heads[a:b]), tail)
-    del heads  # the parts hold their text; the join below copies it once more
+    for a, b, tail in zip(starts, [*starts[1:], len(metrics)], tails):
+        parts += (tail.join([f"{k},{s}" for k, s in itertools.islice(rows, b - a)]), tail)
     _write_text(path, "".join(parts))
 
 
-def _bit_run_starts(*columns: Sequence[float]) -> list[int]:
-    """The first row of each run of rows whose floats have equal bits, then the row count."""
-    n = len(columns[0])
-    if not n:
-        return [0]
-    bits = np.array(columns, dtype=float).view(np.int64)
-    changes = np.flatnonzero((bits[:, 1:] != bits[:, :-1]).any(axis=0)) + 1
-    return [0, *changes.tolist(), n]
+def _bit_run_starts(*columns: np.ndarray) -> list[int]:
+    """The first row of each run of rows whose float64 columns have equal bits.
+
+    The columns are arrays such as the law's staleness vector, never the slots
+    (exact Python ints); their int64 views are compared and ORed, not copied."""
+    first = np.zeros(len(columns[0]), dtype=bool)
+    first[:1] = True
+    for bits in (c.view(np.int64) for c in columns):
+        first[1:] |= bits[1:] != bits[:-1]
+    return np.flatnonzero(first).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +478,7 @@ def _run_built(spec: ExperimentSpec, cfg: SystemConfig, task, initial, out_dir) 
         entry = {
             "seed": seed,
             "completed_rounds": result.completed_rounds,
-            "steady_staleness": result.metrics.staleness[-1],  # every run completes K >= 2 rounds
+            "steady_staleness": float(result.metrics.staleness[-1]),  # every run completes K >= 2
             # null when nothing was evaluated
             "avg_grad_norm_sq": _finite(result.metrics.avg_grad_norm_sq()),
         }

@@ -135,7 +135,8 @@ class SgdLearner:
     from the scheduler are 1-based; shard indices are 0-based. Batch
     randomness is keyed on (seed, device, round); ``seed``, an integer >= 0,
     is read once at construction. A batch larger than some device's shard is
-    a SamplingError at construction, not when that device first trains.
+    a SamplingError at construction, not when that device first trains, and an
+    ``initial`` model not of shape (task.dim,) is a ConfigError.
     """
 
     task: Task
@@ -146,6 +147,8 @@ class SgdLearner:
     def __post_init__(self) -> None:
         require_integer("seed", self.seed, 0)
         check_batch_size(self.task, self.config.batch_size)
+        if self.initial is not None and np.shape(self.initial) != (self.task.dim,):
+            raise ConfigError(f"initial has shape {np.shape(self.initial)}, not {(self.task.dim,)}")
         seed = int(self.seed)
         self._seed_words = np.array([(seed >> shift) & MASK32
                                      for shift in range(0, max(seed.bit_length(), 1), 32)],
@@ -188,11 +191,10 @@ class SgdLearner:
         cfg = self.config
         eta = cfg.step_size
         device = device_id - 1
-        start = np.asarray(model, dtype=float)
-        w = start.copy()
+        w = start = np.asarray(model, dtype=float)
         for _ in range(cfg.local_steps):
             batch = self.task.sample_batch(device, cfg.batch_size, rng)
-            w -= eta * self.task.grad(w, device, batch)
+            w = w - eta * self.task.grad(w, device, batch)
         return (start - w) / eta
 
     def apply_round(self, model: np.ndarray, updates: Sequence[np.ndarray]) -> np.ndarray:
@@ -200,12 +202,11 @@ class SgdLearner:
         total = np.zeros(model.shape)
         for update in updates:
             if update.shape != model.shape:
-                raise ConfigError(
-                    f"update dimension {update.shape} does not match model {model.shape}"
-                )
+                raise ConfigError(f"update dimension {update.shape} does not match "
+                                  f"model {model.shape}")
             total += update
         new_model = model - self.config.step_size * (total / len(updates))
-        if not np.all(np.isfinite(new_model)):
+        if not np.isfinite(new_model).all():
             raise NumericsError("non-finite parameters after a server step; reduce the step size")
         return new_model
 

@@ -26,9 +26,9 @@ E_k = tau_comp + (k + 1)*tau_comm + floor(k/m)*Delta with
 Delta = max(0, tau_comp - (m - 1)*tau_comm), and the round count follows
 from it (``SystemConfig.downlink_ends`` and ``SystemConfig.rounds_exact``).
 So ``run_timeline`` reads the round table off the law, with no per-round
-Python, and loops over the rounds only to drive a learner; every slot above
-follows from the table. The transmitter column is built on its first read,
-one ``select_transmitters`` call per round, and cached.
+Python: slots are exact Python ints; staleness (the law's vector), loss and
+grad_norm_sq are float64 arrays. The transmitter column is built on its
+first read, one ``select_transmitters`` call per round, and cached.
 
 On a QuadraticTask the recurrence is linear, so ``expected_metrics`` gives
 the exact expected loss and squared gradient norm of each round, unsampled.
@@ -41,14 +41,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .learner import SgdLearner, check_batch_size
 from .tasks import QuadraticTask
-from .timing import SystemConfig
+from .timing import SystemConfig, require_integer
 
 SEED_BLOCK = 512
 """Keys seeded per ``rng_for`` call; their seed words take 32 bytes a key."""
@@ -64,15 +64,16 @@ class StalenessRecord(NamedTuple):
 class RunMetrics:
     """Per-round measurements plus summary accessors.
 
-    ``loss`` and ``grad_norm_sq`` are NaN for rounds where evaluation was
-    skipped (timing-only runs or decimated metrics).
+    ``rounds`` is ``range(K)`` and ``slots`` exact Python ints; ``staleness``
+    (the law's vector), ``loss`` and ``grad_norm_sq`` are float64 arrays, the
+    last two NaN for rounds not evaluated (timing-only or decimated metrics).
     """
 
-    rounds: list[int] = field(default_factory=list)
+    rounds: Sequence[int] = range(0)
     slots: list[int] = field(default_factory=list)
-    staleness: list[float] = field(default_factory=list)
-    loss: list[float] = field(default_factory=list)
-    grad_norm_sq: list[float] = field(default_factory=list)
+    staleness: np.ndarray = field(default_factory=lambda: np.empty(0))
+    loss: np.ndarray = field(default_factory=lambda: np.empty(0))
+    grad_norm_sq: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __len__(self) -> int:
         return len(self.rounds)
@@ -88,16 +89,17 @@ class RunMetrics:
 class SimResult:
     """What a run produced: the round table, the metrics and the model.
 
-    Each per-round column is stored once; ``metrics.slots`` is
-    ``downlink_end_slots`` itself. ``transmitter_sets`` is built from
-    ``config`` on its first read, round k's set being
-    ``select_transmitters`` of group k mod G, and cached. ``staleness_records``
-    and ``launch_clocks`` are read-only views, derived on every access from
-    ``transmitter_sets`` with ``metrics.staleness`` and from
-    ``downlink_end_slots``. So a run that never reads these never builds them.
-    ``events`` and ``model_history`` are the constants ``()`` and None, not
-    fields: no run keeps a slot trace or its intermediate models. They remain
-    only because the benchmark's result check reads them, and go once it stops.
+    Each per-round column is stored once: ``metrics.slots`` is
+    ``downlink_end_slots`` itself, exact Python ints, and the other metrics
+    are float64 arrays, ``metrics.staleness`` the law's vector.
+    ``transmitter_sets`` is built from ``config`` on its first read, round k's
+    set being ``select_transmitters`` of group k mod G, and cached.
+    ``staleness_records`` and ``launch_clocks`` are read-only views, derived
+    on every access from ``transmitter_sets`` with ``metrics.staleness`` and
+    from ``downlink_end_slots``, so a run that never reads them never builds
+    them. ``events`` and ``model_history`` are the constants ``()`` and None,
+    not fields: no run keeps a slot trace or its models. Only the benchmark's
+    result check reads them; they go once it stops.
     """
 
     config: SystemConfig
@@ -119,14 +121,12 @@ class SimResult:
     def staleness_records(self) -> list[StalenessRecord]:
         """One record per upload: round k gives (k, dev, s_k) for each dev it uploads.
 
-        s_k is the int of round k's ``metrics.staleness``, the column that
-        ``run_timeline`` fills from the schedule law.
+        s_k is the int of round k's ``metrics.staleness``, the law's vector.
         """
         new_record = tuple.__new__  # skips the NamedTuple's Python-level __new__
-        return [new_record(StalenessRecord, (k, dev, stale))
-                for k, (chosen, stale) in enumerate(zip(self.transmitter_sets,
-                                                        map(int, self.metrics.staleness)))
-                for dev in chosen]
+        stale = self.metrics.staleness.astype(np.int64).tolist()
+        return [new_record(StalenessRecord, (k, dev, stale[k]))
+                for k, chosen in enumerate(self.transmitter_sets) for dev in chosen]
 
     @property
     def launch_clocks(self) -> list[int]:
@@ -159,11 +159,13 @@ def _group_members(cfg: SystemConfig) -> list[tuple[int, ...]]:
 def round_count(cfg: SystemConfig, max_rounds: Optional[int] = None) -> int:
     """The rounds a run completes: ``cfg.rounds_exact()``, or ``max_rounds`` if fewer.
 
-    A count beyond sys.maxsize, which no list can hold, is a ConfigError.
+    A ``max_rounds`` not an integer >= 0 is a ConfigError, as is a count
+    beyond sys.maxsize, which no list can hold.
     """
     rounds = cfg.rounds_exact()
     if max_rounds is not None:
-        rounds = max(0, min(rounds, max_rounds))
+        require_integer("max_rounds", max_rounds, 0)
+        rounds = min(rounds, max_rounds)
     if rounds > sys.maxsize:
         raise ConfigError(f"{rounds} rounds are more than a list can hold ({sys.maxsize})")
     return rounds
@@ -183,12 +185,15 @@ def run_timeline(
     that is fewer; ``rounds_exact`` raises ConfigError for a horizon too short
     for one round to complete, whatever ``max_rounds`` is, before the learner
     is called. So does a learner built on a config other than ``cfg``, whose
-    B, H and eta would not match the schedule, and a K beyond sys.maxsize,
-    which no list can hold. Round k ends its downlink at
+    B, H and eta would not match the schedule, a ``metrics_every`` or (unless
+    None) ``max_rounds`` that is not an integer >= 0, and a K beyond
+    sys.maxsize, which no list can hold. Round k ends its downlink at
     ``cfg.downlink_ends(K)[k]``, launches one slot after the previous downlink
     end (round 0 at slot 0), uploads group k mod G and has staleness s_k.
-    Without a learner nothing else is computed; with one, the result keeps
-    only the final model.
+    ``metrics.slots`` is that list, exact Python ints; ``metrics.staleness``
+    (the law's vector), ``loss`` and ``grad_norm_sq`` are float64 arrays, the
+    last two NaN but in every ``metrics_every``-th round of a learner's run
+    (none for 0). The result keeps only a learner's final model.
 
     A learner is driven by that recurrence. A FIFO holds the models of the m
     groups in flight, oldest first: at first m copies of w_0. Round k
@@ -201,6 +206,7 @@ def run_timeline(
     S if S is larger). Runs are fully deterministic: the scheduler draws no
     randomness, a learner's is keyed on (device, round).
     """
+    require_integer("metrics_every", metrics_every, 0)
     g = cfg.num_groups
     m = g - cfg.intentional_delay
     if learner is not None and learner.config != cfg:
@@ -209,11 +215,9 @@ def run_timeline(
     rounds = round_count(cfg, max_rounds)
     downlink_ends = cfg.downlink_ends(rounds)
 
-    nan = float("nan")
-    metrics = RunMetrics(rounds=list(range(rounds)), slots=downlink_ends,
-                         staleness=[*map(float, range(min(rounds, m))),
-                                    *repeat(float(m - 1), rounds - m)],
-                         loss=[nan] * rounds, grad_norm_sq=[nan] * rounds)
+    metrics = RunMetrics(rounds=range(rounds), slots=downlink_ends,
+                         staleness=np.minimum(np.arange(rounds, dtype=np.float64), m - 1),
+                         loss=np.full(rounds, np.nan), grad_norm_sq=np.full(rounds, np.nan))
 
     model: Optional[np.ndarray] = None
     if learner is not None:
@@ -234,13 +238,8 @@ def run_timeline(
                                                     for dev in members[k % g]])
                 in_flight.append(model)
 
-    return SimResult(
-        config=cfg,
-        metrics=metrics,
-        completed_rounds=rounds,
-        downlink_end_slots=downlink_ends,
-        final_model=model,
-    )
+    return SimResult(config=cfg, metrics=metrics, completed_rounds=rounds,
+                     downlink_end_slots=downlink_ends, final_model=model)
 
 
 def expected_metrics(cfg: SystemConfig, task: QuadraticTask, initial: Optional[np.ndarray],

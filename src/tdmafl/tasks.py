@@ -134,7 +134,7 @@ class QuadraticTask(Task):
             return self._global_offset
         if batch is None:
             return self._device_offsets[device]
-        rows = self.sample_offsets[device, np.asarray(batch)]
+        rows = self.sample_offsets[device].take(batch, axis=0)
         return np.add.reduce(rows, axis=0) / len(rows)  # np.mean's floats, without its layers
 
     def _moments(self, device, batch):

@@ -8,12 +8,14 @@ and restores them.
 
 import hashlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tdmafl import SgdLearner, SystemConfig, idfl_staleness, run_timeline
+from tdmafl import SgdLearner, SystemConfig, idfl_staleness, make_quadratic, run_timeline
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -84,3 +86,22 @@ def test_call_stats_reads_a_timing_only_result(bench):
         assert stats.staleness_sum == s * sum(idfl_staleness(k, cfg) for k in range(rounds)) > 0
         assert stats.tx.digest() == hashlib.sha256(repr(result.transmitter_sets).encode()).digest()
         assert stats.records > 0 and stats.avg_grad_norm_sq == []
+
+
+def test_call_stats_reads_a_trained_result(bench):
+    # The metric columns are float64 arrays; the check must read them as it
+    # reads a timing-only run's. Deferred by alpha = 1, evaluated every other round.
+    prog = bench.import_program()
+    cfg = SystemConfig(8, 2, compute_slots=3, horizon=60, intentional_delay=1,
+                       batch_size=2, step_size=0.05)
+    task = make_quadratic(8, 3, 1.0, np.random.default_rng(2), samples_per_device=4)
+    result = run_timeline(cfg, SgdLearner(task, cfg, seed=3), metrics_every=2)
+    stats = bench.CallStats(prog.timing)
+    stats.add_result(result)
+    rounds, s = result.completed_rounds, cfg.group_size
+    assert stats.rounds == rounds > 0
+    assert stats.staleness_sum == s * sum(idfl_staleness(k, cfg) for k in range(rounds)) > 0
+    assert stats.staleness_gap_sum == 0
+    assert stats.avg_grad_norm_sq == [result.metrics.avg_grad_norm_sq()]
+    assert math.isfinite(stats.avg_grad_norm_sq[0])
+    assert stats.records > 0

@@ -142,8 +142,8 @@ def reference_csv_bytes(metrics) -> bytes:
     writer = csv.writer(buf)
     writer.writerow(CSV_HEADER)
     for i in range(len(metrics)):
-        writer.writerow([metrics.rounds[i], metrics.slots[i], repr(metrics.loss[i]),
-                         repr(metrics.grad_norm_sq[i]), repr(metrics.staleness[i])])
+        writer.writerow([metrics.rounds[i], metrics.slots[i], repr(float(metrics.loss[i])),
+                         repr(float(metrics.grad_norm_sq[i])), repr(float(metrics.staleness[i]))])
     return buf.getvalue().encode()
 
 
@@ -286,7 +286,7 @@ class TestRunCommand:
         summary = run_experiment(spec, tmp_path / "out")
         cfg = build_system_config(doc["system"])
         metrics = run_timeline(cfg, SgdLearner(task, cfg, seed=0)).metrics
-        assert len(metrics) > 1 and all(type(x) is float for x in metrics.loss)
+        assert len(metrics) > 1 and metrics.loss.dtype == np.float64
         for entry in summary["per_seed"]:
             assert type(entry["final_loss"]) is float
             table = read_metrics(tmp_path / "out" / f"seed{entry['seed']}" / "metrics.csv")

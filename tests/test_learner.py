@@ -130,6 +130,18 @@ class TestLocalUpdate:
         with pytest.raises(SamplingError, match="exceeds shard size 2 of device 3"):
             run_timeline(cfg, SgdLearner(task, cfg), max_rounds=3)
 
+    @pytest.mark.parametrize("shape", [(4,), (3, 1), (2,)])
+    def test_initial_of_another_shape_fails_at_construction(self, shape):
+        # Unchecked, such a model reached the first round_metrics and failed in a matmul.
+        cfg = SystemConfig(1, 1, compute_slots=1, horizon=10)
+        with pytest.raises(ConfigError, match=r"initial has shape .*, not \(3,\)"):
+            SgdLearner(identity_quadratic(dim=3), cfg, initial=np.ones(shape))
+
+    def test_initial_of_the_task_dimension_is_the_start_model(self):
+        cfg = SystemConfig(1, 1, compute_slots=1, horizon=10)
+        learner = SgdLearner(identity_quadratic(dim=3), cfg, initial=[1, 2, 3])
+        assert learner.initial_model().tolist() == [1.0, 2.0, 3.0]
+
 
 class TestAggregate:
     def test_mean(self):

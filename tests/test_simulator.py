@@ -26,6 +26,7 @@ from tdmafl import (
     run_timeline,
 )
 from tdmafl import simulator
+from tdmafl.cli import write_metrics_csv
 from tdmafl.simulator import RunMetrics, StalenessRecord, expected_metrics
 from descent_probe import descent_lhs
 from util import divisors, slot_trace
@@ -253,6 +254,14 @@ class TestScheduleProperties:
             result = run_timeline(cfg, metrics_every=0)
             assert result.completed_rounds == len(oracle)
             assert result.downlink_end_slots == oracle
+            # The metrics hold the law's staleness vector and NaN loss columns, as float64.
+            metrics, rounds = result.metrics, len(oracle)
+            assert metrics.rounds == range(rounds)
+            assert metrics.staleness.dtype == np.float64
+            assert metrics.staleness.tolist() == [idfl_staleness(k, cfg) for k in range(rounds)]
+            for column in (metrics.loss, metrics.grad_norm_sq):
+                assert column.dtype == np.float64 and column.shape == (rounds,)
+                assert np.isnan(column).all()
 
     def test_law_is_exact_past_int64(self):
         """Slots past 2**63 stay exact ints; Delta > 0, so every block ends in an idle gap."""
@@ -409,6 +418,31 @@ class TestDerivedColumns:
             tracemalloc.stop()
         assert peak < 1.5e6
 
+    def test_timing_only_run_builds_its_columns_once(self):
+        # Built as lists of Python floats and ints (staleness, loss, gradient
+        # and rounds), these columns took the run to 366,800 B (CPython 3.11).
+        run_timeline(SCHED_ASYNC)
+        tracemalloc.start()
+        try:
+            run_timeline(SCHED_ASYNC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 300_000
+
+    def test_metrics_csv_copies_no_column(self, tmp_path):
+        # 362,786 B when the three float columns were lists; stacking their
+        # arrays into one (3, K) copy read 456,414 B.
+        metrics = run_timeline(SCHED_ASYNC).metrics
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, metrics)
+        tracemalloc.start()
+        try:
+            write_metrics_csv(path, metrics)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 362_786
 
     def test_transmitter_column_is_built_on_first_read(self, monkeypatch):
         calls = Counter()
@@ -522,6 +556,35 @@ class TestHorizonAccounting:
         cfg = SystemConfig(2, 2, compute_slots=2, horizon=5)
         result = run_timeline(cfg)
         assert result.completed_rounds == 2
+
+
+class TestRunArguments:
+    """``metrics_every`` and ``max_rounds`` (unless None) are integers >= 0."""
+
+    CFG = SystemConfig(4, 2, compute_slots=2, horizon=60)
+
+    @pytest.mark.parametrize("metrics_every", [0.5, True, -3])
+    def test_bad_metrics_every_is_a_config_error(self, metrics_every):
+        # 0.5 and True evaluated every row, -3 every third.
+        learner = counting_learner(self.CFG)
+        with pytest.raises(ConfigError, match="metrics_every must be an integer >= 0"):
+            run_timeline(self.CFG, learner, metrics_every=metrics_every)
+        assert learner.calls == Counter()
+
+    @pytest.mark.parametrize("max_rounds", [2.5, "3", -1])
+    def test_bad_max_rounds_is_a_config_error(self, max_rounds):
+        # 2.5 raised islice's ValueError, "3" a TypeError, and -1 ran no round.
+        learner = counting_learner(self.CFG)
+        with pytest.raises(ConfigError, match="max_rounds must be an integer >= 0"):
+            run_timeline(self.CFG, learner, max_rounds=max_rounds)
+        assert learner.calls == Counter()
+
+    def test_numpy_integers_and_zero_are_accepted(self):
+        result = run_timeline(self.CFG, counting_learner(self.CFG), max_rounds=np.int64(5),
+                              metrics_every=np.int64(2))
+        assert result.completed_rounds == 5
+        assert np.flatnonzero(~np.isnan(result.metrics.loss)).tolist() == [0, 2, 4]
+        assert run_timeline(self.CFG, max_rounds=0).completed_rounds == 0
 
 
 class TestLearnerDriving:
