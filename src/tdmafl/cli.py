@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
+import ctypes
 import functools
 import io
 import itertools
@@ -253,7 +255,8 @@ def build_task(task_spec: dict, dataset_dir: Optional[str], *, num_devices: int)
         _reject_unknown(kind, params)
         if init_offset is None:
             return task, None
-        return task, task.w_star + init_offset * np.ones(task.dim) / np.sqrt(task.dim)
+        with np.errstate(over="ignore"):  # an overflow is SgdLearner's ConfigError, not a warning
+            return task, task.w_star + init_offset * np.ones(task.dim) / np.sqrt(task.dim)
 
     if kind in ("logistic", "mlp"):
         per_device = _pop_integer(params, "per_device", 50)
@@ -347,24 +350,33 @@ def _load_cifar(dataset_dir: Optional[str]):
 
 
 def write_metrics_csv(path, metrics) -> None:
-    """Write the metrics table, formatted as one string.
+    """Write the metrics table, filled in by one ``template % values`` pass.
 
     The bytes are those of ``csv.writer``: ints and float reprs never need
     quoting, and every line ends in CRLF. Slots are exact Python ints, floats
-    float64 arrays. Rows in a run of equal float bits share one tail, made of
-    the run's first ``.tolist()`` floats; each run's ``round,slot`` heads are
-    formatted as it is joined, so no list holds every row. A float's repr is a
+    float64 arrays. ``values`` is one tuple: round k, then slot k, for every
+    row. The template is the header, then for each run of rows with equal
+    float bits one row template ``%d,%d,<loss>,<grad>,<stale>``, repeated once
+    per row of the run; its floats are the run's first ``.tolist()`` values,
+    written in with ``%a``, which for a float is its repr. A float's repr is a
     function of its bits, so this is exact; equal values would not be (-0.0
     and 0.0 print differently, and nan != nan). A timing-only table is m runs,
-    m the groups in flight: NaN losses beside the law's staleness vector."""
+    m the groups in flight: NaN losses beside the law's staleness vector.
+    Memory: the tuple is built and the list it was filled in freed before the
+    template exists, and both go before the bytes are written, so at most the
+    rounds, the tuple, the template and the bytes are held at once."""
+    values = [None] * (2 * len(metrics))
+    values[::2], values[1::2] = metrics.rounds, metrics.slots
+    values = tuple(values)
     cols = [np.asarray(c, float) for c in (metrics.loss, metrics.grad_norm_sq, metrics.staleness)]
     starts = _bit_run_starts(*cols)
-    tails = [",%r,%r,%r\r\n" % row for row in zip(*(c[starts].tolist() for c in cols))]
-    rows = zip(metrics.rounds, metrics.slots)
-    parts = [",".join(CSV_HEADER) + "\r\n"]
-    for a, b, tail in zip(starts, [*starts[1:], len(metrics)], tails):
-        parts += (tail.join([f"{k},{s}" for k, s in itertools.islice(rows, b - a)]), tail)
-    _write_text(path, "".join(parts))
+    rows = [b"%%d,%%d,%a,%a,%a\r\n" % row for row in zip(*(c[starts].tolist() for c in cols))]
+    counts = np.diff([*starts, len(metrics)]).tolist()
+    header = ",".join(CSV_HEADER).encode() + b"\r\n"
+    template = b"".join([header, *map(bytes.__mul__, rows, counts)])
+    data = template % values
+    del template, values  # only the bytes are held while they are written
+    _write_bytes(path, data)
 
 
 def _bit_run_starts(*columns: np.ndarray) -> list[int]:
@@ -391,21 +403,32 @@ def timing_report(cfg: SystemConfig) -> dict:
     alpha_star is Proposition 1's free deferral, with steady staleness d_star.
     tau_asyn (round_length at alpha = 0) and rounds_closed_form hold only up
     to alpha*: above it both are null, and ``closed_form_note`` says why.
+    What the channel does over the K = rounds_exact rounds, up to E_{K-1}, the
+    clock after the last one: it idles for idle_slots = tau_comp +
+    floor((K - 1) / m) * Delta (m = G - alpha), so channel_utilization =
+    K * tau_comm / E_{K-1} (a float of the exact fraction), and
+    steady_staleness_rounds = max(0, K - (m - 1)) rounds upload at the steady
+    staleness m - 1; each staleness below min(K, m - 1) occurs exactly once.
     """
     alpha_star = optimal_intentional_delay(cfg)
     closed = cfg.intentional_delay <= alpha_star
     length = str(cfg.round_length)
+    rounds, (m, delta, _) = cfg.rounds_exact(), cfg.rotation()
+    busy, idle = rounds * cfg.tau_comm, cfg.compute_slots + (rounds - 1) // m * delta
     report = {
         "num_groups": cfg.num_groups,
         "tau_comp": cfg.compute_slots,
         "tau_comm": cfg.tau_comm,
         "tau_asyn": length if closed else None,
         "rounds_closed_form": cfg.rounds_closed_form() if closed else None,
-        "rounds_exact": cfg.rounds_exact(),
+        "rounds_exact": rounds,
         "round_length": length,
         "intentional_delay": cfg.intentional_delay,
         "alpha_star": alpha_star,
         "d_star": cfg.num_groups - 1 - alpha_star,
+        "channel_utilization": busy / (busy + idle),  # true division of ints rounds once
+        "idle_slots": idle,
+        "steady_staleness_rounds": max(0, rounds - (m - 1)),
     }
     if not closed:
         report["closed_form_note"] = (
@@ -424,13 +447,17 @@ def _make_out_dir(path) -> Path:
     return out
 
 
-def _write_text(path, text: str) -> None:
-    """Write an artifact's text as given; one that cannot be written is a ConfigError."""
+def _write_bytes(path, data: bytes) -> None:
+    """Write an artifact's bytes as given; one that cannot be written is a ConfigError."""
     try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_text(path, text: str) -> None:
+    _write_bytes(path, text.encode())
 
 
 def _write_json(path, doc) -> None:
@@ -557,9 +584,11 @@ def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1)
     that each build once per run of one N; one job runs in this process,
     more in a process pool. The rows keep grid order. A failed point becomes
     an ``error`` row and the others still run; if no point succeeds, the
-    files are written and a ConfigError is raised. Each pool worker runs
-    numpy's default BLAS thread count, so set OPENBLAS_NUM_THREADS=1 before
-    a classifier sweep with ``workers`` > 1.
+    files are written and a ConfigError is raised. The pool forks its
+    workers while numpy's bundled OpenBLAS runs on one thread
+    (``_one_blas_thread``), so each worker runs one, and workers do not
+    oversubscribe the CPUs; an OPENBLAS_NUM_THREADS or OMP_NUM_THREADS of the
+    user's still wins.
     """
     if not spec.grid:
         raise ConfigError("sweep mode needs a non-empty grid")
@@ -576,7 +605,10 @@ def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1)
     if size == 1:
         results = [_run_points(jobs[0])]
     else:  # a forked pool starts all its workers on the first submit, so no more than the jobs
-        with concurrent.futures.ProcessPoolExecutor(max_workers=size) as pool:
+        import multiprocessing  # imported here, as most runs make no pool: it costs 0.6 MB
+        fork = multiprocessing.get_context("fork")  # so the workers inherit the BLAS count
+        with _one_blas_thread(), concurrent.futures.ProcessPoolExecutor(
+                max_workers=size, mp_context=fork) as pool:
             results = list(pool.map(_run_points, jobs))
     # Back to grid order; the indices are distinct, so no two rows are compared.
     rows = [row for _, row in sorted(zip(itertools.chain(*deals), itertools.chain(*results)))]
@@ -594,6 +626,39 @@ def run_sweep(spec: ExperimentSpec, out_dir, dataset_dir=None, workers: int = 1)
     if all(row["status"] != "ok" for row in rows):
         raise ConfigError(f"all {len(rows)} sweep points failed; the first: {rows[0]['error']}")
     return rows
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread in the block, and in what it forks.
+
+    The count is set here, in the process that forks the pool, and restored
+    on exit from the block. A worker that set it itself would start an
+    OpenBLAS server thread there, which spins for about 0.13 s of CPU. The
+    setter and getter are those of the scipy-openblas library in numpy >= 2
+    wheels, found next to the numpy package. Where there is none (numpy 1.x
+    wheels, a system BLAS), or where the user's environment sets
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, this does nothing.
+    """
+    lib = found = None
+    if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        found = next(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"), None)
+    if found is not None:
+        with contextlib.suppress(OSError):
+            lib = ctypes.CDLL(str(found))
+    getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+    setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if getter is None or setter is None:
+        yield
+        return
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    setter.argtypes, setter.restype = [ctypes.c_int], None
+    before = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(before)
 
 
 def _print_table(rows: list[dict], columns: list[str]) -> None:
@@ -809,9 +874,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override a spec field, e.g. system.group_size=5, or "
                             "'seeds=[N]' to run the one seed N")
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="parallel sweep points; each worker runs numpy's default BLAS "
-                              "thread count, so set OPENBLAS_NUM_THREADS=1 for a classifier "
-                              "sweep with more than one")
+                         help="parallel sweep points; each forked worker runs numpy's "
+                              "bundled OpenBLAS on one thread unless OPENBLAS_NUM_THREADS or "
+                              "OMP_NUM_THREADS is set")
     p_vt = sub.add_parser("validate-timing", help="the run summary's timing block per grid "
                           "point: closed forms, exact schedule law and alpha*")
     p_vt.add_argument("--config", type=Path, help="experiment JSON document, as run and sweep "

@@ -136,7 +136,7 @@ class SgdLearner:
     randomness is keyed on (seed, device, round); ``seed``, an integer >= 0,
     is read once at construction. A batch larger than some device's shard is
     a SamplingError at construction, not when that device first trains, and an
-    ``initial`` model not of shape (task.dim,) is a ConfigError.
+    ``initial`` model not of shape (task.dim,), or not finite, is a ConfigError.
     """
 
     task: Task
@@ -147,8 +147,14 @@ class SgdLearner:
     def __post_init__(self) -> None:
         require_integer("seed", self.seed, 0)
         check_batch_size(self.task, self.config.batch_size)
-        if self.initial is not None and np.shape(self.initial) != (self.task.dim,):
-            raise ConfigError(f"initial has shape {np.shape(self.initial)}, not {(self.task.dim,)}")
+        if self.initial is not None:
+            if np.shape(self.initial) != (self.task.dim,):
+                raise ConfigError(f"initial has shape {np.shape(self.initial)}, "
+                                  f"not {(self.task.dim,)}")
+            bad = np.flatnonzero(~np.isfinite(self.initial))
+            if bad.size:
+                raise ConfigError(f"initial must be finite; {bad.size} of its {self.task.dim} "
+                                  f"entries are not, the first at index {bad[0]}")
         seed = int(self.seed)
         self._seed_words = np.array([(seed >> shift) & MASK32
                                      for shift in range(0, max(seed.bit_length(), 1), 32)],

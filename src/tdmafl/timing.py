@@ -121,7 +121,7 @@ class SystemConfig:
         That is max(tau_comm, (tau_comp + tau_comm) / (G - alpha)); at alpha = 0 it
         is the paper's asynchronous round length, and only alpha > alpha* lengthens it.
         """
-        m, _, period = self._rotation()
+        m, _, period = self.rotation()
         return Fraction(period, m)
 
     def rounds_closed_form(self) -> int:
@@ -137,8 +137,8 @@ class SystemConfig:
             raise ConfigError(f"rounds_closed_form holds only up to alpha* = {alpha_star}")
         return math.floor(Fraction(self.horizon) / self.round_length)
 
-    def _rotation(self) -> tuple[int, int, int]:
-        """(m, Delta, P) of the schedule law; see downlink_ends."""
+    def rotation(self) -> tuple[int, int, int]:
+        """(m, Delta, P): groups in flight, idle gap and period of the law; see downlink_ends."""
         m = self.num_groups - self.intentional_delay
         tau_comp, tau_comm = self.compute_slots, self.tau_comm
         delta = max(0, tau_comp - (m - 1) * tau_comm)
@@ -155,7 +155,7 @@ class SystemConfig:
         K >= 2 rounds, as E_0 = tau_comp + tau_comm <= T launches round 1, and
         K = 2 at T = tau_comp + tau_comm.
         """
-        m, _, period = self._rotation()
+        m, _, period = self.rotation()
         tau_comp, tau_comm, horizon = self.compute_slots, self.tau_comm, self.horizon
         if horizon < tau_comp + tau_comm:
             raise ConfigError(f"no training round completes within the {horizon}-slot horizon")
@@ -179,7 +179,7 @@ class SystemConfig:
         list is those ranges chained and cut at ``rounds``. The slots are
         Python ints, exact past 2**63.
         """
-        m, _, period = self._rotation()
+        m, _, period = self.rotation()
         tau_comm = self.tau_comm
         first = self.compute_slots + tau_comm - 1
         blocks = map(range, count(first, period), count(first + m * tau_comm, period),

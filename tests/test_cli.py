@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import copy
 import csv
+import ctypes
 import gzip
 import hashlib
 import io
@@ -42,6 +43,24 @@ from tdmafl.simulator import RunMetrics, run_timeline
 from tdmafl.tasks import Task
 from tdmafl.timing import SystemConfig
 from util import write_idx_images, write_idx_labels
+
+
+def blas_threads():
+    """The thread count of numpy's bundled scipy-openblas, or None where it has none."""
+    for path in Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"):
+        getter = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_num_threads64_", None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter()
+    return None
+
+
+RUN_POINTS = cli._run_points
+
+
+def run_points_reading_blas(job):
+    """``cli._run_points``, each row stamped with its process's BLAS thread count."""
+    return [{**row, "blas_threads": blas_threads()} for row in RUN_POINTS(job)]
 
 
 def quad_spec(**system_overrides):
@@ -177,6 +196,19 @@ class TestRunCommand:
         del doc["task"]["init_offset"]
         assert cli.build_task(doc["task"], None, num_devices=4)[1] is None
 
+    def test_init_offset_that_overflows_the_initial_model(self, tmp_path, capsys):
+        # w_star is about -1.3e292 here, so w_star - max float is -inf; that was exit 4.
+        doc = {"name": "ovf", "system": {"num_devices": 2, "group_size": 1, "horizon": 40},
+               "task": {"kind": "quadratic", "dim": 1, "heterogeneity": 3e305,
+                        "init_offset": -sys.float_info.max}}
+        task, init = cli.build_task(doc["task"], None, num_devices=2)
+        assert task.w_star[0] < -1e292 and init[0] == -math.inf
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(out)])
+        assert rc == EXIT_CONFIG and not out.exists()
+        assert capsys.readouterr().err == ("configuration error: initial must be finite; 1 of "
+                                           "its 1 entries are not, the first at index 0\n")
+
     @pytest.mark.parametrize("kind", ["logistic", "mlp"])
     def test_classifier_build_peaks_below_two_and_a_half_copies_of_the_samples(self, kind):
         # 20 iid shards of 100 take all 2,000 samples: the dataset, the gather
@@ -240,10 +272,24 @@ class TestRunCommand:
                                  metrics_every=3).metrics
         assert [k for k, x in enumerate(decimated.loss) if not math.isnan(x)] == \
             list(range(0, len(decimated), 3))
-        for metrics in (edge_values, signed_zeros, one_row, timing_only, decimated, RunMetrics()):
+        # Every row its own run (evaluated every round, as a sweep point is); one
+        # run across 2**63; one run for the whole table (G = 1).
+        distinct = run_timeline(cfg, SgdLearner(task, cfg, initial=initial)).metrics
+        nan = np.full(6, np.nan)
+        past_int64 = RunMetrics(rounds=range(6), slots=[2**63 - 3 + 2 * k for k in range(6)],
+                                staleness=np.full(6, 2.0), loss=nan, grad_norm_sq=nan)
+        one_group = run_timeline(SystemConfig(4, 4, compute_slots=3, horizon=2000)).metrics
+        for metrics, runs in ((distinct, len(distinct)), (past_int64, 1), (one_group, 1)):
+            columns = [np.asarray(c, float) for c in
+                       (metrics.loss, metrics.grad_norm_sq, metrics.staleness)]
+            assert len(cli._bit_run_starts(*columns)) == runs and len(metrics) > 5
+        for metrics in (edge_values, signed_zeros, one_row, timing_only, decimated, distinct,
+                        past_int64, one_group, RunMetrics()):
             path = tmp_path / "metrics.csv"
             write_metrics_csv(path, metrics)
             assert path.read_bytes() == reference_csv_bytes(metrics)
+            if metrics is past_int64:
+                assert b"\r\n2,9223372036854775809,nan,nan,2.0\r\n" in path.read_bytes()
         assert path.read_bytes() == b"round,slot,loss,grad_norm_sq,staleness\r\n"  # header only
 
     @settings(max_examples=200, deadline=None)
@@ -990,6 +1036,45 @@ class TestSweep:
             assert names == (["metrics.csv"] * 2 * points + ["summary.json"] * points
                              + ["sweep.csv", "sweep.json"])
 
+    def test_parallel_classifier_points_write_the_same_bytes(self, tmp_path):
+        doc = {"name": "mlp", "seeds": [0],
+               "system": {"num_devices": 2, "group_size": 1, "compute_slots": 2,
+                          "batch_size": 4, "horizon": 60},
+               "task": {"kind": "mlp", "hidden": 4, "num_classes": 3, "feature_dim": 4,
+                        "samples_per_class": 20, "per_device": 10},
+               "grid": {"step_size": [0.01, 0.05]}}
+        trees = {}
+        for workers in (1, 2):
+            out = tmp_path / str(workers)
+            rows = run_sweep(ExperimentSpec.from_dict(doc), out, workers=workers)
+            assert [r["status"] for r in rows] == ["ok", "ok"]
+            trees[workers] = {p.relative_to(out).as_posix(): p.read_bytes()
+                              for p in out.rglob("*") if p.is_file()}
+        assert trees[1] == trees[2] and len(trees[1]) == 6
+
+    @pytest.mark.skipif(blas_threads() is None, reason="numpy bundles no scipy-openblas")
+    @pytest.mark.parametrize("user_var", [None, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_pool_workers_run_one_blas_thread(self, tmp_path, monkeypatch, user_var):
+        # A forked worker inherits this process's module state, so it runs the stamping job.
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        if user_var:
+            monkeypatch.setenv(user_var, "2")
+        monkeypatch.setattr(cli, "_run_points", run_points_reading_blas)
+        before = blas_threads()
+        doc = quad_spec(horizon=40)
+        doc["grid"] = {"group_size": [1, 2]}
+        rows = run_sweep(ExperimentSpec.from_dict(doc), tmp_path / "sweep", workers=2)
+        assert [r["blas_threads"] for r in rows] == [before if user_var else 1] * 2
+        assert blas_threads() == before  # and this process's count is untouched
+
+    @pytest.mark.parametrize("user_var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_user_blas_thread_count_is_left_alone(self, monkeypatch, user_var):
+        monkeypatch.setenv(user_var, "3")
+        monkeypatch.setattr(ctypes, "CDLL", lambda *a: pytest.fail("looked for the setter"))
+        with cli._one_blas_thread():
+            pass
+
     def test_points_of_one_n_share_one_build(self, tmp_path, monkeypatch):
         calls = count_builds(monkeypatch)
         doc = quad_spec(horizon=60)
@@ -1086,7 +1171,8 @@ class TestSweep:
         sizes, calls = [], count_builds(monkeypatch)
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, mp_context):
+                assert mp_context.get_start_method() == "fork"
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -1161,6 +1247,27 @@ class TestValidators:
             summary = tmp_path / "sweep" / f"intentional_delay-{point}" / "summary.json"
             timing = json.loads(summary.read_text())["timing"]
             assert row == {"scenario": "tiny", **timing}
+
+    def test_channel_measures_in_the_table_and_the_summary(self, tmp_path, capsys):
+        # Four singleton groups, 2-slot compute, tau_comm = 2. At alpha = 0 the
+        # channel idles only for the first compute: 200 rounds, 3 of them fresher
+        # than d = 3. At alpha = 3 (m = 1) it idles Delta = 2 slots every round.
+        doc = {"name": "tiny", "grid": {"intentional_delay": [0, 3]},
+               "system": {"num_devices": 4, "group_size": 1, "compute_slots": 2,
+                          "horizon": 400}}
+        path = write_spec(tmp_path, doc)
+        assert main(["validate-timing", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        header = capsys.readouterr().out.splitlines()[0].split()
+        keys = ["channel_utilization", "idle_slots", "steady_staleness_rounds"]
+        assert set(keys) <= set(header)
+        rows = json.loads((tmp_path / "out" / "timing.json").read_text())
+        assert [[row[k] for k in keys] for row in rows] == [[400 / 402, 2, 197], [0.5, 202, 101]]
+        del doc["grid"]
+        summary = run_experiment(ExperimentSpec.from_dict(doc), tmp_path / "run")
+        written = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert [written["timing"][k] for k in keys] == [summary["timing"][k] for k in keys] == \
+            [400 / 402, 2, 197]
 
     def test_timing_table_small_config(self, tmp_path, capsys):
         doc = {"name": "tiny", "grid": {"group_size": [2, 6]},

@@ -137,6 +137,14 @@ class TestLocalUpdate:
         with pytest.raises(ConfigError, match=r"initial has shape .*, not \(3,\)"):
             SgdLearner(identity_quadratic(dim=3), cfg, initial=np.ones(shape))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_initial_that_is_not_finite_fails_at_construction(self, bad):
+        # Unchecked, it built and failed in run_timeline as a NumericsError on the step size.
+        cfg = SystemConfig(1, 1, compute_slots=1, horizon=10)
+        with pytest.raises(ConfigError, match=r"^initial must be finite; 1 of its 3 entries "
+                                              r"are not, the first at index 1$"):
+            SgdLearner(identity_quadratic(dim=3), cfg, initial=[0.0, bad, 0.0])
+
     def test_initial_of_the_task_dimension_is_the_start_model(self):
         cfg = SystemConfig(1, 1, compute_slots=1, horizon=10)
         learner = SgdLearner(identity_quadratic(dim=3), cfg, initial=[1, 2, 3])

@@ -12,7 +12,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdmafl import (
@@ -26,7 +26,7 @@ from tdmafl import (
     run_timeline,
 )
 from tdmafl import simulator
-from tdmafl.cli import write_metrics_csv
+from tdmafl.cli import timing_report, write_metrics_csv
 from tdmafl.simulator import RunMetrics, StalenessRecord, expected_metrics
 from descent_probe import descent_lhs
 from util import divisors, slot_trace
@@ -372,6 +372,48 @@ def short_runs(draw):
 
 
 SCHED_ASYNC = SystemConfig(1000, 10, compute_slots=500, horizon=40_000)
+
+
+class TestChannelMeasures:
+    """timing_report's channel and staleness measures, against the law and the slot trace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(short_runs())
+    @example(SystemConfig(30, 1, compute_slots=60, horizon=70))  # K = 6 <= m - 1 = 29
+    @example(SystemConfig(4, 1, compute_slots=2, horizon=400, intentional_delay=3))  # m = 1
+    def test_measures_match_the_law_and_the_slot_trace(self, cfg):
+        report = timing_report(cfg)
+        result = run_timeline(cfg, metrics_every=0)
+        rounds, tau_comm = result.completed_rounds, cfg.tau_comm
+        assert report["rounds_exact"] == rounds
+        # The law: E_{K-1} = tau_comp + K * tau_comm + floor((K - 1) / m) * Delta.
+        m = cfg.num_groups - cfg.intentional_delay
+        delta = max(0, cfg.compute_slots - (m - 1) * tau_comm)
+        clock = cfg.compute_slots + rounds * tau_comm + (rounds - 1) // m * delta
+        assert clock == result.downlink_end_slots[-1] + 1
+        assert report["idle_slots"] == cfg.compute_slots + (rounds - 1) // m * delta
+        assert report["channel_utilization"] == float(Fraction(rounds * tau_comm, clock))
+        assert report["steady_staleness_rounds"] == max(0, rounds - (m - 1))
+        # The trace: the slots that transfers hold before E_{K-1}, and each round's model age.
+        r = cfg.slots_per_transfer
+        trace = sorted(slot_trace(result))
+        held = [slot + i for slot, kind, _, _ in trace if kind in ("uplink", "downlink")
+                for i in range(r)]
+        assert len(set(held)) == len(held) == rounds * tau_comm and max(held) < clock
+        assert report["idle_slots"] == clock - len(held)
+        assert report["channel_utilization"] == len(held) / clock
+        model_of, ages = {}, {}  # device -> model round of its last compute; round -> ages
+        for slot, kind, dev, k in trace:  # a device uploads tau_comp or more slots after it starts
+            if kind == "compute_start":
+                model_of[dev] = k
+            elif kind == "uplink":
+                ages.setdefault(k, set()).add(k - model_of[dev])
+        assert all(len(age) == 1 for age in ages.values()) and len(ages) == rounds
+        histogram = Counter(age for (age,) in ages.values())
+        assert histogram[m - 1] == report["steady_staleness_rounds"]
+        assert {d: histogram[d] for d in range(min(rounds, m - 1))} == \
+            dict.fromkeys(range(min(rounds, m - 1)), 1)
+        assert sum(histogram.values()) == rounds and max(histogram) <= m - 1
 
 
 class TestDerivedColumns:
