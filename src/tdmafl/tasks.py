@@ -182,6 +182,7 @@ def make_quadratic(
     so each device's mean squared sample deviation equals sample_noise**2.
     The hessian's eigenvalues are evenly spaced over ``eig_range`` [lo, hi],
     which needs hi / lo < 2**52: past that, lo is below the rounding of hi.
+    The mean offsets and the per-sample loss constants must be finite floats.
     """
     if dim < 1 or num_devices < 1:
         raise ConfigError("need dim >= 1 and num_devices >= 1")
@@ -201,24 +202,32 @@ def make_quadratic(
     # Halved before the sum, so a top eigenvalue near the float64 maximum stays finite.
     hessian = 0.5 * hessian + 0.5 * hessian.T
 
-    center = rng.normal(size=dim)
-    if heterogeneity > 0 and num_devices > 1:
-        offsets = rng.normal(size=(num_devices, dim))
-        offsets -= offsets.mean(axis=0)
-        offsets *= heterogeneity / np.linalg.norm(offsets, axis=1).max()
-    else:
-        offsets = np.zeros((num_devices, dim))
+    if sample_noise > 0 and samples_per_device < 2:
+        raise ConfigError("sample_noise > 0 needs samples_per_device >= 2")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is the ConfigError below
+        center = rng.normal(size=dim)
+        if heterogeneity > 0 and num_devices > 1:
+            offsets = rng.normal(size=(num_devices, dim))
+            offsets -= offsets.mean(axis=0)
+            offsets *= heterogeneity / np.linalg.norm(offsets, axis=1).max()
+        else:
+            offsets = np.zeros((num_devices, dim))
 
-    device_means = center + offsets
-    samples = np.repeat(device_means[:, None, :], samples_per_device, axis=1)
-    if sample_noise > 0:
-        if samples_per_device < 2:
-            raise ConfigError("sample_noise > 0 needs samples_per_device >= 2")
-        noise = rng.normal(size=samples.shape)
-        noise -= noise.mean(axis=1, keepdims=True)
-        rms = np.sqrt((noise * noise).sum(axis=2).mean(axis=1))  # (N,)
-        samples = samples + noise * (sample_noise / rms)[:, None, None]
-    return QuadraticTask(hessian=hessian, sample_offsets=samples)
+        device_means = center + offsets
+        samples = np.repeat(device_means[:, None, :], samples_per_device, axis=1)
+        if sample_noise > 0:
+            noise = rng.normal(size=samples.shape)
+            noise -= noise.mean(axis=1, keepdims=True)
+            rms = np.sqrt((noise * noise).sum(axis=2).mean(axis=1))  # (N,)
+            samples = samples + noise * (sample_noise / rms)[:, None, None]
+        task = QuadraticTask(hessian=hessian, sample_offsets=samples)
+    # A non-finite offset or loss constant reaches the global means, which are small.
+    if not (np.isfinite(task._global_offset).all() and math.isfinite(task._global_const)):
+        raise ConfigError(
+            f"heterogeneity {heterogeneity!r} and sample_noise {sample_noise!r} "
+            f"(with eig_range {eig_range}) overflow the task's offsets or loss constants"
+        )
+    return task
 
 
 def _mean_nll(log_probs: np.ndarray, labels: np.ndarray) -> float:

@@ -144,7 +144,7 @@ def read_metrics(path):
     """A metrics.csv as columns: round and slot as int, the rest as float."""
     with open(path, newline="") as fh:
         header, *rows = csv.reader(fh)
-    assert header == CSV_HEADER
+    assert header == CSV_HEADER and all(len(row) == len(header) for row in rows)
     kinds = [int, int, float, float, float]
     return {name: [kind(row[i]) for row in rows]
             for i, (name, kind) in enumerate(zip(header, kinds))}
@@ -197,12 +197,12 @@ class TestRunCommand:
         assert cli.build_task(doc["task"], None, num_devices=4)[1] is None
 
     def test_init_offset_that_overflows_the_initial_model(self, tmp_path, capsys):
-        # w_star is about -1.3e292 here, so w_star - max float is -inf; that was exit 4.
+        # Curvature 1e-300 puts w_star near 2.1e299, so w_star + max float is inf; was exit 4.
         doc = {"name": "ovf", "system": {"num_devices": 2, "group_size": 1, "horizon": 40},
-               "task": {"kind": "quadratic", "dim": 1, "heterogeneity": 3e305,
-                        "init_offset": -sys.float_info.max}}
+               "task": {"kind": "quadratic", "dim": 1, "eig_range": [1e-300, 1e-300],
+                        "init_offset": sys.float_info.max}}
         task, init = cli.build_task(doc["task"], None, num_devices=2)
-        assert task.w_star[0] < -1e292 and init[0] == -math.inf
+        assert task.w_star[0] > 1e292 and init[0] == math.inf
         out = tmp_path / "out"
         rc = main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(out)])
         assert rc == EXIT_CONFIG and not out.exists()
@@ -395,14 +395,16 @@ class TestRunCommand:
         assert len(summary["per_seed"]) == 1
 
     def test_set_seeds_replaces_the_spec_seeds(self, tmp_path):
-        out = tmp_path / "out"
-        rc = main(["run", "--config", str(write_spec(tmp_path, quad_spec(horizon=40))),
-                   "--out", str(out), "--set", "seeds=[7]"])
+        path, out = write_spec(tmp_path, quad_spec(horizon=40)), tmp_path / "out"  # seeds [0, 1]
+        rc = main(["run", "--config", str(path), "--out", str(out), "--set", "seeds=[1]"])
         assert rc == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"]["seeds"] == [7]  # the echo is the spec that ran
-        assert [e["seed"] for e in summary["per_seed"]] == [7]
-        assert sorted(p.name for p in out.iterdir()) == ["seed7", "summary.json"]
+        assert summary["config"]["seeds"] == [1]  # the echo is the spec that ran
+        assert [e["seed"] for e in summary["per_seed"]] == [1]
+        assert sorted(p.name for p in out.iterdir()) == ["seed1", "summary.json"]
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "both")]) == EXIT_OK
+        assert (out / "seed1" / "metrics.csv").read_bytes() == \
+            (tmp_path / "both" / "seed1" / "metrics.csv").read_bytes()
 
     def test_timing_only_run(self, tmp_path):
         doc = quad_spec()
@@ -418,6 +420,7 @@ class TestRunCommand:
         summary = json.loads((out / "summary.json").read_text(),
                              parse_constant=_reject_constant)
         assert all(e["avg_grad_norm_sq"] is None for e in summary["per_seed"])
+        assert table["round"] == list(range(summary["completed_rounds"])) != []
 
     def test_closed_forms_are_null_beyond_alpha_star(self, tmp_path):
         # N = 4 singleton groups with 2-slot compute: alpha* = 2, tau_asyn = 2.
@@ -1216,7 +1219,7 @@ class TestValidators:
     def test_prop1_output(self, tmp_path):
         # Proposition 1's worked examples: N = 100 singleton groups, compute 50, 10 and 2.
         assert main(["validate-timing", "--out", str(tmp_path)]) == EXIT_OK
-        rows = json.loads((tmp_path / "timing.json").read_text())
+        rows = json.loads((tmp_path / "timing.json").read_text(), parse_constant=_reject_constant)
         prop1 = [(r["tau_comp"], r["alpha_star"], r["d_star"]) for r in rows
                  if r["num_groups"] == 100]
         assert prop1 == [(50, 74, 25), (10, 94, 5), (2, 98, 1)]
@@ -1332,12 +1335,15 @@ class TestValidators:
         assert bad["error"].startswith("ConfigError: group_size must divide num_devices")
         assert capsys.readouterr().err == ""
 
-    def test_rate_trend_smoke(self, tmp_path, capsys):
-        rc = main(["rate-trend", "--groups", "1,2", "--rounds", "40", "--num-devices", "4",
-                   "--out", str(tmp_path / "rt")])
-        assert rc == EXIT_OK
-        doc = json.loads((tmp_path / "rt" / "rate_trend.json").read_text())
-        assert [p["num_groups"] for p in doc["points"]] == [1, 2]
+    @pytest.mark.parametrize("flags, groups", [
+        (["--groups", "1,2", "--rounds", "40", "--num-devices", "4"], [1, 2]),
+        ([], [1, 2, 5, 10])], ids=["small", "defaults"])
+    def test_rate_trend_smoke(self, tmp_path, capsys, flags, groups):
+        assert main(["rate-trend", *flags, "--out", str(tmp_path / "rt")]) == EXIT_OK
+        doc = json.loads((tmp_path / "rt" / "rate_trend.json").read_text(),
+                         parse_constant=_reject_constant)
+        assert [p["num_groups"] for p in doc["points"]] == groups
+        assert doc["monotone_in_groups"] is True and not any("per_seed" in p for p in doc["points"])
 
 
 # A run whose loss and gradient norm overflow while its model stays finite.
@@ -1463,6 +1469,9 @@ VALID_DOCUMENTS = {  # id: (command, document)
     "run-quadratic-dim-1": ("run", {**quad_spec(horizon=60), "task": {
         "kind": "quadratic", "dim": 1, "samples_per_device": 8, "init_offset": 1.0}}),
     "run-single-label-full": ("run", full_shards_spec(11)),
+    "run-logistic-iid": ("run", {**quad_spec(horizon=60), "seeds": [0], "task": {
+        "kind": "logistic", "num_classes": 3, "feature_dim": 4, "samples_per_class": 20,
+        "partition": "iid", "per_device": 10}}),
     "sweep": ("sweep", {**quad_spec(horizon=60), "seeds": [0], "grid": {
         "group_size": [1, 2], "intentional_delay": [0, "optimal"]}}),
     "validate-timing": ("validate-timing", {

@@ -148,6 +148,11 @@ class TestQuadratic:
         for num_devices, dim in ((2, 0), (0, 3)):
             with pytest.raises(ConfigError, match="need dim >= 1 and num_devices >= 1"):
                 make_quadratic(num_devices, dim, 1.0, rng)
+        # 1e306 overflows the mean of 24 offsets; 1e300 squared overflows the loss constants.
+        for heterogeneity, sample_noise in ((1e306, 0.0), (1e300, 0.0), (0.0, 1e300)):
+            with pytest.raises(ConfigError, match="^heterogeneity .* overflow the task's offsets"):
+                make_quadratic(2, 1, heterogeneity, rng, samples_per_device=24,
+                               sample_noise=sample_noise)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_a_top_eigenvalue_near_the_float_max_builds(self, seed):
